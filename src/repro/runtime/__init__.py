@@ -10,8 +10,9 @@ out-of-memory, Ctrl-C and half-written files — and must prove it.
   with integrity checksums and run fingerprints, powering
   ``checkpoint=``/``resume=`` on every engine entry point.
 * :mod:`repro.runtime.supervisor` — :class:`Supervisor`: per-chunk
-  deadlines over the fork pool, bounded retry with exponential
-  backoff + jitter, pool restarts, in-parent quarantine.
+  deadlines over the fork pool, bounded retry, pool restarts,
+  in-parent quarantine; :func:`backoff_delay` is the one retry rule
+  shared with the certification service.
 * :mod:`repro.runtime.fallback` — :class:`FallbackPolicy`: sparse →
   statevector → density-matrix degradation on ``MemoryError`` /
   ``SimulationError``, and retry-once on ``VerificationError``.
@@ -43,6 +44,7 @@ from repro.runtime.supervisor import (
     SupervisionReport,
     Supervisor,
     SupervisorConfig,
+    backoff_delay,
 )
 
 __all__ = [
@@ -57,6 +59,7 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
     "as_store",
+    "backoff_delay",
     "deserialize_pattern",
     "garble_checkpoint_record",
     "poison_checkpoint_verdict",

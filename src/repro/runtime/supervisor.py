@@ -11,8 +11,9 @@ mechanism — a per-chunk wall-clock deadline:
   that misses its deadline (hung *or* silently dead worker) triggers
   a pool restart, re-queues innocent in-flight chunks at their current
   attempt, and re-queues the offender with an incremented attempt;
-* failed or expired attempts are retried with exponential backoff plus
-  deterministic jitter, up to ``max_retries``;
+* failed or expired attempts are retried after :func:`backoff_delay`
+  (exponential, with jitter hashed from the chunk index and attempt),
+  up to ``max_retries``;
 * a chunk that exhausts its retries is **quarantined**: evaluated
   in the parent process as a last resort (a fork-pool pathology cannot
   follow it there).  If even that fails, the run terminates with
@@ -29,15 +30,30 @@ client, but nothing here knows about fault patterns.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
+from repro.exceptions import ReproError, RuntimeIntegrityError
 
-from repro.exceptions import RuntimeIntegrityError
+
+def backoff_delay(key: str, attempt: int, base: float, factor: float,
+                  jitter: float) -> float:
+    """Exponential backoff with deterministic per-key jitter.
+
+    The one retry rule: keyed by chunk index here, by job fingerprint
+    in the service queue and by request in its client.  ``attempt`` is
+    1-based.  Jitter is hashed from (key, attempt), so schedules replay
+    exactly while keys that fail together still decorrelate.
+    """
+    if attempt < 1:
+        raise ReproError(f"attempt must be >= 1, got {attempt}")
+    digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
+    unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
+    return base * (factor ** (attempt - 1)) * (1.0 + jitter * unit)
 
 
 @dataclass(frozen=True)
@@ -55,14 +71,6 @@ class SupervisorConfig:
     backoff_factor: float = 2.0
     backoff_jitter: float = 0.25
     poll_interval_seconds: float = 0.02
-    seed: int = 0
-
-    def backoff_delay(self, attempt: int,
-                      rng: np.random.Generator) -> float:
-        """Exponential backoff with jitter before retry ``attempt``."""
-        base = self.backoff_base_seconds * \
-            self.backoff_factor ** max(attempt - 1, 0)
-        return base * (1.0 + self.backoff_jitter * float(rng.random()))
 
 
 @dataclass
@@ -120,7 +128,6 @@ class Supervisor:
         report = SupervisionReport(chunks=num_tasks)
         if num_tasks == 0:
             return report
-        rng = np.random.default_rng(config.seed)
         context = multiprocessing.get_context("fork")
         pool = context.Pool(processes=workers)
         pending: deque = deque((i, 0) for i in range(num_tasks))
@@ -153,8 +160,9 @@ class Supervisor:
                 _quarantine(index, next_attempt, cause)
                 return
             report.retries += 1
-            ready_at = time.monotonic() + \
-                config.backoff_delay(next_attempt, rng)
+            ready_at = time.monotonic() + backoff_delay(
+                str(index), next_attempt, config.backoff_base_seconds,
+                config.backoff_factor, config.backoff_jitter)
             delayed.append((ready_at, index, next_attempt))
 
         try:

@@ -11,9 +11,9 @@ execution, deterministic chaos — into a durable job system:
 * :class:`~repro.service.queue.JobQueue` — append-only event journal,
   token + TTL leases, exponential backoff with deterministic jitter,
   dead-letter quarantine, client cancellation;
-* :class:`~repro.service.worker.Worker` — claim → cache check →
-  seeded analysis run with per-job checkpoints → streamed progress →
-  token-checked completion;
+* :class:`~repro.service.worker.Worker` — the one lease loop: claim
+  → cache check → seeded run with per-job checkpoints → streamed
+  progress → token-checked completion, in-process or over HTTP;
 * :class:`~repro.service.pool.WorkerPool` /
   :class:`~repro.service.pool.CertificationService` — forked,
   supervised workers behind one facade, with
@@ -53,7 +53,8 @@ from repro.service.chaos import NetChaosEvent, NetChaosPlan, \
     ServiceChaosEvent, ServiceChaosPlan, WorkerChaosEvent
 from repro.service.client import ClientStats, ServiceClient, \
     wait_terminal
-from repro.service.remote import RemoteWorker, remote_worker_main
+from repro.service.remote import HttpTransport, RemoteWorker, \
+    remote_worker_main
 from repro.service.jobs import CANCELLED, DEAD, FAILED, JOB_KINDS, \
     JobSpec, JobStatus, PENDING, RUNNING, SUCCEEDED, TERMINAL_STATES
 from repro.service.net import CertificationServer
@@ -64,7 +65,8 @@ from repro.service.queue import JobQueue, Lease, backoff_delay, \
 from repro.service.sweep import SWEEP_CELL_KINDS, SweepCell, \
     SweepSpec, load_sweep, merge_sweep, run_sweep_inprocess, \
     submit_sweep
-from repro.service.worker import Worker, submit_and_run
+from repro.service.worker import LeaseTransport, QueueTransport, \
+    Worker
 
 __all__ = [
     "CANCELLED",
@@ -73,14 +75,17 @@ __all__ = [
     "ClientStats",
     "DEAD",
     "FAILED",
+    "HttpTransport",
     "JOB_KINDS",
     "JobQueue",
     "JobSpec",
     "JobStatus",
     "Lease",
+    "LeaseTransport",
     "NetChaosEvent",
     "NetChaosPlan",
     "PENDING",
+    "QueueTransport",
     "RUNNING",
     "RemoteWorker",
     "ResultCache",
@@ -105,7 +110,6 @@ __all__ = [
     "remote_worker_main",
     "run_sweep_inprocess",
     "sign_request",
-    "submit_and_run",
     "submit_sweep",
     "truncate_queue_journal",
     "verdict_digest",

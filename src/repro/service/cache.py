@@ -111,20 +111,23 @@ class ResultCache:
             meta: Optional[Dict[str, Any]] = None) -> str:
         """Store a verdict; returns its integrity digest.
 
-        Idempotent by construction: a second ``put`` of the same
-        (fingerprint, verdict) writes an equivalent entry.  A second
-        put of a *different* verdict for the same fingerprint is a
-        determinism violation upstream; the cache refuses it with a
-        typed error rather than silently picking a winner.
+        Idempotent: a second ``put`` of the same (fingerprint,
+        verdict) leaves the stored entry — its meta and its
+        ``stored_at`` age — as it is.  A second put of a *different*
+        verdict for the same fingerprint is a determinism violation
+        upstream; the cache refuses it with a typed error rather than
+        silently picking a winner.
         """
         path = self._entry_path(fingerprint)
         existing = self.get(fingerprint)
-        if existing is not None and existing != verdict:
-            raise ServiceError(
-                f"cache entry {fingerprint[:12]}… already holds a "
-                "different verdict for the same job spec; refusing to "
-                "overwrite (upstream determinism violation)"
-            )
+        if existing is not None:
+            if existing != verdict:
+                raise ServiceError(
+                    f"cache entry {fingerprint[:12]}… already holds a "
+                    "different verdict for the same job spec; refusing "
+                    "to overwrite (upstream determinism violation)"
+                )
+            return verdict_digest(fingerprint, verdict)
         record = {
             "fingerprint": fingerprint,
             "verdict": verdict,

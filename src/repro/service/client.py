@@ -8,7 +8,7 @@ semantics over an arbitrarily unreliable network:
   dropped request or a stalled server turns into a typed retry, not
   a hang;
 * **bounded exponential backoff with deterministic jitter** — retry
-  schedules reuse :func:`repro.service.queue.backoff_delay`, hashed
+  schedules reuse :func:`repro.runtime.backoff_delay`, hashed
   from (request key, attempt), so a soak's retry timing is exactly
   reproducible;
 * **automatic reconnect** — every attempt opens a fresh connection;
@@ -58,10 +58,10 @@ from repro.exceptions import (
     ServiceError,
     StaleLeaseError,
 )
+from repro.runtime import backoff_delay
 from repro.service.auth import WorkerAuth
 from repro.service.jobs import JobSpec
 from repro.service.net import open_envelope
-from repro.service.queue import backoff_delay
 from repro.service.sweep import SweepSpec
 
 import json

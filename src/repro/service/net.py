@@ -95,16 +95,17 @@ from repro.service.sweep import (
     submit_sweep,
 )
 from repro.service.cache import verdict_digest
+from repro.service.worker import QueueTransport
 
 import json
 
 _MAX_BODY = 4 * 1024 * 1024  # a spec is small; cap abuse
 _FINGERPRINT_LEN = 64
 
-#: Ops that require fleet authentication (the lease-mutating surface).
-_WORK_OPS = frozenset({"work_claim", "work_heartbeat",
-                       "work_progress", "work_complete",
-                       "work_fail"})
+#: The lease-mutating fleet verbs (``POST /v1/work/<verb>``, op
+#: ``work_<verb>``), which require fleet authentication.
+_WORK_VERBS = ("claim", "heartbeat", "progress", "complete", "fail")
+_WORK_OPS = frozenset(f"work_{verb}" for verb in _WORK_VERBS)
 
 
 def envelope(payload: Any) -> bytes:
@@ -152,6 +153,8 @@ class CertificationServer:
                  watch_poll: float = 0.05,
                  watch_max_wait: float = 30.0) -> None:
         self.service = service
+        #: The fleet endpoints' lease rules: the in-process transport.
+        self.leases = QueueTransport(service.queue, service.cache)
         self.host = host
         self.port = port
         self.net_chaos = net_chaos
@@ -470,21 +473,12 @@ class CertificationServer:
             return "watch", \
                 lambda: self._get_watch(rest[1], query)
         if len(rest) == 2 and rest[0] == "work" and \
-                method == "POST":
-            verb = rest[1]
-            work = {
-                "claim": self._post_work_claim,
-                "heartbeat": self._post_work_heartbeat,
-                "progress": self._post_work_progress,
-                "complete": self._post_work_complete,
-                "fail": self._post_work_fail,
-            }
-            if verb in work:
-                responder = work[verb]
-                # The worker identity is injected post-auth by
-                # _run_responder; _WORK_OPS routing guarantees it.
-                return f"work_{verb}", \
-                    lambda worker=None: responder(body, worker)
+                method == "POST" and rest[1] in _WORK_VERBS:
+            responder = getattr(self, f"_post_work_{rest[1]}")
+            # The worker identity is injected post-auth by
+            # _run_responder; _WORK_OPS routing guarantees it.
+            return f"work_{rest[1]}", \
+                lambda worker=None: responder(body, worker)
         if rest == ["sweeps"] and method == "POST":
             return "sweep_submit", lambda: self._post_sweep(body)
         if len(rest) == 2 and rest[0] == "sweeps" and \
@@ -688,88 +682,55 @@ class CertificationServer:
 
     # -- worker-fleet endpoints --------------------------------------
 
+    def _lease_args(self, body: bytes) -> Tuple[Dict[str, Any], str,
+                                                str]:
+        data = self._parse_body(body)
+        return (data, str(data.get("fingerprint", "")),
+                str(data.get("token", "")))
+
     def _post_work_claim(self, body: bytes, worker: str
                          ) -> Tuple[int, Dict[str, Any]]:
         # Reap lazily on every claim: remote fleets have no local
         # supervisor loop, so the server itself returns abandoned
         # leases to pending before handing out work.
-        self.service.queue.reap_expired()
-        lease = self.service.queue.claim(worker)
+        self.leases.reap()
+        lease = self.leases.claim(worker)
         if lease is None:
-            counts = self.service.counts()
-            drained = (counts.get("pending", 0)
-                       + counts.get("running", 0)) == 0
-            return 200, {"lease": None, "drained": drained}
-        payload = {
-            "fingerprint": lease.fingerprint,
-            "token": lease.token,
-            "attempt": lease.attempt,
-            "claimed_at": lease.claimed_at,
-            "expires_at": lease.expires_at,
-            "deadline_at": lease.deadline_at,
-            "submit_index": lease.submit_index,
-            "lease_ttl": self.service.queue.lease_ttl,
-            "spec": lease.spec.to_json_dict(),
-        }
-        cached = self.service.cache.get_entry(lease.fingerprint)
-        if cached is not None:
-            # Determinism dividend over the wire: the worker
-            # completes immediately with the cached verdict instead
-            # of re-simulating.
-            payload["cached_verdict"] = cached["verdict"]
-            payload["cached_meta"] = dict(cached.get("meta", {}))
-        return 200, {"lease": payload, "drained": False}
+            return 200, {"lease": None,
+                         "drained": self.leases.drained()}
+        return 200, {"lease": lease.to_json_dict(), "drained": False}
 
     def _post_work_heartbeat(self, body: bytes, worker: str
                              ) -> Tuple[int, Dict[str, Any]]:
-        data = self._parse_body(body)
-        fingerprint = str(data.get("fingerprint", ""))
-        token = str(data.get("token", ""))
-        try:
-            expires_at = self.service.queue.heartbeat(fingerprint,
-                                                      token)
-        except StaleLeaseError:
-            raise
-        except ServiceError as exc:
-            # Deadline passed: deterministic refusal, not a server
-            # fault — 409 so the worker abandons, never retries.
-            return 409, self._typed(exc)
+        _, fingerprint, token = self._lease_args(body)
+        expires_at = self.leases.heartbeat(fingerprint, token)
         return 200, {"fingerprint": fingerprint,
                      "expires_at": expires_at}
 
     def _post_work_progress(self, body: bytes, worker: str
                             ) -> Tuple[int, Dict[str, Any]]:
-        data = self._parse_body(body)
-        fingerprint = str(data.get("fingerprint", ""))
-        token = str(data.get("token", ""))
+        data, fingerprint, token = self._lease_args(body)
+        # Token-checked, unlike the in-process transport's append: a
+        # partitioned holder must not stream into a re-issued job.
         self.service.queue.record_progress_checked(
             fingerprint, token, dict(data.get("event", {})))
         return 200, {"fingerprint": fingerprint, "recorded": True}
 
     def _post_work_complete(self, body: bytes, worker: str
                             ) -> Tuple[int, Dict[str, Any]]:
-        data = self._parse_body(body)
-        fingerprint = str(data.get("fingerprint", ""))
-        token = str(data.get("token", ""))
-        verdict = dict(data.get("verdict", {}))
-        meta = dict(data.get("meta", {}))
-        # Cache before the journal append, mirroring the in-process
-        # worker: put() is idempotent for identical verdicts and
-        # refuses a differing one (determinism violation).
-        self.service.cache.put(fingerprint, verdict, meta=meta)
-        recorded = self.service.queue.complete(
-            fingerprint, token, verdict, meta=meta)
+        data, fingerprint, token = self._lease_args(body)
+        recorded = self.leases.complete(
+            fingerprint, token, dict(data.get("verdict", {})),
+            dict(data.get("meta", {})))
         return 200, {"fingerprint": fingerprint,
                      "recorded": recorded,
                      "duplicate": not recorded}
 
     def _post_work_fail(self, body: bytes, worker: str
                         ) -> Tuple[int, Dict[str, Any]]:
-        data = self._parse_body(body)
-        fingerprint = str(data.get("fingerprint", ""))
-        token = str(data.get("token", ""))
-        self.service.queue.fail(fingerprint, token,
-                                str(data.get("error", "")))
+        data, fingerprint, token = self._lease_args(body)
+        self.leases.fail(fingerprint, token,
+                         str(data.get("error", "")))
         return 200, {"fingerprint": fingerprint, "recorded": True}
 
 

@@ -26,6 +26,7 @@ the small facade the CLI and the tests use.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
@@ -40,7 +41,7 @@ from repro.service.cache import ResultCache
 from repro.service.chaos import ServiceChaosPlan
 from repro.service.jobs import JobSpec, JobStatus
 from repro.service.queue import JobQueue
-from repro.service.worker import Worker
+from repro.service.worker import QueueTransport, Worker
 
 
 @dataclass
@@ -148,14 +149,9 @@ def _worker_main(root: str, config: ServiceConfig, name: str,
     """Child-process entry: claim until the queue drains."""
     service = CertificationService(root, config=config, chaos=chaos,
                                    runtime=runtime)
-    worker = service.worker(name)
-    while True:
-        acted = worker.run_once()
-        if acted is not None:
-            continue
-        if service.queue.drained:
-            return
-        time.sleep(config.poll_interval)
+    # The pool's supervisor reaps; the child just claims until drained.
+    service.worker(name).run_until_drained(
+        poll=config.poll_interval, timeout=math.inf, reap=False)
 
 
 class WorkerPool:
@@ -321,10 +317,12 @@ class CertificationService:
 
     def worker(self, name: str = "worker") -> Worker:
         return Worker(
-            self.queue, self.cache, name=name,
+            QueueTransport(
+                self.queue, self.cache,
+                store_lock_timeout=self.config.store_lock_timeout),
+            name=name,
             heartbeat_interval=self.config.heartbeat_interval,
-            runtime=self.runtime, chaos=self.chaos,
-            store_lock_timeout=self.config.store_lock_timeout)
+            runtime=self.runtime, chaos=self.chaos)
 
     def run_until_drained(self, timeout: float = 600.0
                           ) -> Dict[str, Any]:

@@ -33,15 +33,14 @@ holder — heartbeat, completion, failure — fails token validation and
 raises :class:`~repro.exceptions.StaleLeaseError`, so a job's
 terminal verdict is recorded exactly once.
 
-Retries back off exponentially with *deterministic* jitter (hashed
-from fingerprint × attempt, so schedules are reproducible in tests),
+Retries back off by :func:`repro.runtime.backoff_delay` keyed by job
+fingerprint (deterministic jitter, so schedules are reproducible),
 and a job that exhausts ``max_attempts`` moves to the dead-letter
 directory as a typed terminal state instead of retrying forever.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import dataclass
@@ -51,6 +50,7 @@ from repro.exceptions import CheckpointError, ServiceError, \
     StaleLeaseError
 from repro.runtime.checkpoint import CheckpointStore, _flock, \
     _read_checked_json, _write_atomic_json
+from repro.runtime.supervisor import backoff_delay
 from repro.service.jobs import CANCELLED, DEAD, FAILED, JobSpec, \
     JobStatus, PENDING, RUNNING, SUCCEEDED, canonical_json
 
@@ -60,7 +60,12 @@ _QUEUE_LOCK = "queue.lock"
 
 @dataclass(frozen=True)
 class Lease:
-    """A claimed job: spec plus the credentials to act on it."""
+    """A claimed job: spec plus the credentials to act on it.
+
+    ``cached_verdict`` is set when the ResultCache already holds the
+    job's verdict at claim time; the holder completes with it instead
+    of executing.
+    """
 
     spec: JobSpec
     fingerprint: str
@@ -70,24 +75,29 @@ class Lease:
     expires_at: float
     deadline_at: float
     submit_index: int = 0
+    cached_verdict: Optional[Dict[str, Any]] = None
+
+    def to_json_dict(self) -> Dict[str, Any]:
+        """The wire form ``/v1/work/claim`` answers with."""
+        data = {name: getattr(self, name) for name in _LEASE_FIELDS}
+        data["spec"] = self.spec.to_json_dict()
+        if self.cached_verdict is not None:
+            data["cached_verdict"] = self.cached_verdict
+        return data
+
+    @classmethod
+    def from_json_dict(cls, data: Dict[str, Any]) -> "Lease":
+        try:
+            return cls(spec=JobSpec.from_json_dict(data["spec"]),
+                       cached_verdict=data.get("cached_verdict"),
+                       **{name: data[name] for name in _LEASE_FIELDS})
+        except (TypeError, KeyError) as exc:
+            raise ServiceError(
+                f"malformed lease payload: {data!r}") from exc
 
 
-def backoff_delay(fingerprint: str, attempt: int,
-                  base: float, factor: float,
-                  jitter: float) -> float:
-    """Exponential backoff with deterministic per-job jitter.
-
-    ``attempt`` is 1-based (the attempt that just failed).  Jitter is
-    derived from SHA-256(fingerprint, attempt) so retry schedules are
-    reproducible — the chaos suite replays them exactly — while still
-    decorrelating jobs that fail together.
-    """
-    if attempt < 1:
-        raise ServiceError(f"attempt must be >= 1, got {attempt}")
-    digest = hashlib.sha256(
-        f"{fingerprint}:{attempt}".encode("utf-8")).digest()
-    unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
-    return base * (factor ** (attempt - 1)) * (1.0 + jitter * unit)
+_LEASE_FIELDS = ("fingerprint", "token", "attempt", "claimed_at",
+                 "expires_at", "deadline_at", "submit_index")
 
 
 class JobQueue:
@@ -156,12 +166,8 @@ class JobQueue:
         dead-letter files (see module docstring).
         """
         jobs: Dict[str, JobStatus] = {}
-        try:
-            records = self.journal.load_records(
-                _EVENTS, tolerate_tail=True)
-        except CheckpointError:
-            raise
-        for record in records:
+        for record in self.journal.load_records(_EVENTS,
+                                                tolerate_tail=True):
             event = record.get("event")
             fingerprint = record.get("fingerprint", "")
             if event == "submit":
@@ -353,45 +359,34 @@ class JobQueue:
                     self._bury(status, "attempts exhausted before "
                                        "claim")
                     continue
-                token = os.urandom(8).hex()
-                record = {
-                    "event": "claim",
-                    "fingerprint": fingerprint,
-                    "token": token,
-                    "worker": worker,
-                    "attempt": attempt,
-                    "claimed_at": now,
-                    "expires_at": now + self.lease_ttl,
-                    "deadline_at": now + self.job_deadline,
-                }
-                self.journal.append_record(_EVENTS, record)
-                self._write_lease({
-                    k: record[k]
-                    for k in ("fingerprint", "token", "worker",
-                              "attempt", "claimed_at", "expires_at",
-                              "deadline_at")
-                })
-                return Lease(
+                lease = Lease(
                     spec=status.spec, fingerprint=fingerprint,
-                    token=token, attempt=attempt, claimed_at=now,
-                    expires_at=now + self.lease_ttl,
+                    token=os.urandom(8).hex(), attempt=attempt,
+                    claimed_at=now, expires_at=now + self.lease_ttl,
                     deadline_at=now + self.job_deadline,
                     submit_index=status.submit_index)
+                held = lease.to_json_dict()
+                del held["spec"], held["submit_index"]
+                held["worker"] = worker
+                self.journal.append_record(_EVENTS,
+                                           {"event": "claim", **held})
+                self._write_lease(held)
+                return lease
         return None
 
     def heartbeat(self, fingerprint: str, token: str) -> float:
         """Extend the lease; returns the new expiry.
 
         Refused with :class:`StaleLeaseError` when the lease was
-        re-issued or expired away, and with :class:`ServiceError`
-        when the job's hard deadline has passed — a worker that
-        cannot finish in time must stop renewing, not limp on.
+        re-issued or expired away, or when the job's hard deadline has
+        passed — a worker that cannot finish in time must stop
+        renewing and abandon the attempt, not limp on.
         """
         now = self.clock()
         with self._locked():
             lease = self._check_token(fingerprint, token)
             if now > float(lease.get("deadline_at", now)):
-                raise ServiceError(
+                raise StaleLeaseError(
                     f"job {fingerprint[:12]}… passed its deadline; "
                     "refusing to renew the lease"
                 )

@@ -1,257 +1,101 @@
 """The remote certification worker: the fleet's over-the-wire half.
 
 :class:`RemoteWorker` is the :class:`~repro.service.worker.Worker`
-turn rebuilt on HTTP: it runs on any host that can reach the
-:class:`~repro.service.net.CertificationServer` and drives jobs
-entirely through the authenticated ``/v1/work/*`` surface —
-
-1. **Claim** via ``POST /v1/work/claim`` (HMAC fleet auth,
-   :mod:`repro.service.auth`).  The server reaps expired leases
-   lazily on every claim, so a fleet needs no local supervisor.
-2. **Cache short-circuit**: a claim that comes back with
-   ``cached_verdict`` is completed immediately with
-   ``meta.evaluations == 0`` — the determinism dividend crosses the
-   wire unchanged.
-3. **Execute** otherwise, through the exact same transport-agnostic
-   :func:`~repro.service.worker.execute_job` the in-process worker
-   uses, with engine checkpoints in a **local scratch store** (a
-   remote host cannot see the server's job directories) and progress
-   posted over the wire, token-checked server-side.
-4. **Heartbeat** on a daemon thread via ``POST /v1/work/heartbeat``;
-   a 409 marks the lease stale and the attempt is abandoned —
-   a partitioned or zombie worker's late ``complete`` is refused
-   server-side exactly as :class:`~repro.exceptions.StaleLeaseError`
-   refuses it in-process.
-5. **Complete** via ``POST /v1/work/complete``.  The lease token
-   plus the content-addressed verdict make *blind resubmission*
-   safe: an ambiguous network fault (did the complete land?) is
-   answered by retrying, and the server absorbs the duplicate
-   without a second journal append.
-
-Every network fault on the way is handled by
-:class:`~repro.service.client.ServiceClient`'s retry kit (fresh
-connections, capped deterministic backoff, digest-checked
-envelopes, honored ``Retry-After``), so a remote fleet inherits the
-full robustness story without new machinery.
+lease loop over :class:`HttpTransport`: each step is one HMAC-signed
+``/v1/work/*`` request to a :class:`~repro.service.net.
+CertificationServer`, which reaps expired leases on every claim and
+answers a cache hit with ``cached_verdict``.  A 409 — lease re-issued,
+or the job past its hard deadline — re-raises as
+:class:`~repro.exceptions.StaleLeaseError`, exactly as in-process.
+:class:`~repro.service.client.ServiceClient` retries every network
+fault; the lease token plus the content-addressed verdict make a
+blindly retried ``complete`` safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
-import threading
-import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
-from repro.exceptions import ReproError, ServiceError, StaleLeaseError
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.policy import RuntimePolicy
 from repro.service.auth import WorkerAuth
 from repro.service.client import ServiceClient
-from repro.service.jobs import JobSpec
-from repro.service.worker import ExecutionContext, execute_job
+from repro.service.queue import Lease
+from repro.service.worker import Worker
 
 
-class _RemoteHeartbeat(threading.Thread):
-    """Renews a wire lease on a daemon thread until stopped or stale.
+class HttpTransport:
+    """The :class:`~repro.service.worker.LeaseTransport` over HTTP.
 
-    Mirrors the in-process ``_Heartbeat``: it stops renewing once the
-    job's hard deadline passes, and records staleness — a 409 from
-    the server, meaning the lease expired away or was re-issued — so
-    the executing thread abandons instead of computing a verdict
-    nobody will accept.
+    Each call is one ``ServiceClient.work_*`` request; ``drained``
+    answers from the last claim, so draining costs no extra request.
     """
 
-    def __init__(self, client: ServiceClient, fingerprint: str,
-                 token: str, deadline_at: float,
-                 interval: float) -> None:
-        super().__init__(daemon=True)
+    def __init__(self, client: ServiceClient, scratch: str) -> None:
         self.client = client
-        self.fingerprint = fingerprint
-        self.token = token
-        self.deadline_at = deadline_at
-        self.interval = interval
-        self.stop_event = threading.Event()
-        self.stale = threading.Event()
+        self.scratch = os.fspath(scratch)
+        self._drained = False
 
-    def run(self) -> None:
-        while not self.stop_event.wait(self.interval):
-            if time.time() >= self.deadline_at:
-                break
-            try:
-                self.client.work_heartbeat(self.fingerprint,
-                                           self.token)
-            except StaleLeaseError:
-                self.stale.set()
-                break
-            except ServiceError:
-                # The network ate the renewal even after the client's
-                # retries; keep trying until the lease actually goes
-                # stale — a missed beat is not yet an abandoned job.
-                continue
+    def claim(self, worker: str) -> Optional[Lease]:
+        answer = self.client.work_claim()
+        self._drained = bool(answer.get("drained"))
+        lease = answer.get("lease")
+        return None if lease is None else Lease.from_json_dict(lease)
 
-    def stop(self) -> None:
-        self.stop_event.set()
+    def drained(self) -> bool:
+        return self._drained
+
+    def reap(self) -> None:
+        """Nothing to do: the server reaps on every claim."""
+
+    def heartbeat(self, fingerprint: str, token: str) -> float:
+        return self.client.work_heartbeat(fingerprint, token)
+
+    def progress(self, fingerprint: str, token: str,
+                 event: Dict[str, Any]) -> None:
+        self.client.work_progress(fingerprint, token, event)
+
+    def complete(self, fingerprint: str, token: str,
+                 verdict: Dict[str, Any],
+                 meta: Dict[str, Any]) -> bool:
+        receipt = self.client.work_complete(fingerprint, token,
+                                            verdict, meta=meta)
+        return not receipt.get("duplicate")
+
+    def fail(self, fingerprint: str, token: str, error: str) -> None:
+        self.client.work_fail(fingerprint, token, error)
+
+    @contextlib.contextmanager
+    def engine_store(self, fingerprint: str
+                     ) -> Iterator[CheckpointStore]:
+        """A local scratch store: a re-claim on this host resumes from
+        it; one elsewhere restarts, to the same verdict."""
+        yield CheckpointStore(
+            os.path.join(self.scratch, fingerprint, "engine"))
 
 
-class RemoteWorker:
-    """Drives queue jobs over HTTP; one instance per remote host."""
+class RemoteWorker(Worker):
+    """A :class:`Worker` over HTTP; one instance per remote host."""
 
     def __init__(self, host: str, port: int, *, secret: str,
                  scratch: str, name: str = "remote",
                  heartbeat_interval: Optional[float] = None,
                  runtime: Optional[RuntimePolicy] = None,
                  **client_kwargs: Any) -> None:
-        self.name = name
-        self.scratch = os.fspath(scratch)
-        self.heartbeat_interval = heartbeat_interval
-        self.runtime = runtime
         self.client = ServiceClient(
             host, port, auth=WorkerAuth(secret=secret, worker=name),
             **client_kwargs)
-        #: Lifetime tallies for soak audits.
-        self.claims = 0
-        self.completions = 0
-        self.duplicates = 0
-        self.cache_hits = 0
-        self.failures = 0
-        self.stale_abandons = 0
+        super().__init__(HttpTransport(self.client, scratch),
+                         name=name,
+                         heartbeat_interval=heartbeat_interval,
+                         runtime=runtime)
 
-    # -- the worker turn ---------------------------------------------
-
-    def run_once(self) -> Optional[str]:
-        """Claim and drive one job over the wire.
-
-        Returns the fingerprint acted on, or None when the server had
-        no runnable job.  Per-job failures are reported to the queue
-        (retry or dead-letter) rather than raised; a stale lease
-        abandons the attempt silently — the new holder owns the job.
-        """
-        answer = self.client.work_claim()
-        lease = answer.get("lease")
-        if lease is None:
-            return None
-        return self._drive(lease)
-
-    def _drive(self, lease: Dict[str, Any]) -> str:
-        """Execute one claimed lease to a queue transition."""
-        self.claims += 1
-        fingerprint = str(lease["fingerprint"])
-        token = str(lease["token"])
-        attempt = int(lease.get("attempt", 1))
-        try:
-            if "cached_verdict" in lease:
-                self.cache_hits += 1
-                self.client.work_progress(fingerprint, token, {
-                    "cache_hit": True, "worker": self.name,
-                    "attempt": attempt,
-                })
-                self._complete(fingerprint, token,
-                               dict(lease["cached_verdict"]),
-                               {"cache_hit": True, "evaluations": 0,
-                                "worker": self.name,
-                                "attempt": attempt})
-                return fingerprint
-            verdict, meta = self._execute(lease)
-            self._complete(fingerprint, token, verdict, meta)
-            return fingerprint
-        except StaleLeaseError:
-            self.stale_abandons += 1
-            return fingerprint
-        except ReproError as exc:
-            self._report_failure(fingerprint, token, exc)
-            return fingerprint
-        except Exception as exc:  # noqa: BLE001 - typed into queue
-            self._report_failure(fingerprint, token, exc)
-            return fingerprint
-
-    def _complete(self, fingerprint: str, token: str,
-                  verdict: Dict[str, Any],
-                  meta: Dict[str, Any]) -> None:
-        receipt = self.client.work_complete(fingerprint, token,
-                                            verdict, meta=meta)
-        self.completions += 1
-        if receipt.get("duplicate"):
-            self.duplicates += 1
-
-    def _report_failure(self, fingerprint: str, token: str,
-                        exc: Exception) -> None:
-        self.failures += 1
-        try:
-            self.client.work_fail(fingerprint, token,
-                                  f"{type(exc).__name__}: {exc}")
-        except StaleLeaseError:
-            pass
-
-    # -- execution ----------------------------------------------------
-
-    def _scratch_store(self, fingerprint: str) -> CheckpointStore:
-        """The local engine-checkpoint store for one job.
-
-        Keyed by fingerprint, so a re-claim *on this host* resumes
-        from its own journal bit-identically; a re-claim on another
-        host restarts from scratch — determinism makes both paths
-        land on the same verdict.
-        """
-        return CheckpointStore(
-            os.path.join(self.scratch, fingerprint, "engine"))
-
-    def _execute(self, lease: Dict[str, Any]):
-        fingerprint = str(lease["fingerprint"])
-        token = str(lease["token"])
-        ttl = float(lease.get("lease_ttl", 30.0))
-        interval = self.heartbeat_interval \
-            if self.heartbeat_interval is not None \
-            else max(0.05, ttl / 3.0)
-        heartbeat = _RemoteHeartbeat(
-            self.client, fingerprint, token,
-            float(lease.get("deadline_at", time.time() + 3600.0)),
-            interval)
-        heartbeat.start()
-        store = self._scratch_store(fingerprint)
-        context = ExecutionContext(
-            spec=JobSpec.from_json_dict(dict(lease["spec"])),
-            store=store, worker=self.name,
-            attempt=int(lease.get("attempt", 1)),
-            runtime=self.runtime,
-            stream=lambda payload: self.client.work_progress(
-                fingerprint, token, payload))
-        try:
-            result = execute_job(context)
-        finally:
-            heartbeat.stop()
-        if heartbeat.stale.is_set():
-            raise StaleLeaseError(
-                f"lease for job {fingerprint[:12]}… went stale "
-                "during remote execution; abandoning the attempt"
-            )
-        return result
-
-    # -- drain loop ----------------------------------------------------
-
-    def run_until_drained(self, poll: float = 0.05,
-                          timeout: float = 300.0) -> int:
-        """Claim over the wire until the server reports drained.
-
-        Returns the number of turns that acted on a job.  The server
-        performs lease reaping on every claim, so this loop needs no
-        local supervision.
-        """
-        turns = 0
-        deadline = time.monotonic() + timeout
-        while True:
-            answer = self.client.work_claim()
-            lease = answer.get("lease")
-            if lease is not None:
-                self._drive(lease)
-                turns += 1
-                continue
-            if answer.get("drained"):
-                return turns
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"remote drain timed out after {timeout:g}s"
-                )
-            time.sleep(poll)
+    # Bound in this class body so that code patching
+    # ``vars(RemoteWorker)["run_once"]`` (the benchmark's span tracer)
+    # times remote turns apart from in-process ones.
+    run_once = Worker.run_once
 
 
 def remote_worker_main(host: str, port: int, secret: str,
@@ -271,6 +115,7 @@ def remote_worker_main(host: str, port: int, secret: str,
 
 
 __all__ = [
+    "HttpTransport",
     "RemoteWorker",
     "remote_worker_main",
 ]

@@ -1,51 +1,51 @@
 """The certification worker: claim, execute, stream, complete.
 
-One :class:`Worker` turn (:meth:`Worker.run_once`):
+:class:`Worker` is the service's one lease loop.  It runs over a
+:class:`LeaseTransport` — :class:`QueueTransport` in-process, or
+:class:`~repro.service.remote.HttpTransport` from a remote host — and
+one turn (:meth:`Worker.run_once`) is:
 
-1. **Claim** the oldest runnable job from the :class:`~repro.service.
-   queue.JobQueue` (token + TTL lease).
-2. **Cache check** — if the :class:`~repro.service.cache.ResultCache`
-   holds a verified verdict for the job's fingerprint, complete
-   immediately with ``meta.evaluations == 0``: not one simulator run.
-3. **Execute** otherwise: dispatch by job kind to the seeded analysis
-   entry point, with the job's *own* CheckpointStore
-   (``jobs/<fp>/engine``) held under the store's advisory owner lock,
-   so a re-claimed job resumes from its journal bit-identically
-   instead of restarting.  A heartbeat thread renews the lease until
-   the job's hard deadline; a worker that cannot finish in time stops
-   renewing and lets the lease lapse.
-4. **Stream** per-batch progress — trials consumed, failures, a
-   Wilson interval on the rate so far, the sequential decision if any
-   — into the job journal, where ``status``/``watch`` read it live.
-5. **Complete**: cache the verdict, then record it in the queue.
-   Both writes are token-checked; if the lease expired or was
-   re-issued mid-run the late write raises
-   :class:`~repro.exceptions.StaleLeaseError` and this worker
-   abandons the attempt — the new holder owns the job.
+1. **Claim** the oldest runnable job (token + TTL lease).  If the
+   :class:`~repro.service.cache.ResultCache` holds its verdict, the
+   claim carries it and the turn completes at once with
+   ``meta.evaluations == 0``: not one simulator run.
+2. **Execute** otherwise: dispatch by job kind to the seeded analysis
+   entry point with the transport's engine CheckpointStore, so a
+   re-claimed job resumes bit-identically.  A heartbeat thread renews
+   the lease; past the job's hard deadline the renewal is refused and
+   the attempt abandoned, so a hung worker loses its lease.
+3. **Stream** per-batch progress (trials, failures, a Wilson interval,
+   the sequential decision if any) into the job journal.
+4. **Complete**: the verdict is cached, then recorded in the queue,
+   token-checked; if the lease was re-issued mid-run the late write
+   raises :class:`~repro.exceptions.StaleLeaseError` and the attempt
+   is abandoned — the new holder owns the job.
 
-A failed attempt is reported with :meth:`JobQueue.fail` (typed error
-string), which schedules a backoff retry or dead-letters the job.  A
-sequential job that exhausts its trial budget *undecided* is not a
-failure: it completes with a typed **partial** verdict carrying the
-confidence interval accumulated so far (``verdict.partial`` is true),
-the service-level face of graceful degradation.
+A failed attempt is reported with the transport's ``fail``, which
+schedules a backoff retry or dead-letters the job.  A sequential job
+that exhausts its trial budget *undecided* completes with a typed
+**partial** verdict (``verdict.partial`` is true).
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, ContextManager, Dict, Iterator, \
+    Optional, Protocol, Tuple
 
 from repro.analysis.engine import run_monte_carlo
 from repro.analysis.sequential import run_sequential_monte_carlo
 from repro.analysis.stats import wilson_interval
 from repro.analysis.stress import gadget_cases, stress_certify
 from repro.codes import SteaneCode, TrivialCode
-from repro.exceptions import ReproError, ServiceError, StaleLeaseError
+from repro.exceptions import ServiceError, StaleLeaseError
 from repro.noise import NoiseModel
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.fallback import FallbackPolicy
 from repro.runtime.policy import RuntimePolicy
 from repro.service.cache import ResultCache
@@ -87,14 +87,10 @@ def resolve_policy(base: Optional[RuntimePolicy],
 
 @dataclass
 class ExecutionContext:
-    """Everything a job-kind handler needs, transport-agnostic.
+    """Everything a job-kind handler needs, whatever the transport.
 
-    The same handlers serve the in-process :class:`Worker` (progress
-    streamed straight into the job journal, chaos fired locally) and
-    the HTTP :class:`~repro.service.remote.RemoteWorker` (progress
-    posted over the wire, checkpoints in a local scratch store).  The
-    verdict they produce is a pure function of ``spec`` — where the
-    worker ran never shows up in the result.
+    The verdict the handlers produce is a pure function of ``spec`` —
+    where the worker ran never shows up in the result.
     """
 
     spec: JobSpec
@@ -104,14 +100,10 @@ class ExecutionContext:
     runtime: Optional[RuntimePolicy] = None
     stream: Callable[[Dict[str, Any]], None] = lambda payload: None
     on_batch: Callable[[int], None] = lambda at: None
-    meta_base: Dict[str, Any] = field(default_factory=dict)
 
     def _meta(self, **extra: Any) -> Dict[str, Any]:
-        meta = {"cache_hit": False, "worker": self.worker,
-                "attempt": self.attempt}
-        meta.update(self.meta_base)
-        meta.update(extra)
-        return meta
+        return {"cache_hit": False, "worker": self.worker,
+                "attempt": self.attempt, **extra}
 
 
 def execute_job(ctx: ExecutionContext
@@ -255,19 +247,101 @@ def _execute_stress(ctx: ExecutionContext
     return verdict, meta
 
 
+class LeaseTransport(Protocol):
+    """What a :class:`Worker` turn needs from wherever its jobs live:
+    :class:`QueueTransport` in-process (the server's ``/v1/work/*``
+    handlers use it too) or :class:`~repro.service.remote.
+    HttpTransport` over the wire.  Lease-mutating calls refuse a
+    superseded lease with :class:`~repro.exceptions.StaleLeaseError`.
+    """
+
+    def claim(self, worker: str) -> Optional[Lease]: ...
+    def drained(self) -> bool: ...
+    def reap(self) -> None: ...
+    def heartbeat(self, fingerprint: str, token: str) -> float: ...
+    def progress(self, fingerprint: str, token: str,
+                 event: Dict[str, Any]) -> None: ...
+    def complete(self, fingerprint: str, token: str,
+                 verdict: Dict[str, Any], meta: Dict[str, Any]
+                 ) -> bool: ...
+    def fail(self, fingerprint: str, token: str, error: str) -> None: ...
+    def engine_store(self, fingerprint: str
+                     ) -> ContextManager[CheckpointStore]: ...
+
+
+class QueueTransport:
+    """The in-process :class:`LeaseTransport`: queue + result cache.
+
+    The one home of two lease rules: a claim looks the job up in the
+    cache, and every verdict is cached *before* the ``complete``
+    append (``put`` keeps an identical entry and refuses a differing
+    one, a determinism violation).
+    """
+
+    def __init__(self, queue: JobQueue, cache: ResultCache, *,
+                 store_lock_timeout: float = 10.0) -> None:
+        self.queue = queue
+        self.cache = cache
+        self.store_lock_timeout = store_lock_timeout
+
+    def claim(self, worker: str) -> Optional[Lease]:
+        lease = self.queue.claim(worker)
+        if lease is None:
+            return None
+        cached = self.cache.get_entry(lease.fingerprint)
+        if cached is None:
+            return lease
+        return dataclasses.replace(lease,
+                                   cached_verdict=cached["verdict"])
+
+    def drained(self) -> bool:
+        return self.queue.drained
+
+    def reap(self) -> None:
+        self.queue.reap_expired()
+
+    def heartbeat(self, fingerprint: str, token: str) -> float:
+        return self.queue.heartbeat(fingerprint, token)
+
+    def progress(self, fingerprint: str, token: str,
+                 event: Dict[str, Any]) -> None:
+        # Unchecked: an in-process holder is supervised, and the
+        # token check would cost a locked lease read per event.
+        self.queue.record_progress(fingerprint, event)
+
+    def complete(self, fingerprint: str, token: str,
+                 verdict: Dict[str, Any],
+                 meta: Dict[str, Any]) -> bool:
+        self.cache.put(fingerprint, verdict, meta=meta)
+        return self.queue.complete(fingerprint, token, verdict,
+                                   meta=meta)
+
+    def fail(self, fingerprint: str, token: str, error: str) -> None:
+        self.queue.fail(fingerprint, token, error)
+
+    @contextlib.contextmanager
+    def engine_store(self, fingerprint: str
+                     ) -> Iterator[CheckpointStore]:
+        """The job's own engine journal, under its owner lock."""
+        store = self.queue.job_store(fingerprint).substore("engine")
+        with store.exclusive(timeout=self.store_lock_timeout):
+            yield store
+
+
 class _Heartbeat(threading.Thread):
     """Renews the lease on a daemon thread until stopped or stale.
 
-    Stops renewing once the job's hard deadline passes — a hung or
-    overlong worker must lose its lease, not keep it alive forever —
-    and records staleness so the main thread can stop early instead
-    of computing a verdict nobody will accept.
+    A refused renewal — the lease was re-issued, or the job passed
+    its hard deadline by the queue's clock — sets ``stale``, ends the
+    thread and makes the turn abandon its attempt, so a hung worker
+    loses its lease.  Any other error is a missed beat, and renewal
+    goes on.
     """
 
-    def __init__(self, queue: JobQueue, lease: Lease,
+    def __init__(self, transport: LeaseTransport, lease: Lease,
                  interval: float) -> None:
         super().__init__(daemon=True)
-        self.queue = queue
+        self.transport = transport
         self.lease = lease
         self.interval = interval
         self.stop_event = threading.Event()
@@ -275,37 +349,43 @@ class _Heartbeat(threading.Thread):
 
     def run(self) -> None:
         while not self.stop_event.wait(self.interval):
-            if self.queue.clock() >= self.lease.deadline_at:
-                break
             try:
-                self.queue.heartbeat(self.lease.fingerprint,
-                                     self.lease.token)
-            except (StaleLeaseError, ServiceError):
+                self.transport.heartbeat(self.lease.fingerprint,
+                                         self.lease.token)
+            except StaleLeaseError:
                 self.stale.set()
                 break
+            except ServiceError:
+                continue
 
     def stop(self) -> None:
         self.stop_event.set()
 
 
 class Worker:
-    """Executes queue jobs; one instance per worker process/thread."""
+    """Executes queue jobs over a :class:`LeaseTransport`.
 
-    def __init__(self, queue: JobQueue, cache: ResultCache, *,
+    One instance per worker process, thread or remote host; its
+    lifetime tallies feed soak audits.  A ``chaos`` plan acts on the
+    transport's queue, so it needs a :class:`QueueTransport`.
+    """
+
+    def __init__(self, transport: LeaseTransport, *,
                  name: str = "worker",
                  heartbeat_interval: Optional[float] = None,
                  runtime: Optional[RuntimePolicy] = None,
-                 chaos: Optional[ServiceChaosPlan] = None,
-                 store_lock_timeout: float = 10.0) -> None:
-        self.queue = queue
-        self.cache = cache
+                 chaos: Optional[ServiceChaosPlan] = None) -> None:
+        self.transport = transport
         self.name = name
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None
-            else max(0.05, queue.lease_ttl / 3.0))
+        self.heartbeat_interval = heartbeat_interval
         self.runtime = runtime
         self.chaos = chaos
-        self.store_lock_timeout = store_lock_timeout
+        self.claims = 0
+        self.completions = 0
+        self.duplicates = 0
+        self.cache_hits = 0
+        self.failures = 0
+        self.stale_abandons = 0
 
     # -- chaos -------------------------------------------------------
 
@@ -315,7 +395,8 @@ class Worker:
         event = self.chaos.match(lease.submit_index, lease.attempt,
                                  hook, at)
         if event is not None:
-            self.chaos.fire(event, self.queue, lease.fingerprint)
+            self.chaos.fire(event, self.transport.queue,
+                            lease.fingerprint)
 
     # -- the worker turn ---------------------------------------------
 
@@ -324,93 +405,90 @@ class Worker:
 
         Returns the fingerprint acted on, or None when no job was
         due.  Never raises for per-job failures — those are recorded
-        in the queue (retry or dead-letter); only infrastructure
-        damage (a corrupt mid-journal, an unusable queue directory)
-        escapes as :class:`~repro.exceptions.RuntimeIntegrityError`.
+        in the queue (retry or dead-letter); a stale lease abandons
+        the attempt silently, since the new holder owns the job.
+        Only infrastructure damage (a corrupt mid-journal, an
+        unusable queue directory) escapes as
+        :class:`~repro.exceptions.RuntimeIntegrityError`.
         """
-        lease = self.queue.claim(self.name)
+        lease = self.transport.claim(self.name)
         if lease is None:
             return None
-        fingerprint = lease.fingerprint
+        self.claims += 1
+        fingerprint, token = lease.fingerprint, lease.token
         try:
             self._chaos(lease, "start")
-            cached = self.cache.get_entry(fingerprint)
-            if cached is not None:
-                self.queue.record_progress(fingerprint, {
-                    "cache_hit": True, "worker": self.name,
-                    "attempt": lease.attempt,
-                })
-                self.queue.complete(
-                    fingerprint, lease.token, cached["verdict"],
-                    meta={"cache_hit": True, "evaluations": 0,
-                          "worker": self.name,
-                          "attempt": lease.attempt})
-                return fingerprint
-            verdict, meta = self._execute(lease)
-            self.cache.put(fingerprint, verdict, meta=meta)
-            self.queue.complete(fingerprint, lease.token, verdict,
-                                meta=meta)
-            return fingerprint
+            if lease.cached_verdict is not None:
+                self.cache_hits += 1
+                event = {"cache_hit": True, "worker": self.name,
+                         "attempt": lease.attempt}
+                self.transport.progress(fingerprint, token, event)
+                verdict = lease.cached_verdict
+                meta = {**event, "evaluations": 0}
+            else:
+                verdict, meta = self._execute(lease)
+            recorded = self.transport.complete(fingerprint, token,
+                                               verdict, meta)
+            self.completions += 1
+            if not recorded:
+                self.duplicates += 1
         except StaleLeaseError:
-            # The lease moved on mid-run; the new holder owns the
-            # job and our verdict (if any) is discarded unrecorded.
-            return fingerprint
-        except ReproError as exc:
-            self._report_failure(lease, exc)
-            return fingerprint
+            self.stale_abandons += 1
         except Exception as exc:  # noqa: BLE001 - typed into queue
-            self._report_failure(lease, exc)
-            return fingerprint
-
-    def _report_failure(self, lease: Lease, exc: Exception) -> None:
-        try:
-            self.queue.fail(lease.fingerprint, lease.token,
-                            f"{type(exc).__name__}: {exc}")
-        except StaleLeaseError:
-            pass
+            self.failures += 1
+            try:
+                self.transport.fail(fingerprint, token,
+                                    f"{type(exc).__name__}: {exc}")
+            except StaleLeaseError:
+                pass
+        return fingerprint
 
     def run_until_drained(self, poll: float = 0.05,
                           timeout: float = 300.0,
                           reap: bool = True) -> int:
-        """Single-process drain loop (tests, CLI --workers=0).
+        """Claim until every job is terminal; returns acting turns.
 
-        Claims until every job is terminal; optionally reaps expired
-        leases between turns (the pool normally does this).  Returns
-        the number of turns that acted on a job.
+        Optionally reaps expired leases between turns (a forked pool's
+        supervisor does that instead; the HTTP server reaps on every
+        claim).
         """
         turns = 0
         deadline = time.monotonic() + timeout
-        while not self.queue.drained:
+        while True:
             if reap:
-                self.queue.reap_expired()
+                self.transport.reap()
             if self.run_once() is not None:
                 turns += 1
                 continue
+            if self.transport.drained():
+                return turns
             if time.monotonic() >= deadline:
                 raise ServiceError(
-                    f"worker drain timed out after {timeout:g}s "
-                    f"with queue counts {self.queue.counts()}"
+                    f"worker {self.name!r} drain timed out after "
+                    f"{timeout:g}s"
                 )
             time.sleep(poll)
-        return turns
 
     # -- execution dispatch ------------------------------------------
 
     def _execute(self, lease: Lease
                  ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        heartbeat = _Heartbeat(self.queue, lease,
-                               self.heartbeat_interval)
+        interval = self.heartbeat_interval
+        if interval is None:
+            interval = max(0.05,
+                           (lease.expires_at - lease.claimed_at) / 3.0)
+        heartbeat = _Heartbeat(self.transport, lease, interval)
         heartbeat.start()
-        store = self.queue.job_store(lease.fingerprint) \
-            .substore("engine")
-        context = ExecutionContext(
-            spec=lease.spec, store=store, worker=self.name,
-            attempt=lease.attempt, runtime=self.runtime,
-            stream=lambda payload: self._stream(lease, payload),
-            on_batch=lambda at: self._chaos(lease, "batch", at=at))
         try:
-            with store.exclusive(timeout=self.store_lock_timeout):
-                result = execute_job(context)
+            with self.transport.engine_store(lease.fingerprint) \
+                    as store:
+                result = execute_job(ExecutionContext(
+                    spec=lease.spec, store=store, worker=self.name,
+                    attempt=lease.attempt, runtime=self.runtime,
+                    stream=lambda event: self.transport.progress(
+                        lease.fingerprint, lease.token, event),
+                    on_batch=lambda at: self._chaos(lease, "batch",
+                                                    at=at)))
         finally:
             heartbeat.stop()
         if heartbeat.stale.is_set():
@@ -419,18 +497,3 @@ class Worker:
                 "stale during execution; abandoning the attempt"
             )
         return result
-
-    def _stream(self, lease: Lease, payload: Dict[str, Any]) -> None:
-        self.queue.record_progress(lease.fingerprint, payload)
-
-
-def submit_and_run(queue: JobQueue, cache: ResultCache,
-                   specs, **worker_kwargs) -> Dict[str, Any]:
-    """Convenience: submit specs, drain in-process, return statuses."""
-    for spec in specs:
-        queue.submit(spec if isinstance(spec, JobSpec)
-                     else JobSpec.from_json_dict(spec))
-    worker = Worker(queue, cache, **worker_kwargs)
-    worker.run_until_drained()
-    return {fp: status.to_json_dict()
-            for fp, status in queue.jobs().items()}

@@ -50,8 +50,7 @@ def tiny(trivial):
 def _fast_supervision(**overrides):
     defaults = dict(chunk_deadline_seconds=2.0, max_retries=2,
                     backoff_base_seconds=0.01, backoff_factor=2.0,
-                    backoff_jitter=0.25, poll_interval_seconds=0.02,
-                    seed=0)
+                    backoff_jitter=0.25, poll_interval_seconds=0.02)
     defaults.update(overrides)
     return SupervisorConfig(**defaults)
 

@@ -164,8 +164,7 @@ class TestStructuredChaos:
             supervisor=SupervisorConfig(
                 chunk_deadline_seconds=2.0, max_retries=2,
                 backoff_base_seconds=0.01, backoff_factor=2.0,
-                backoff_jitter=0.25, poll_interval_seconds=0.02,
-                seed=0),
+                backoff_jitter=0.25, poll_interval_seconds=0.02),
             chaos=ChaosPlan.single("kill", chunk_index=0),
         )
         survived = run_monte_carlo(gadget, initial, evaluator, model,
@@ -184,8 +183,7 @@ class TestStructuredChaos:
             supervisor=SupervisorConfig(
                 chunk_deadline_seconds=2.0, max_retries=2,
                 backoff_base_seconds=0.01, backoff_factor=2.0,
-                backoff_jitter=0.25, poll_interval_seconds=0.02,
-                seed=0),
+                backoff_jitter=0.25, poll_interval_seconds=0.02),
             chaos=ChaosPlan.single("kill", chunk_index=1),
         )
         store = CheckpointStore(str(tmp_path / "chaos-ckpt"))

@@ -178,10 +178,14 @@ class TestRetry:
         assert queue.claim("w2").attempt == 2
 
     def test_backoff_grows_exponentially(self):
-        fp = spec().fingerprint
-        delays = [backoff_delay(fp, a, 1.0, 2.0, 0.0)
-                  for a in (1, 2, 3)]
-        assert delays == [1.0, 2.0, 4.0]
+        # Job fingerprints (the queue's keys) and chunk indices (the
+        # runtime supervisor's) follow the same rule.
+        for key, base, expected in ((spec().fingerprint, 1.0,
+                                     [1.0, 2.0, 4.0]),
+                                    ("0", 0.1, [0.1, 0.2, 0.4])):
+            delays = [backoff_delay(key, a, base, 2.0, 0.0)
+                      for a in (1, 2, 3)]
+            assert delays == pytest.approx(expected)
 
     def test_backoff_jitter_is_deterministic(self):
         fp = spec().fingerprint
@@ -189,6 +193,12 @@ class TestRetry:
             == backoff_delay(fp, 1, 1.0, 2.0, 0.5)
         assert backoff_delay(fp, 1, 1.0, 2.0, 0.5) \
             != backoff_delay(spec(2).fingerprint, 1, 1.0, 2.0, 0.5)
+        # ...and bounded: jitter only ever stretches the base delay.
+        for key in (fp, "0", "7"):
+            for attempt in range(1, 5):
+                base = 0.1 * 2.0 ** (attempt - 1)
+                delay = backoff_delay(key, attempt, 0.1, 2.0, 0.5)
+                assert base <= delay <= base * 1.5
 
     def test_dead_letter_after_max_attempts(self, queue, clock):
         fp = queue.submit(spec())

@@ -264,6 +264,21 @@ class TestRemoteWorker:
             with pytest.raises(StaleLeaseError):
                 client.work_fail(fingerprint, token, "late fail")
 
+    def test_heartbeat_past_deadline_is_typed_stale(self, tmp_path):
+        # A renewal refused at the job's hard deadline must reach a
+        # remote holder as StaleLeaseError (abandon the attempt), the
+        # same type the in-process queue raises — not an untyped
+        # ServiceError a heartbeat loop would retry.
+        service, server = _served(tmp_path, job_deadline=0.3)
+        with server:
+            service.submit(mc_spec(seed=37))
+            client = _authed(server, worker="z1", max_attempts=1)
+            lease = client.work_claim()["lease"]
+            time.sleep(0.5)
+            with pytest.raises(StaleLeaseError, match="deadline"):
+                client.work_heartbeat(lease["fingerprint"],
+                                      lease["token"])
+
     def test_failed_attempt_reported_over_wire(self, tmp_path):
         # An unknown gadget makes execution raise; the remote worker
         # must report it through /v1/work/fail (retry then

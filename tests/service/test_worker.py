@@ -4,10 +4,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import DEAD, JobSpec, SUCCEEDED
+from repro.service import (
+    CertificationServer,
+    CertificationService,
+    DEAD,
+    HttpTransport,
+    JobSpec,
+    QueueTransport,
+    SUCCEEDED,
+    ServiceClient,
+    WorkerAuth,
+)
 from repro.service.jobs import JobSpec as RawJobSpec
+from repro.service.worker import _Heartbeat
 
-from tests.service.conftest import mc_spec, seq_spec
+from tests.service.conftest import fast_config, mc_spec, seq_spec
+
+SECRET = "heartbeat-test-secret"
 
 
 class TestMonteCarloJobs:
@@ -144,29 +157,38 @@ class TestFailurePaths:
 
 
 class TestHeartbeatShutdown:
-    """Satellite: a heartbeat thread that outlives its worker turn
+    """A heartbeat thread that outlives its worker turn
     must never renew (and so resurrect) a lease the queue already
-    released — the StaleLeaseError path, under slow teardown."""
+    released — the StaleLeaseError path, under slow teardown.
 
-    def _queue(self, tmp_path, **overrides):
-        import os
+    Runs over the in-process transport; the subclass below runs the
+    same tests over HTTP by overriding the ``transport_for`` fixture.
+    """
 
-        from repro.service import JobQueue
-
+    @staticmethod
+    def _service(tmp_path, **overrides):
         knobs = dict(lease_ttl=0.5, job_deadline=30.0,
                      max_attempts=3, backoff_base=0.01)
         knobs.update(overrides)
-        return JobQueue(os.path.join(str(tmp_path), "q"), **knobs)
+        return CertificationService(str(tmp_path / "svc"),
+                                    config=fast_config(**knobs))
 
-    def test_stop_halts_renewal(self, tmp_path):
+    @pytest.fixture()
+    def transport_for(self, tmp_path):
+        """``open(**queue_knobs) -> (queue, transport)``."""
+        def open_(**overrides):
+            service = self._service(tmp_path, **overrides)
+            return service.queue, QueueTransport(service.queue,
+                                                 service.cache)
+        return open_
+
+    def test_stop_halts_renewal(self, transport_for):
         import time
 
-        from repro.service.worker import _Heartbeat
-
-        queue = self._queue(tmp_path)
+        queue, transport = transport_for()
         queue.submit(mc_spec())
         lease = queue.claim("w1")
-        heartbeat = _Heartbeat(queue, lease, interval=0.05)
+        heartbeat = _Heartbeat(transport, lease, interval=0.05)
         heartbeat.start()
         time.sleep(0.2)  # several renewals
         heartbeat.stop()
@@ -179,7 +201,8 @@ class TestHeartbeatShutdown:
         (live,) = queue.leases()
         assert float(live["expires_at"]) == frozen
 
-    def test_heartbeat_after_completion_goes_stale(self, tmp_path):
+    def test_heartbeat_after_completion_goes_stale(self,
+                                                   transport_for):
         """The regression: complete() releases the lease while the
         heartbeat thread is still running.  The next renewal must be
         refused as stale — not recreate the lease file — and the
@@ -188,12 +211,11 @@ class TestHeartbeatShutdown:
         import time
 
         from repro.service import SUCCEEDED as DONE
-        from repro.service.worker import _Heartbeat
 
-        queue = self._queue(tmp_path)
+        queue, transport = transport_for()
         fp = queue.submit(mc_spec())
         lease = queue.claim("w1")
-        heartbeat = _Heartbeat(queue, lease, interval=0.05)
+        heartbeat = _Heartbeat(transport, lease, interval=0.05)
         heartbeat.start()
         time.sleep(0.12)  # let at least one renewal land
         queue.complete(fp, lease.token, {"ok": True})
@@ -206,21 +228,20 @@ class TestHeartbeatShutdown:
         assert status.state == DONE
         assert status.verdict == {"ok": True}
 
-    def test_heartbeat_never_renews_a_reissued_lease(self, tmp_path):
+    def test_heartbeat_never_renews_a_reissued_lease(self,
+                                                     transport_for):
         """After a forced expiry and re-claim, the *old* holder's
         heartbeat must go stale instead of stealing the new worker's
         lease back."""
         import time
 
-        from repro.service.worker import _Heartbeat
-
-        queue = self._queue(tmp_path)
+        queue, transport = transport_for()
         fp = queue.submit(mc_spec())
         old = queue.claim("w1")
         queue.expire_lease(fp)
         new = queue.claim("w2")
         assert new is not None and new.token != old.token
-        heartbeat = _Heartbeat(queue, old, interval=0.05)
+        heartbeat = _Heartbeat(transport, old, interval=0.05)
         heartbeat.start()
         heartbeat.join(timeout=2.0)
         assert heartbeat.stale.is_set()
@@ -228,19 +249,40 @@ class TestHeartbeatShutdown:
         assert live["token"] == new.token
         assert live["worker"] == "w2"
 
-    def test_renewal_stops_at_the_hard_deadline(self, tmp_path):
+    def test_renewal_stops_at_the_hard_deadline(self, transport_for):
         """A worker that cannot finish by the job deadline must lose
         its lease (stop renewing), not keep it alive forever."""
         import time
 
-        from repro.service.worker import _Heartbeat
-
-        queue = self._queue(tmp_path, lease_ttl=0.2,
-                            job_deadline=0.3)
+        queue, transport = transport_for(lease_ttl=0.2,
+                                         job_deadline=0.3)
         fp = queue.submit(mc_spec())
         lease = queue.claim("w1")
-        heartbeat = _Heartbeat(queue, lease, interval=0.05)
+        heartbeat = _Heartbeat(transport, lease, interval=0.05)
         heartbeat.start()
         time.sleep(0.6)
         assert not heartbeat.is_alive()  # exited at the deadline
         assert queue.reap_expired() == [fp]
+
+
+class TestHeartbeatShutdownOverHttp(TestHeartbeatShutdown):
+    """The same heartbeat tests, renewing over ``/v1/work/heartbeat``."""
+
+    @pytest.fixture()
+    def transport_for(self, tmp_path):
+        servers = []
+
+        def open_(**overrides):
+            service = self._service(tmp_path, **overrides)
+            server = CertificationServer(service, worker_secret=SECRET)
+            servers.append(server)
+            client = ServiceClient(
+                *server.start(), timeout=5.0, max_attempts=2,
+                backoff_base=0.01,
+                auth=WorkerAuth(secret=SECRET, worker="w1"))
+            return service.queue, HttpTransport(
+                client, str(tmp_path / "scratch"))
+
+        yield open_
+        for server in servers:
+            server.close()

@@ -89,7 +89,8 @@ def test_fig1_report(benchmark, context):
         f"log-log slope of prediction: {fit.exponent:.2f} (paper: 2)",
         "",
         f"Monte-Carlo validation at p={MC_P}: "
-        f"rate {mc.failure_rate:.2e} +- {mc.stderr:.1e} "
+        f"rate {mc.failure_rate:.2e} "
+        f"(95% CI [{mc.interval().lower:.1e}, {mc.interval().upper:.1e}]) "
         f"(prediction {m_eff * MC_P**2:.2e}); "
         f"single-fault failures in MC: {mc.single_fault_failures}",
         "",

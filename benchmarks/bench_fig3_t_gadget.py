@@ -94,7 +94,8 @@ def test_fig3_report(benchmark, context):
         f"log-log slope: {fit.exponent:.2f} (paper: 2)",
         "",
         f"Monte-Carlo at p={MC_P}: rate {mc.failure_rate:.2e} "
-        f"+- {mc.stderr:.1e} (prediction {m_eff * MC_P**2:.2e}); "
+        f"(95% CI [{mc.interval().lower:.1e}, {mc.interval().upper:.1e}]) "
+        f"(prediction {m_eff * MC_P**2:.2e}); "
         f"single-fault failures: {mc.single_fault_failures}",
         "",
         "exhaustive single-fault certification (0 failures over every",

@@ -135,7 +135,8 @@ def test_sec5_internal_fault_tolerance(benchmark, context):
         *series_lines(("p", "predicted"), rows),
         f"log-log slope: {fit.exponent:.2f} (paper: 2)",
         f"Monte-Carlo at p={MC_P}: {mc.failure_rate:.2e} "
-        f"+- {mc.stderr:.1e}; single-fault failures: "
+        f"(95% CI [{mc.interval().lower:.1e}, {mc.interval().upper:.1e}]); "
+        f"single-fault failures: "
         f"{mc.single_fault_failures}",
         "",
         *engine_stats_lines(mc.engine_stats),

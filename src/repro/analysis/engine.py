@@ -2,11 +2,12 @@
 
 Every O(p^2) curve and threshold estimate in the reproduction is a
 statistical statement over a huge fault-sample space (Shor
-quant-ph/9605011, Preskill quant-ph/9712048), produced until now by
-the strictly serial loops in :mod:`repro.analysis.montecarlo`.  This
-module is the scalable replacement.  It runs the same three workloads
-— stochastic Monte-Carlo trials, exhaustive single-fault enumeration
-and malignant-pair sampling — through a shared three-phase schedule:
+quant-ph/9605011, Preskill quant-ph/9712048).  This module is the one
+place a fault pattern gets sampled and judged.  It runs the three
+workloads — stochastic Monte-Carlo trials, exhaustive single-fault
+enumeration and malignant-pair sampling — through a shared three-phase
+schedule, and :mod:`repro.analysis.sequential` drives the same phases
+batch by batch:
 
 1. **Sample** (parent process, deterministic).  Trials are split into
    fixed-size chunks; chunk ``c`` draws its faults from an RNG seeded
@@ -57,11 +58,12 @@ evaluation with identical results.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Callable,
     Dict,
@@ -80,7 +82,7 @@ from repro.exceptions import (
     VerificationError,
 )
 from repro.ft.gadget import Gadget, apply_circuit_with_faults
-from repro.noise.locations import FaultLocation
+from repro.noise.locations import FaultLocation, enumerate_locations
 from repro.noise.model import NoiseModel
 from repro.runtime.checkpoint import CheckpointStore, as_store
 from repro.runtime.fallback import FallbackRecord
@@ -124,7 +126,7 @@ _WORKER_CONTEXT: Optional["_EvalContext"] = None
 # Input validation (shared by every public entry point)
 # ---------------------------------------------------------------------------
 
-def _coerce_count(value, name: str,
+def _coerce_count(value, name: str, minimum: int = 0,
                   maximum: int = MAX_WORK_ITEMS) -> int:
     """Strictly validate a work-item count (trials/samples)."""
     if isinstance(value, bool) or not isinstance(
@@ -137,10 +139,9 @@ def _coerce_count(value, name: str,
                 f"({type(value).__name__})"
             )
     value = int(value)
-    if value < 0:
-        raise AnalysisError(
-            f"{name} must be non-negative, got {value}"
-        )
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else f">= {minimum}"
+        raise AnalysisError(f"{name} must be {bound}, got {value}")
     if value > maximum:
         raise AnalysisError(
             f"{name}={value} exceeds the engine's {maximum} "
@@ -150,74 +151,26 @@ def _coerce_count(value, name: str,
     return value
 
 
-def _coerce_chunk_size(value) -> int:
-    """Strictly validate ``chunk_size`` (part of the seed contract)."""
-    if isinstance(value, bool) or not isinstance(
-            value, (int, np.integer)):
-        raise AnalysisError(
-            f"chunk_size must be an integer, got {value!r} "
-            f"({type(value).__name__}); it is part of the "
-            f"determinism contract and cannot be rounded silently"
-        )
-    value = int(value)
-    if value < 1:
-        raise AnalysisError(
-            f"chunk_size must be >= 1, got {value}"
-        )
-    return value
+def _coerce_positive(value, name: str) -> int:
+    """Strictly validate a positive integer option.
 
-
-def _coerce_batch_size(value) -> int:
-    """Strictly validate the evaluation ``batch_size`` knob.
-
-    Unlike ``chunk_size`` this is *not* part of the determinism
-    contract — verdicts are bit-identical for every batch size — but a
-    silent rounding would still hide a corrupted config, so it gets
-    the same strict treatment.
+    ``chunk_size`` is part of the determinism contract; ``workers``
+    and ``batch_size`` are not (results are bit-identical for every
+    value), but a silent rounding of any of them would hide a
+    corrupted config.
     """
     if isinstance(value, bool) or not isinstance(
             value, (int, np.integer)):
         raise AnalysisError(
-            f"batch_size must be a positive integer, got {value!r} "
+            f"{name} must be a positive integer, got {value!r} "
             f"({type(value).__name__})"
         )
     value = int(value)
     if value < 1:
         raise AnalysisError(
-            f"batch_size must be >= 1, got {value}"
+            f"{name} must be >= 1, got {value}"
         )
     return value
-
-
-def _coerce_workers(value) -> int:
-    """Strictly validate an explicit worker count."""
-    if isinstance(value, bool) or not isinstance(
-            value, (int, np.integer)):
-        raise AnalysisError(
-            f"workers must be a positive integer, got {value!r} "
-            f"({type(value).__name__})"
-        )
-    value = int(value)
-    if value < 1:
-        raise AnalysisError(
-            f"workers must be >= 1, got {value}; pass workers=None "
-            f"(with parallel=False) for the serial path"
-        )
-    return value
-
-
-def resolve_workers(parallel: bool, workers: Optional[int]) -> int:
-    """Shared resolution of the public ``parallel=``/``workers=`` knobs.
-
-    An explicit ``workers`` must be a positive integer — zero,
-    negative or fractional counts raise :class:`AnalysisError` instead
-    of falling through to an opaque ``multiprocessing`` failure.
-    """
-    if workers is not None:
-        return _coerce_workers(workers)
-    if parallel:
-        return max(1, os.cpu_count() or 1)
-    return 1
 
 
 def _fault_sort_key(fault: Fault) -> Tuple[int, Tuple[int, ...],
@@ -434,33 +387,23 @@ class EngineStats:
 
     def absorb(self, other: "EngineStats") -> None:
         """Fold another run's stats into this one (multi-phase
-        reports: exhaustive + pair sampling share one block)."""
-        self.trials += other.trials
-        self.requests += other.requests
-        self.evaluations += other.evaluations
-        self.cache_hits += other.cache_hits
-        self.distinct_patterns += other.distinct_patterns
-        self.chunks += other.chunks
-        self.workers = max(self.workers, other.workers)
-        self.sample_seconds += other.sample_seconds
-        self.eval_seconds += other.eval_seconds
-        self.total_seconds += other.total_seconds
-        self.worker_busy_seconds += other.worker_busy_seconds
-        self.chunk_timings.extend(other.chunk_timings)
-        self.retries += other.retries
-        self.hung_chunks += other.hung_chunks
-        self.worker_errors += other.worker_errors
-        self.pool_restarts += other.pool_restarts
-        self.quarantined_chunks += other.quarantined_chunks
-        for backend, count in other.degraded_evaluations.items():
-            self.degraded_evaluations[backend] = \
-                self.degraded_evaluations.get(backend, 0) + count
-        self.invariant_retries += other.invariant_retries
-        self.cache_evictions += other.cache_evictions
-        self.resumed_verdicts += other.resumed_verdicts
-        self.batched_batches += other.batched_batches
-        self.batched_evaluations += other.batched_evaluations
-        self.batched_fallbacks += other.batched_fallbacks
+        reports: exhaustive + pair sampling share one block).
+
+        Each field folds by its type: numbers add, dicts merge
+        key-wise, lists extend — except ``workers``, the larger pool.
+        """
+        for spec in fields(self):
+            mine = getattr(self, spec.name)
+            theirs = getattr(other, spec.name)
+            if spec.name == "workers":
+                self.workers = max(mine, theirs)
+            elif isinstance(mine, dict):
+                for key, count in theirs.items():
+                    mine[key] = mine.get(key, 0) + count
+            elif isinstance(mine, list):
+                mine.extend(theirs)
+            else:
+                setattr(self, spec.name, mine + theirs)
 
     def summary_lines(self) -> List[str]:
         """Human-readable block for benchmark reports."""
@@ -510,30 +453,17 @@ class EngineStats:
 
         The service records this alongside each verdict so a cache hit
         (``evaluations == 0``) is distinguishable from a recompute.
+        ``chunk_timings`` is left out: it is per-chunk detail that
+        grows with the run, not a summary.
         """
-        return {
-            "trials": self.trials,
-            "chunks": self.chunks,
-            "workers": self.workers,
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "evaluations": self.evaluations,
-            "distinct_patterns": self.distinct_patterns,
-            "total_seconds": self.total_seconds,
-            "retries": self.retries,
-            "hung_chunks": self.hung_chunks,
-            "worker_errors": self.worker_errors,
-            "pool_restarts": self.pool_restarts,
-            "quarantined_chunks": self.quarantined_chunks,
-            "degraded_evaluations": dict(sorted(
-                self.degraded_evaluations.items())),
-            "invariant_retries": self.invariant_retries,
-            "resumed_verdicts": self.resumed_verdicts,
-            "cache_evictions": self.cache_evictions,
-            "batched_evaluations": self.batched_evaluations,
-            "batched_batches": self.batched_batches,
-            "batched_fallbacks": self.batched_fallbacks,
-        }
+        snapshot: Dict[str, object] = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name == "chunk_timings":
+                continue
+            snapshot[spec.name] = (dict(sorted(value.items()))
+                                   if isinstance(value, dict) else value)
+        return snapshot
 
 
 @dataclass
@@ -850,9 +780,9 @@ def _location_setup(noise: Optional[NoiseModel], gadget: Gadget,
                                List[int]]:
     """Precompute per-location strike probabilities and fault choices.
 
-    The serial loops recompute ``fault_choices`` (a ``pauli_basis``
-    walk) for every struck location of every trial; doing it once per
-    run is a measurable win on its own.
+    ``fault_choices`` is a ``pauli_basis`` walk; doing it once per run
+    rather than per struck location of every trial is a measurable win
+    on its own.
     """
     model = noise if noise is not None else NoiseModel.uniform(1.0)
     probs = np.array([model.probability_for(loc) for loc in locations],
@@ -989,56 +919,6 @@ def sample_pair_chunk(choices: List[List[PauliString]],
         pattern_counts[key] = pattern_counts.get(key, 0) + 1
 
 
-def _open_journal(checkpoint, resume: bool, seed: Optional[int],
-                  memoize: bool,
-                  cache: Optional[FaultPatternCache],
-                  fingerprint: Dict[str, object],
-                  stats: EngineStats,
-                  needs_seed: bool = True,
-                  eval_path: str = SERIAL_PATH,
-                  ) -> Tuple[Optional[CheckpointStore],
-                             Optional[FaultPatternCache]]:
-    """Shared ``checkpoint=``/``resume=`` handling for the run_* entry
-    points.
-
-    Returns the opened store (or None) and the cache to use —
-    checkpointing requires a cache, so one is created when the caller
-    did not supply one.  On resume the journal's verdicts are
-    replayed into the cache after the fingerprint check; on a fresh
-    run the directory is cleared and a new header written.
-
-    ``eval_path`` routes replayed verdicts to the run's own cache
-    path.  The fingerprint already refuses cross-path resumes (the
-    caller stamps ``eval_path`` into it for batched runs), so a
-    journal's verdicts always re-enter the path that produced them.
-    """
-    store = as_store(checkpoint)
-    if store is None:
-        return None, cache
-    if needs_seed and seed is None:
-        raise AnalysisError(
-            "checkpointing requires an explicit seed: an unseeded run "
-            "draws OS entropy and cannot be resumed bit-identically"
-        )
-    if not memoize:
-        raise AnalysisError(
-            "checkpointing requires memoize=True (the journal replays "
-            "verdicts through the fault-pattern cache)"
-        )
-    if cache is None:
-        cache = FaultPatternCache()
-    if resume and store.exists():
-        store.check_fingerprint(fingerprint)
-        entries = store.load_verdicts()
-        for pattern, verdict in entries:
-            cache.store(pattern, verdict, eval_path)
-        stats.resumed_verdicts = len(entries)
-    else:
-        store.clear()
-        store.write_header(fingerprint)
-    return store, cache
-
-
 def _apply_optimizer(gadget: Gadget, optimize,
                      locations) -> Tuple[Gadget, Optional[str]]:
     """Resolve the ``optimize=`` knob for a gadget workload.
@@ -1068,6 +948,203 @@ def _apply_optimizer(gadget: Gadget, optimize,
     return optimize_gadget(gadget, pipeline), pipeline.marker
 
 
+def _default_locations(gadget: Gadget) -> List[FaultLocation]:
+    """Every fault location of a gadget, its data and quantum-ancilla
+    registers counted as inputs."""
+    input_qubits: List[int] = []
+    for register in gadget.registers.values():
+        if register.role in ("data", "quantum_ancilla"):
+            input_qubits.extend(register.qubits)
+    return enumerate_locations(gadget.circuit,
+                               input_qubits=sorted(input_qubits))
+
+
+class _Run:
+    """The set-up every sampling entry point shares.
+
+    Construction resolves the inputs: the ``optimize=`` rewrite, the
+    default fault locations, the ``workers``/``batch_size`` options
+    and the evaluation context.  :meth:`open` then stamps the run's
+    checkpoint fingerprint and opens its journal.  Entry points check
+    their own arguments between the two steps, so a refused call never
+    touches an existing journal.
+    """
+
+    def __init__(self, gadget: Gadget, initial_state: SparseState,
+                 evaluator: Callable[[SparseState], bool],
+                 locations: Optional[Sequence[FaultLocation]], *,
+                 noise: Optional[NoiseModel] = None,
+                 optimize=False,
+                 workers: int = 1,
+                 batch_size: int = 1,
+                 memoize: bool = True,
+                 cache: Optional[FaultPatternCache] = None,
+                 progress: Optional[Callable[[ProgressEvent], None]]
+                 = None,
+                 invariant: Optional[Callable[[SparseState], None]]
+                 = None,
+                 runtime: Optional[RuntimePolicy] = None) -> None:
+        self.start = time.perf_counter()
+        if noise is not None and not noise.samplable:
+            raise AnalysisError(
+                f"{type(noise).__name__} has no stochastic Pauli "
+                "unravelling and cannot feed the sampling engine; "
+                "compose it exactly with repro.noise.injection."
+                "run_with_coherent_noise or sample its Pauli twirl"
+            )
+        gadget, self.optimizer = _apply_optimizer(gadget, optimize,
+                                                  locations)
+        if locations is None:
+            locations = _default_locations(gadget)
+        self.locations = list(locations)
+        self.noise = noise
+        self.workers = _coerce_positive(workers, "workers")
+        self.memoize = memoize
+        self.cache = cache
+        self.progress = progress
+        self.context = _EvalContext(
+            gadget, initial_state, evaluator, invariant=invariant,
+            policy=runtime,
+            batch_size=_coerce_positive(batch_size, "batch_size"))
+        self.stats = EngineStats()
+        self.store: Optional[CheckpointStore] = None
+
+    @property
+    def gadget(self) -> Gadget:
+        return self.context.gadget
+
+    def open(self, workload: str, fields: Dict[str, object],
+             checkpoint, resume: bool) -> None:
+        """Fingerprint the run and open its ``checkpoint=`` journal.
+
+        The fingerprint is the workload's ``fields`` framed by the
+        gadget identity, then the noise model's identity and the
+        markers.  A marker is stamped only when it applies, so the
+        fingerprint of a baseline-noise, serial, unoptimized run stays
+        byte-identical to what older journals recorded, while a
+        journal never silently resumes under a different structured
+        model, evaluation path or optimizer.
+
+        Checkpointing requires a cache, so one is created when the
+        caller did not supply one.  On resume the journal's verdicts
+        are replayed into the cache, under this run's evaluation path,
+        after the fingerprint check; on a fresh run the directory is
+        cleared and a new header written.
+        """
+        fingerprint: Dict[str, object] = {
+            "workload": workload,
+            "gadget": self.gadget.name,
+            "locations": len(self.locations),
+            **fields,
+        }
+        noise = self.noise
+        if noise is not None:
+            fingerprint.update(p_gate=float(noise.p_gate),
+                               p_input=float(noise.p_input),
+                               p_delay=float(noise.p_delay),
+                               channel=noise.channel)
+            if noise.structured:
+                fingerprint["model"] = repr(noise.fingerprint())
+        eval_path = self.context.eval_path
+        if eval_path != SERIAL_PATH:
+            fingerprint["eval_path"] = eval_path
+        if self.optimizer is not None:
+            fingerprint["optimizer"] = self.optimizer
+
+        store = as_store(checkpoint)
+        if store is None:
+            return
+        # Only the exhaustive sweep is unseeded; it is deterministic.
+        if "seed" in fingerprint and fingerprint["seed"] is None:
+            raise AnalysisError(
+                "checkpointing requires an explicit seed: an unseeded "
+                "run draws OS entropy and cannot be resumed "
+                "bit-identically"
+            )
+        if not self.memoize:
+            raise AnalysisError(
+                "checkpointing requires memoize=True (the journal "
+                "replays verdicts through the fault-pattern cache)"
+            )
+        if self.cache is None:
+            self.cache = FaultPatternCache()
+        if resume and store.exists():
+            store.check_fingerprint(fingerprint)
+            entries = store.load_verdicts()
+            for pattern, verdict in entries:
+                self.cache.store(pattern, verdict, eval_path)
+            self.stats.resumed_verdicts = len(entries)
+        else:
+            store.clear()
+            store.write_header(fingerprint)
+        self.store = store
+
+    @contextlib.contextmanager
+    def interruptible(self, cursor: Callable[[], Dict[str, object]]):
+        """Mark a ``KeyboardInterrupt`` in the journal's cursor.
+
+        Completed chunks are already journaled; the marker lets the
+        resume path (and the operator) see that the stop was clean.
+        """
+        try:
+            yield
+        except KeyboardInterrupt:
+            if self.store is not None:
+                self.store.write_state(
+                    "cursor", {**cursor(), "interrupted": True})
+            raise
+
+    def verdicts(self, pattern_counts: Dict[FaultPattern, int],
+                 chunk_size: int) -> Dict[FaultPattern, bool]:
+        return _resolve_verdicts(self.context, pattern_counts,
+                                 self.memoize, self.cache, self.workers,
+                                 chunk_size, self.stats, self.progress,
+                                 journal=self.store)
+
+    def judge_chunks(self, seed: Optional[int], total: int,
+                     chunk_size: int,
+                     draw: Callable[[np.random.Generator, int,
+                                     Dict[FaultPattern, int]], None],
+                     stream_key: Sequence[int] = ()
+                     ) -> Tuple[Dict[FaultPattern, int],
+                                Dict[FaultPattern, bool]]:
+        """Fixed-budget sample → dedup → evaluate.
+
+        ``draw(rng, length, pattern_counts)`` samples one chunk of the
+        ``total`` work items from that chunk's spawned stream.  Returns
+        the canonical pattern counts and their verdicts.
+        """
+        self.stats.trials = total
+        pattern_counts: Dict[FaultPattern, int] = {}
+        sample_start = time.perf_counter()
+        chunks = _spawn_chunks(seed, total, chunk_size,
+                               stream_key=stream_key)
+        self.stats.chunks = len(chunks)
+        done = 0
+        for chunk_index, (length, child) in enumerate(chunks):
+            draw(np.random.default_rng(child), length, pattern_counts)
+            done += length
+            if self.progress is not None:
+                self.progress(ProgressEvent(
+                    phase="sample", done=done, total=total,
+                    chunk_index=chunk_index, chunks_total=len(chunks),
+                    elapsed_seconds=time.perf_counter() - sample_start,
+                ))
+        self.stats.sample_seconds = time.perf_counter() - sample_start
+        cursor = {"sample_chunks_done": len(chunks),
+                  "distinct_patterns": len(pattern_counts)}
+        if self.store is not None:
+            self.store.write_state("cursor", cursor)
+        with self.interruptible(lambda: cursor):
+            return pattern_counts, self.verdicts(pattern_counts,
+                                                 chunk_size)
+
+    def finish(self, summary: Dict[str, object]) -> None:
+        self.stats.total_seconds = time.perf_counter() - self.start
+        if self.store is not None:
+            self.store.finalize(summary)
+
+
 def run_monte_carlo(gadget: Gadget,
                     initial_state: SparseState,
                     evaluator: Callable[[SparseState], bool],
@@ -1088,12 +1165,22 @@ def run_monte_carlo(gadget: Gadget,
                     resume: bool = True,
                     runtime: Optional[RuntimePolicy] = None,
                     optimize=False):
-    """Engine-scheduled equivalent of ``gadget_monte_carlo``.
+    """Estimate a gadget's failure rate under stochastic faults.
 
     Returns a :class:`~repro.analysis.montecarlo.GadgetMonteCarloResult`
-    with ``engine_stats`` attached.  For a fixed ``(seed, trials,
-    chunk_size)`` the result is bit-identical for every ``workers``
-    value, every ``batch_size`` and for ``memoize`` on or off.
+    with ``engine_stats`` attached.  Every sampled trial is judged by
+    ``evaluator`` (True = acceptable output) on the gadget's output
+    for ``initial_state`` (use :meth:`Gadget.initial_state`); fault-
+    free trials count as successes.  ``locations`` pre-enumerated
+    locations amortise enumeration across a p sweep.  ``seed=None``
+    draws fresh OS entropy, making the run non-reproducible.
+
+    For a fixed ``(seed, trials, chunk_size)`` the result is
+    bit-identical for every ``workers`` value, every ``batch_size``
+    and for ``memoize`` on or off.  ``memoize`` reuses the verdicts of
+    repeated canonical fault patterns; ``cache`` (a shared
+    :class:`FaultPatternCache`) persists them across calls;
+    ``progress`` receives a :class:`ProgressEvent` per chunk.
 
     ``batch_size > 1`` routes evaluation through the vectorised
     :mod:`repro.simulators.batched` path: up to ``batch_size`` distinct
@@ -1130,105 +1217,26 @@ def run_monte_carlo(gadget: Gadget,
     so an optimized journal refuses to resume an unoptimized run and
     vice versa — mirroring the ``eval_path`` marker.
     """
-    from repro.analysis.montecarlo import (
-        GadgetMonteCarloResult,
-        _default_locations,
-    )
+    from repro.analysis.montecarlo import GadgetMonteCarloResult
 
-    start = time.perf_counter()
-    if not noise.samplable:
-        raise AnalysisError(
-            f"{type(noise).__name__} has no stochastic Pauli "
-            "unravelling and cannot feed the sampling engine; compose "
-            "it exactly with repro.noise.injection."
-            "run_with_coherent_noise or sample its Pauli twirl"
-        )
-    gadget, optimizer_marker = _apply_optimizer(gadget, optimize,
-                                                locations)
-    if locations is None:
-        locations = _default_locations(gadget)
-    locations = list(locations)
+    run = _Run(gadget, initial_state, evaluator, locations, noise=noise,
+               optimize=optimize, workers=workers, batch_size=batch_size,
+               memoize=memoize, cache=cache, progress=progress,
+               invariant=invariant, runtime=runtime)
     trials = _coerce_count(trials, "trials")
-    workers = _coerce_workers(workers)
-    chunk_size = _coerce_chunk_size(chunk_size)
-    batch_size = _coerce_batch_size(batch_size)
-    stats = EngineStats(trials=trials, workers=1)
-    fingerprint = {
-        "workload": "monte_carlo",
-        "gadget": gadget.name,
-        "locations": len(locations),
-        "seed": seed,
-        "trials": trials,
-        "chunk_size": chunk_size,
-        "p_gate": float(noise.p_gate),
-        "p_input": float(noise.p_input),
-        "p_delay": float(noise.p_delay),
-        "channel": noise.channel,
-    }
-    if noise.structured:
-        # Structured models carry their full identity; baseline
-        # fingerprints stay exactly as before so existing journals
-        # keep resuming.
-        fingerprint["model"] = repr(noise.fingerprint())
-    if batch_size > 1:
-        # Serial fingerprints stay byte-identical to before (existing
-        # journals keep resuming); batched runs are marked so a
-        # journal never silently swaps evaluation paths.
-        fingerprint["eval_path"] = BATCHED_PATH
-    if optimizer_marker is not None:
-        # Same contract as eval_path: unoptimized fingerprints stay
-        # byte-identical, optimized journals can never silently mix
-        # with unoptimized ones (the location sets differ).
-        fingerprint["optimizer"] = optimizer_marker
-    store, cache = _open_journal(
-        checkpoint, resume, seed, memoize, cache, fingerprint, stats,
-        eval_path=BATCHED_PATH if batch_size > 1 else SERIAL_PATH)
-    probs, choices, after_ops = _location_setup(noise, gadget, locations)
-
+    chunk_size = _coerce_positive(chunk_size, "chunk_size")
+    run.open("monte_carlo", {"seed": seed, "trials": trials,
+                             "chunk_size": chunk_size},
+             checkpoint, resume)
+    probs, choices, after_ops = _location_setup(noise, run.gadget,
+                                                run.locations)
     histogram: Dict[int, int] = {}
-    pattern_counts: Dict[FaultPattern, int] = {}
-    sample_start = time.perf_counter()
-    chunks = _spawn_chunks(seed, trials, chunk_size,
-                           stream_key=noise.stream_key())
-    stats.chunks = len(chunks)
-    sampled_trials = 0
-    for chunk_index, (length, child) in enumerate(chunks):
-        rng = np.random.default_rng(child)
-        sample_fault_chunk(noise, gadget, locations, probs, choices,
-                           after_ops, rng, length, histogram,
-                           pattern_counts)
-        sampled_trials += length
-        if progress is not None:
-            progress(ProgressEvent(
-                phase="sample", done=sampled_trials, total=trials,
-                chunk_index=chunk_index, chunks_total=len(chunks),
-                elapsed_seconds=time.perf_counter() - sample_start,
-            ))
-    stats.sample_seconds = time.perf_counter() - sample_start
-    if store is not None:
-        store.write_state("cursor", {
-            "sample_chunks_done": len(chunks),
-            "distinct_patterns": len(pattern_counts),
-        })
-
-    context = _EvalContext(gadget, initial_state, evaluator,
-                           invariant=invariant, policy=runtime,
-                           batch_size=batch_size)
-    try:
-        verdict_map = _resolve_verdicts(context, pattern_counts,
-                                        memoize, cache, workers,
-                                        chunk_size, stats, progress,
-                                        journal=store)
-    except KeyboardInterrupt:
-        # Completed chunks are already journaled; mark the interrupt
-        # so the resume path (and the operator) can see it was clean.
-        if store is not None:
-            store.write_state("cursor", {
-                "sample_chunks_done": len(chunks),
-                "distinct_patterns": len(pattern_counts),
-                "interrupted": True,
-            })
-        raise
+    pattern_counts, verdict_map = run.judge_chunks(
+        seed, trials, chunk_size,
+        lambda rng, length, counts: sample_fault_chunk(
+            noise, run.gadget, run.locations, probs, choices, after_ops,
+            rng, length, histogram, counts),
+        stream_key=noise.stream_key())
 
     failures = 0
     failures_by_count: Dict[int, int] = {}
@@ -1238,21 +1246,26 @@ def run_monte_carlo(gadget: Gadget,
             count = len(pattern)
             failures_by_count[count] = \
                 failures_by_count.get(count, 0) + multiplicity
-    stats.total_seconds = time.perf_counter() - start
-    if store is not None:
-        store.finalize({
-            "trials": trials,
-            "failures": failures,
-            "distinct_patterns": len(pattern_counts),
-        })
+    run.finish({
+        "trials": trials,
+        "failures": failures,
+        "distinct_patterns": len(pattern_counts),
+    })
     return GadgetMonteCarloResult(
         p=noise.p_gate,
         trials=trials,
         failures=failures,
         failures_by_fault_count=failures_by_count,
         fault_count_histogram=histogram,
-        engine_stats=stats,
+        engine_stats=run.stats,
     )
+
+
+def _require_pair_locations(locations: Sequence[FaultLocation]) -> None:
+    if len(locations) < 2:
+        raise AnalysisError(
+            "malignant-pair sampling needs at least two fault locations"
+        )
 
 
 def run_malignant_pairs(gadget: Gadget,
@@ -1276,104 +1289,46 @@ def run_malignant_pairs(gadget: Gadget,
                         resume: bool = True,
                         runtime: Optional[RuntimePolicy] = None,
                         optimize=False):
-    """Engine-scheduled equivalent of ``sample_malignant_pairs``.
+    """Monte-Carlo estimate of the malignant-location-pair count.
 
-    ``invariant``, ``checkpoint``/``resume``, ``runtime``,
-    ``batch_size`` and ``optimize`` behave as in
-    :func:`run_monte_carlo`.  Pair patterns are mostly distinct, so
+    Draws random distinct location pairs with a random Pauli fault at
+    each (``channel`` restricts the choices), runs the gadget exactly,
+    and counts unacceptable outputs.  The remaining options behave as
+    in :func:`run_monte_carlo`.  Pair patterns are mostly distinct, so
     this workload is evaluation-dominated and gains the most from
     ``batch_size > 1``.
     """
-    from repro.analysis.montecarlo import (
-        MalignantPairSample,
-        _default_locations,
-    )
+    from repro.analysis.montecarlo import MalignantPairSample
 
-    start = time.perf_counter()
-    gadget, optimizer_marker = _apply_optimizer(gadget, optimize,
-                                                locations)
-    if locations is None:
-        locations = _default_locations(gadget)
-    locations = list(locations)
+    run = _Run(gadget, initial_state, evaluator, locations,
+               optimize=optimize, workers=workers, batch_size=batch_size,
+               memoize=memoize, cache=cache, progress=progress,
+               invariant=invariant, runtime=runtime)
     samples = _coerce_count(samples, "samples")
-    if samples > 0 and len(locations) < 2:
-        raise AnalysisError(
-            "malignant-pair sampling needs at least two fault locations"
-        )
-    workers = _coerce_workers(workers)
-    chunk_size = _coerce_chunk_size(chunk_size)
-    batch_size = _coerce_batch_size(batch_size)
-    stats = EngineStats(trials=samples, workers=1)
-    fingerprint = {
-        "workload": "malignant_pairs",
-        "gadget": gadget.name,
-        "locations": len(locations),
-        "seed": seed,
-        "samples": samples,
-        "chunk_size": chunk_size,
-        "channel": channel,
-    }
-    if batch_size > 1:
-        fingerprint["eval_path"] = BATCHED_PATH
-    if optimizer_marker is not None:
-        fingerprint["optimizer"] = optimizer_marker
-    store, cache = _open_journal(
-        checkpoint, resume, seed, memoize, cache, fingerprint, stats,
-        eval_path=BATCHED_PATH if batch_size > 1 else SERIAL_PATH)
+    if samples > 0:
+        _require_pair_locations(run.locations)
+    chunk_size = _coerce_positive(chunk_size, "chunk_size")
+    run.open("malignant_pairs", {"seed": seed, "samples": samples,
+                                 "chunk_size": chunk_size,
+                                 "channel": channel},
+             checkpoint, resume)
     model = NoiseModel.uniform(1.0, channel=channel)
-    _, choices, after_ops = _location_setup(model, gadget, locations)
-
-    pattern_counts: Dict[FaultPattern, int] = {}
-    sample_start = time.perf_counter()
-    chunks = _spawn_chunks(seed, samples, chunk_size)
-    stats.chunks = len(chunks)
-    count = len(locations)
-    sampled = 0
-    for chunk_index, (length, child) in enumerate(chunks):
-        rng = np.random.default_rng(child)
-        sample_pair_chunk(choices, after_ops, count, rng, length,
-                          pattern_counts)
-        sampled += length
-        if progress is not None:
-            progress(ProgressEvent(
-                phase="sample", done=sampled, total=samples,
-                chunk_index=chunk_index, chunks_total=len(chunks),
-                elapsed_seconds=time.perf_counter() - sample_start,
-            ))
-    stats.sample_seconds = time.perf_counter() - sample_start
-    if store is not None:
-        store.write_state("cursor", {
-            "sample_chunks_done": len(chunks),
-            "distinct_patterns": len(pattern_counts),
-        })
-
-    context = _EvalContext(gadget, initial_state, evaluator,
-                           invariant=invariant, policy=runtime,
-                           batch_size=batch_size)
-    try:
-        verdict_map = _resolve_verdicts(context, pattern_counts,
-                                        memoize, cache, workers,
-                                        chunk_size, stats, progress,
-                                        journal=store)
-    except KeyboardInterrupt:
-        if store is not None:
-            store.write_state("cursor", {
-                "sample_chunks_done": len(chunks),
-                "distinct_patterns": len(pattern_counts),
-                "interrupted": True,
-            })
-        raise
+    _, choices, after_ops = _location_setup(model, run.gadget,
+                                            run.locations)
+    count = len(run.locations)
+    pattern_counts, verdict_map = run.judge_chunks(
+        seed, samples, chunk_size,
+        lambda rng, length, counts: sample_pair_chunk(
+            choices, after_ops, count, rng, length, counts))
     malignant = sum(multiplicity
                     for pattern, multiplicity in pattern_counts.items()
                     if not verdict_map[pattern])
-    stats.total_seconds = time.perf_counter() - start
-    if store is not None:
-        store.finalize({"samples": samples, "malignant": malignant})
+    run.finish({"samples": samples, "malignant": malignant})
     return MalignantPairSample(
         samples=samples,
         malignant=malignant,
         num_locations=count,
-        engine_stats=stats,
+        engine_stats=run.stats,
     )
 
 
@@ -1395,71 +1350,46 @@ def run_exhaustive(gadget: Gadget,
                    resume: bool = True,
                    runtime: Optional[RuntimePolicy] = None,
                    optimize=False) -> ExhaustiveSurvey:
-    """Engine-scheduled exhaustive single-fault certification.
+    """Run every single-location Pauli fault through the simulator.
 
-    The failure list preserves the serial (location, pauli) order, so
-    it is interchangeable with ``exhaustive_single_faults_sparse``.
+    This is the authoritative certification of the paper's
+    fault-tolerance property: the symbolic Pauli analysis cannot see
+    the value-dependent cancellations inside the classical correction
+    logic (the N_1 syndrome box), so only exact simulation can prove
+    that *no* single fault is malignant.  ``failures`` lists the
+    failing (location, pauli) pairs in enumeration order; empty =
+    fault tolerant.
+
     Memoization deduplicates coincident faults (e.g. a delay fault
     anchored at the same ``after_op`` as an equal gate-location Pauli).
     ``checkpoint``/``resume``, ``runtime`` and ``optimize`` behave as
     in :func:`run_monte_carlo`; the enumeration is deterministic, so
     no seed is required to resume.
     """
-    from repro.analysis.montecarlo import _default_locations
-
-    start = time.perf_counter()
-    gadget, optimizer_marker = _apply_optimizer(gadget, optimize,
-                                                locations)
-    if locations is None:
-        locations = _default_locations(gadget)
-    locations = list(locations)
-    workers = _coerce_workers(workers)
-    chunk_size = _coerce_chunk_size(chunk_size)
-    batch_size = _coerce_batch_size(batch_size)
+    run = _Run(gadget, initial_state, evaluator, locations,
+               optimize=optimize, workers=workers, batch_size=batch_size,
+               memoize=memoize, cache=cache, progress=progress,
+               invariant=invariant, runtime=runtime)
+    chunk_size = _coerce_positive(chunk_size, "chunk_size")
     model = NoiseModel.uniform(1.0, channel=channel)
-
-    items: List[Tuple[FaultLocation, PauliString, FaultPattern]] = []
-    for location in locations:
-        for pauli in model.fault_choices(location, gadget.num_qubits):
-            items.append((location, pauli,
-                          canonical_pattern([(pauli, location.after_op)])))
-    stats = EngineStats(trials=len(items), workers=1, chunks=0)
-    fingerprint = {
-        "workload": "exhaustive",
-        "gadget": gadget.name,
-        "locations": len(locations),
-        "items": len(items),
-        "chunk_size": chunk_size,
-        "channel": channel,
-    }
-    if batch_size > 1:
-        fingerprint["eval_path"] = BATCHED_PATH
-    if optimizer_marker is not None:
-        fingerprint["optimizer"] = optimizer_marker
-    store, cache = _open_journal(
-        checkpoint, resume, None, memoize, cache, fingerprint, stats,
-        needs_seed=False,
-        eval_path=BATCHED_PATH if batch_size > 1 else SERIAL_PATH)
+    items: List[Tuple[FaultLocation, PauliString, FaultPattern]] = [
+        (location, pauli,
+         canonical_pattern([(pauli, location.after_op)]))
+        for location in run.locations
+        for pauli in model.fault_choices(location, run.gadget.num_qubits)
+    ]
+    run.stats.trials = len(items)
+    run.open("exhaustive", {"items": len(items),
+                            "chunk_size": chunk_size,
+                            "channel": channel},
+             checkpoint, resume)
     pattern_counts: Dict[FaultPattern, int] = {}
     for _, _, key in items:
         pattern_counts[key] = pattern_counts.get(key, 0) + 1
-    context = _EvalContext(gadget, initial_state, evaluator,
-                           invariant=invariant, policy=runtime,
-                           batch_size=batch_size)
-    try:
-        verdict_map = _resolve_verdicts(context, pattern_counts,
-                                        memoize, cache, workers,
-                                        chunk_size, stats, progress,
-                                        journal=store)
-    except KeyboardInterrupt:
-        if store is not None:
-            store.write_state("cursor", {"interrupted": True})
-        raise
+    with run.interruptible(lambda: {}):
+        verdict_map = run.verdicts(pattern_counts, chunk_size)
     failures = [(location, pauli) for location, pauli, key in items
                 if not verdict_map[key]]
-    stats.total_seconds = time.perf_counter() - start
-    if store is not None:
-        store.finalize({"checked": len(items),
-                        "failures": len(failures)})
+    run.finish({"checked": len(items), "failures": len(failures)})
     return ExhaustiveSurvey(failures=failures, checked=len(items),
-                            stats=stats)
+                            stats=run.stats)

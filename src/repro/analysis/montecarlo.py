@@ -1,4 +1,4 @@
-"""Monte-Carlo fault injection for gadgets (sparse backend).
+"""Monte-Carlo fault injection for gadgets: result types and sweeps.
 
 Complements the exact counting of :mod:`repro.analysis.propagation`
 with sampled logical-error-rate estimates: faults drawn from a
@@ -9,18 +9,13 @@ a caller-supplied evaluator (typically
 ideal output).  These are the data behind every O(p^2) curve in the
 benchmark suite.
 
-Each sampler here has two execution paths:
-
-* the original **serial** loop (the default), byte-compatible with
-  historical seeded results; and
-* the **engine** path (:mod:`repro.analysis.engine`), selected by
-  passing ``parallel=True`` or any engine option (``workers=``,
-  ``chunk_size=``, ``memoize=``, ``cache=``, ``progress=``).  The
-  engine chunks trials over per-chunk ``SeedSequence.spawn`` streams
-  (bit-identical results for any worker count) and memoises verdicts
-  by canonical fault pattern.  Its RNG stream intentionally differs
-  from the serial loop's, so a seeded serial run and a seeded engine
-  run are each self-consistent but not equal to one another.
+The sampling itself is :mod:`repro.analysis.engine`, the one
+evaluation path: :func:`gadget_monte_carlo` and
+:func:`sample_malignant_pairs` are its ``run_monte_carlo`` and
+``run_malignant_pairs`` under their historical names.  The engine
+chunks trials over per-chunk ``SeedSequence.spawn`` streams
+(bit-identical results for any worker count) and memoises verdicts by
+canonical fault pattern.
 """
 
 from __future__ import annotations
@@ -36,28 +31,43 @@ from typing import (
     TYPE_CHECKING,
 )
 
-import numpy as np
-
-from repro.ft.gadget import Gadget, apply_circuit_with_faults
+from repro.analysis.engine import (
+    DEFAULT_CHUNK_SIZE,
+    FaultPatternCache,
+    _default_locations,
+    run_exhaustive,
+    run_malignant_pairs as sample_malignant_pairs,
+    run_monte_carlo as gadget_monte_carlo,
+)
+from repro.exceptions import AnalysisError
+from repro.ft.gadget import Gadget
 from repro.noise.locations import FaultLocation
 from repro.noise.model import NoiseModel
+from repro.runtime.checkpoint import as_store
 from repro.simulators.sparse import SparseState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.engine import (
-        EngineStats,
-        FaultPatternCache,
-        ProgressEvent,
-    )
+    from repro.analysis.engine import EngineStats, ProgressEvent
+
+__all__ = [
+    "GadgetMonteCarloResult",
+    "MalignantPairSample",
+    "exhaustive_single_faults_sparse",
+    "gadget_monte_carlo",
+    "sample_malignant_pairs",
+    "sweep_p",
+]
 
 
 @dataclass
 class GadgetMonteCarloResult:
     """Sampled failure statistics for one (gadget, p) point.
 
-    ``engine_stats`` (engine path only) carries cache and scheduling
-    instrumentation; it is excluded from equality so serial/parallel
-    equivalence can be asserted on the statistical payload alone.
+    ``engine_stats`` carries cache and scheduling instrumentation
+    (``None`` on a point replayed from a sweep journal); it is
+    excluded from equality so equivalence across worker counts and
+    evaluation paths can be asserted on the statistical payload
+    alone.
     """
 
     p: float
@@ -72,24 +82,6 @@ class GadgetMonteCarloResult:
     @property
     def failure_rate(self) -> float:
         return self.failures / self.trials if self.trials else 0.0
-
-    @property
-    def stderr(self) -> float:
-        """Deprecated alias: a Wilson-based standard-error surrogate.
-
-        Historically this was the normal-approximation
-        ``sqrt(p(1-p)/n)``, which collapses to (nearly) zero at 0 or n
-        observed failures — exactly where fault-tolerance claims are
-        made.  It now routes through
-        :func:`repro.analysis.stats.interval_stderr` (the Wilson
-        half-width rescaled by the normal quantile): identical to the
-        classical value away from the boundaries, strictly positive
-        at them.  New code should use :meth:`interval` /
-        :meth:`failure_rate_upper_bound` instead of a +-stderr band.
-        """
-        from repro.analysis.stats import interval_stderr
-
-        return interval_stderr(self.failures, self.trials)
 
     def interval(self, confidence: float = 0.95,
                  method: str = "wilson"):
@@ -117,179 +109,20 @@ class GadgetMonteCarloResult:
         return self.failures_by_fault_count.get(1, 0)
 
 
-def _engine_requested(parallel: bool, workers, chunk_size, memoize,
-                      cache, progress, checkpoint=None,
-                      runtime=None) -> bool:
-    return (parallel or workers is not None or chunk_size is not None
-            or memoize is not None or cache is not None
-            or progress is not None or checkpoint is not None
-            or runtime is not None)
-
-
-def gadget_monte_carlo(gadget: Gadget,
-                       initial_state: SparseState,
-                       evaluator: Callable[[SparseState], bool],
-                       noise: NoiseModel,
-                       trials: int,
-                       locations: Optional[Sequence[FaultLocation]] = None,
-                       seed: Optional[int] = None,
-                       *,
-                       parallel: bool = False,
-                       workers: Optional[int] = None,
-                       chunk_size: Optional[int] = None,
-                       memoize: Optional[bool] = None,
-                       cache: Optional["FaultPatternCache"] = None,
-                       progress: Optional[
-                           Callable[["ProgressEvent"], None]] = None,
-                       checkpoint=None,
-                       resume: bool = True,
-                       runtime=None,
-                       ) -> GadgetMonteCarloResult:
-    """Estimate a gadget's failure rate under stochastic faults.
-
-    Args:
-        gadget: the gadget under test.
-        initial_state: full-register input (use
-            :meth:`Gadget.initial_state`).
-        evaluator: True = acceptable output.
-        noise: the stochastic model (the paper's per-gate/input/delay).
-        trials: number of runs; fault-free runs are skipped as
-            successes (exact at the O(p^2) resolution the experiments
-            target — the no-fault branch is verified separately).
-        locations: pre-enumerated locations (pass to amortise across a
-            p sweep).
-        seed: RNG seed.  ``None`` draws fresh OS entropy, making the
-            run non-reproducible.
-        parallel: opt into the engine path with ``os.cpu_count()``
-            workers (unless ``workers`` says otherwise).
-        workers: engine worker-pool size; results are bit-identical
-            for every value (chunked ``SeedSequence.spawn`` streams).
-        chunk_size: trials sampled per RNG chunk (engine path; part of
-            the determinism contract together with ``seed``/``trials``).
-        memoize: reuse verdicts of repeated canonical fault patterns
-            (engine path; default on).
-        cache: a shared :class:`~repro.analysis.engine.
-            FaultPatternCache` to persist verdicts across calls.
-        progress: per-chunk :class:`~repro.analysis.engine.
-            ProgressEvent` callback (engine path).
-        checkpoint: run directory (or
-            :class:`~repro.runtime.CheckpointStore`) journaling
-            completed evaluation chunks; selects the engine path.
-        resume: replay a matching existing journal before evaluating
-            (default); ``False`` starts the journal over.
-        runtime: a :class:`~repro.runtime.RuntimePolicy` tuning
-            supervision/fallback; selects the engine path.
-    """
-    if _engine_requested(parallel, workers, chunk_size, memoize, cache,
-                         progress, checkpoint, runtime):
-        from repro.analysis import engine
-
-        return engine.run_monte_carlo(
-            gadget, initial_state, evaluator, noise, trials,
-            locations=locations, seed=seed,
-            workers=engine.resolve_workers(parallel, workers),
-            chunk_size=chunk_size or engine.DEFAULT_CHUNK_SIZE,
-            memoize=True if memoize is None else memoize,
-            cache=cache, progress=progress, checkpoint=checkpoint,
-            resume=resume, runtime=runtime,
-        )
-    rng = np.random.default_rng(seed)
-    if locations is None:
-        locations = _default_locations(gadget)
-    failures = 0
-    failures_by_count: Dict[int, int] = {}
-    histogram: Dict[int, int] = {}
-    for _ in range(trials):
-        sampled = noise.sample_faults(gadget.circuit, rng, locations)
-        count = len(sampled)
-        histogram[count] = histogram.get(count, 0) + 1
-        if count == 0:
-            continue
-        state = initial_state.copy()
-        apply_circuit_with_faults(
-            state, gadget.circuit,
-            [(fault.pauli, fault.after_op) for fault in sampled],
-        )
-        if not evaluator(state):
-            failures += 1
-            failures_by_count[count] = failures_by_count.get(count, 0) + 1
-    return GadgetMonteCarloResult(
-        p=noise.p_gate,
-        trials=trials,
-        failures=failures,
-        failures_by_fault_count=failures_by_count,
-        fault_count_histogram=histogram,
-    )
-
-
-def _default_locations(gadget: Gadget) -> List[FaultLocation]:
-    from repro.noise.locations import enumerate_locations
-
-    input_qubits: List[int] = []
-    for register in gadget.registers.values():
-        if register.role in ("data", "quantum_ancilla"):
-            input_qubits.extend(register.qubits)
-    return enumerate_locations(gadget.circuit,
-                               input_qubits=sorted(input_qubits))
-
-
 def exhaustive_single_faults_sparse(
         gadget: Gadget,
         initial_state: SparseState,
         evaluator: Callable[[SparseState], bool],
         locations: Optional[Sequence[FaultLocation]] = None,
         channel: str = "depolarizing",
-        *,
-        parallel: bool = False,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        memoize: Optional[bool] = None,
-        cache: Optional["FaultPatternCache"] = None,
-        progress: Optional[Callable[["ProgressEvent"], None]] = None,
-        checkpoint=None,
-        resume: bool = True,
-        runtime=None,
+        **options,
 ) -> List[Tuple[FaultLocation, object]]:
-    """Run every single-location Pauli fault through the simulator.
-
-    This is the authoritative certification of the paper's
-    fault-tolerance property: the symbolic Pauli analysis cannot see
-    the value-dependent cancellations inside the classical correction
-    logic (the N_1 syndrome box), so only exact simulation can prove
-    that *no* single fault is malignant.  Returns the failing
-    (location, pauli) pairs; empty = fault tolerant.
-
-    Engine options (``parallel=``/``workers=``/...) fan the sweep out
-    across a worker pool; the failure list order is unchanged.  Use
-    :func:`repro.analysis.engine.run_exhaustive` directly to also get
-    the :class:`~repro.analysis.engine.EngineStats`.
-    """
-    if _engine_requested(parallel, workers, chunk_size, memoize, cache,
-                         progress, checkpoint, runtime):
-        from repro.analysis import engine
-
-        survey = engine.run_exhaustive(
-            gadget, initial_state, evaluator, locations=locations,
-            channel=channel,
-            workers=engine.resolve_workers(parallel, workers),
-            chunk_size=chunk_size or engine.DEFAULT_CHUNK_SIZE,
-            memoize=True if memoize is None else memoize,
-            cache=cache, progress=progress, checkpoint=checkpoint,
-            resume=resume, runtime=runtime,
-        )
-        return survey.failures
-    if locations is None:
-        locations = _default_locations(gadget)
-    model = NoiseModel.uniform(1.0, channel=channel)
-    failures: List[Tuple[FaultLocation, object]] = []
-    for location in locations:
-        for pauli in model.fault_choices(location, gadget.num_qubits):
-            state = initial_state.copy()
-            apply_circuit_with_faults(state, gadget.circuit,
-                                      [(pauli, location.after_op)])
-            if not evaluator(state):
-                failures.append((location, pauli))
-    return failures
+    """The failing (location, pauli) pairs of
+    :func:`~repro.analysis.engine.run_exhaustive` (which also returns
+    its :class:`~repro.analysis.engine.EngineStats`); empty = fault
+    tolerant.  ``options`` are that function's engine options."""
+    return run_exhaustive(gadget, initial_state, evaluator, locations,
+                          channel, **options).failures
 
 
 @dataclass
@@ -355,71 +188,6 @@ class MalignantPairSample:
         return lower, upper
 
 
-def sample_malignant_pairs(gadget: Gadget,
-                           initial_state: SparseState,
-                           evaluator: Callable[[SparseState], bool],
-                           samples: int,
-                           locations: Optional[Sequence[FaultLocation]]
-                           = None,
-                           seed: Optional[int] = None,
-                           channel: str = "depolarizing",
-                           *,
-                           parallel: bool = False,
-                           workers: Optional[int] = None,
-                           chunk_size: Optional[int] = None,
-                           memoize: Optional[bool] = None,
-                           cache: Optional["FaultPatternCache"] = None,
-                           progress: Optional[
-                               Callable[["ProgressEvent"], None]] = None,
-                           checkpoint=None,
-                           resume: bool = True,
-                           runtime=None,
-                           ) -> MalignantPairSample:
-    """Monte-Carlo estimate of the malignant-location-pair count.
-
-    Draws random location pairs with random Pauli faults at each, runs
-    the gadget exactly, and counts unacceptable outputs.  ``channel``
-    restricts the Pauli choices at each location (the same ablation
-    knob as the other samplers); engine options behave as in
-    :func:`gadget_monte_carlo`.
-    """
-    if _engine_requested(parallel, workers, chunk_size, memoize, cache,
-                         progress, checkpoint, runtime):
-        from repro.analysis import engine
-
-        return engine.run_malignant_pairs(
-            gadget, initial_state, evaluator, samples,
-            locations=locations, seed=seed, channel=channel,
-            workers=engine.resolve_workers(parallel, workers),
-            chunk_size=chunk_size or engine.DEFAULT_CHUNK_SIZE,
-            memoize=True if memoize is None else memoize,
-            cache=cache, progress=progress, checkpoint=checkpoint,
-            resume=resume, runtime=runtime,
-        )
-    rng = np.random.default_rng(seed)
-    if locations is None:
-        locations = _default_locations(gadget)
-    model = NoiseModel.uniform(1.0, channel=channel)
-    malignant = 0
-    count = len(locations)
-    for _ in range(samples):
-        i = int(rng.integers(0, count))
-        j = int(rng.integers(0, count - 1))
-        if j >= i:
-            j += 1
-        faults = []
-        for location in (locations[i], locations[j]):
-            choices = model.fault_choices(location, gadget.num_qubits)
-            pauli = choices[int(rng.integers(0, len(choices)))]
-            faults.append((pauli, location.after_op))
-        state = initial_state.copy()
-        apply_circuit_with_faults(state, gadget.circuit, faults)
-        if not evaluator(state):
-            malignant += 1
-    return MalignantPairSample(samples=samples, malignant=malignant,
-                               num_locations=count)
-
-
 def _point_payload(result: GadgetMonteCarloResult) -> Dict[str, object]:
     """JSON form of one sweep point (engine_stats excluded — it is
     instrumentation, outside result equality)."""
@@ -462,11 +230,10 @@ def sweep_p(gadget: Gadget,
             seed: Optional[int] = None,
             *,
             locations: Optional[Sequence[FaultLocation]] = None,
-            parallel: bool = False,
-            workers: Optional[int] = None,
-            chunk_size: Optional[int] = None,
-            memoize: Optional[bool] = None,
-            cache: Optional["FaultPatternCache"] = None,
+            workers: int = 1,
+            chunk_size: int = DEFAULT_CHUNK_SIZE,
+            memoize: bool = True,
+            cache: Optional[FaultPatternCache] = None,
             progress: Optional[Callable[["ProgressEvent"], None]] = None,
             checkpoint=None,
             resume: bool = True,
@@ -482,7 +249,7 @@ def sweep_p(gadget: Gadget,
     figures.
 
     ``channel`` and the engine options are threaded through to every
-    underlying :func:`gadget_monte_carlo` call.  On the engine path a
+    underlying :func:`gadget_monte_carlo` call.  With ``memoize`` a
     single :class:`~repro.analysis.engine.FaultPatternCache` is shared
     across all points (verdicts depend only on the fault pattern, not
     on p), so later points mostly reuse earlier simulations.
@@ -498,31 +265,20 @@ def sweep_p(gadget: Gadget,
     process; the statistics did not).  Requires a seed and memoization,
     like the per-run journals.
     """
-    engine_requested = _engine_requested(parallel, workers, chunk_size,
-                                         memoize, cache, progress,
-                                         checkpoint, runtime)
     if locations is None:
         locations = _default_locations(gadget)
-    if engine_requested and cache is None and \
-            (memoize is None or memoize):
-        from repro.analysis.engine import FaultPatternCache
-
+    if cache is None and memoize:
         cache = FaultPatternCache()
 
-    store = None
+    store = as_store(checkpoint)
     done_points: Dict[int, GadgetMonteCarloResult] = {}
-    if checkpoint is not None:
-        from repro.analysis.engine import DEFAULT_CHUNK_SIZE
-        from repro.exceptions import AnalysisError
-        from repro.runtime.checkpoint import as_store
-
-        store = as_store(checkpoint)
+    if store is not None:
         if seed is None:
             raise AnalysisError(
                 "sweep_p checkpointing requires an explicit seed: an "
                 "unseeded sweep cannot be resumed bit-identically"
             )
-        if memoize is not None and not memoize:
+        if not memoize:
             raise AnalysisError(
                 "sweep_p checkpointing requires memoize=True"
             )
@@ -533,7 +289,7 @@ def sweep_p(gadget: Gadget,
             "p_values": [float(p) for p in p_values],
             "trials": int(trials),
             "seed": seed,
-            "chunk_size": chunk_size or DEFAULT_CHUNK_SIZE,
+            "chunk_size": chunk_size,
             "channel": channel,
         }
         if resume and store.exists():
@@ -552,22 +308,15 @@ def sweep_p(gadget: Gadget,
             continue
         noise = NoiseModel.uniform(p, channel=channel)
         point_seed = None if seed is None else seed + index
-        if engine_requested:
-            point_store = store.substore(f"point-{index:03d}") \
-                if store is not None else None
-            result = gadget_monte_carlo(
-                gadget, initial_state, evaluator, noise, trials,
-                locations=locations, seed=point_seed,
-                parallel=parallel, workers=workers,
-                chunk_size=chunk_size, memoize=memoize, cache=cache,
-                progress=progress, checkpoint=point_store,
-                resume=resume, runtime=runtime,
-            )
-        else:
-            result = gadget_monte_carlo(
-                gadget, initial_state, evaluator, noise, trials,
-                locations=locations, seed=point_seed,
-            )
+        point_store = store.substore(f"point-{index:03d}") \
+            if store is not None else None
+        result = gadget_monte_carlo(
+            gadget, initial_state, evaluator, noise, trials,
+            locations=locations, seed=point_seed, workers=workers,
+            chunk_size=chunk_size, memoize=memoize, cache=cache,
+            progress=progress, checkpoint=point_store, resume=resume,
+            runtime=runtime,
+        )
         if store is not None:
             store.append_record("points", {
                 "index": index,

@@ -60,21 +60,16 @@ from repro.runtime.policy import RuntimePolicy
 from repro.simulators.sparse import SparseState
 
 from repro.analysis.engine import (
-    BATCHED_PATH,
     DEFAULT_CHUNK_SIZE,
-    SERIAL_PATH,
     EngineStats,
     FaultPattern,
     FaultPatternCache,
     ProgressEvent,
-    _coerce_batch_size,
-    _coerce_chunk_size,
     _coerce_count,
-    _coerce_workers,
-    _EvalContext,
+    _coerce_positive,
     _location_setup,
-    _open_journal,
-    _resolve_verdicts,
+    _require_pair_locations,
+    _Run,
     chunk_seed_sequence,
     sample_fault_chunk,
     sample_pair_chunk,
@@ -82,7 +77,6 @@ from repro.analysis.engine import (
 from repro.analysis.montecarlo import (
     GadgetMonteCarloResult,
     MalignantPairSample,
-    _default_locations,
 )
 from repro.analysis.stats import (
     BinomialInterval,
@@ -211,35 +205,20 @@ def run_sequential_monte_carlo(
     influences — an exception raised from it propagates like
     ``KeyboardInterrupt`` (completed batches stay journaled).
     """
-    start = time.perf_counter()
-    if not noise.samplable:
-        raise AnalysisError(
-            f"{type(noise).__name__} has no stochastic Pauli "
-            "unravelling and cannot feed the sampling engine"
-        )
+    run = _Run(gadget, initial_state, evaluator, locations, noise=noise,
+               workers=workers, batch_size=eval_batch_size,
+               memoize=memoize, cache=cache, progress=progress,
+               invariant=invariant, runtime=runtime)
     if seed is None:
         raise AnalysisError(
             "sequential certification requires an explicit seed: the "
             "stopping decision must be replayable over a reproducible "
             "fault stream"
         )
-    max_trials = _coerce_count(max_trials, "max_trials")
-    if max_trials < 1:
-        raise AnalysisError(
-            f"max_trials must be >= 1, got {max_trials}"
-        )
-    batch_size = _coerce_chunk_size(batch_size)
-    eval_batch_size = _coerce_batch_size(eval_batch_size)
-    workers = _coerce_workers(workers)
-    if locations is None:
-        locations = _default_locations(gadget)
-    locations = list(locations)
+    max_trials = _coerce_count(max_trials, "max_trials", minimum=1)
+    batch_size = _coerce_positive(batch_size, "batch_size")
     test = make_sequential_test(method, p0, p1, alpha=alpha, beta=beta)
-    stats = EngineStats(workers=1)
-    fingerprint = {
-        "workload": "sequential_monte_carlo",
-        "gadget": gadget.name,
-        "locations": len(locations),
+    run.open("sequential_monte_carlo", {
         "seed": seed,
         "max_trials": max_trials,
         "batch_size": batch_size,
@@ -248,30 +227,12 @@ def run_sequential_monte_carlo(
         "alpha": float(alpha),
         "beta": float(beta),
         "method": method,
-        "p_gate": float(noise.p_gate),
-        "p_input": float(noise.p_input),
-        "p_delay": float(noise.p_delay),
-        "channel": noise.channel,
-    }
-    if noise.structured:
-        fingerprint["model"] = repr(noise.fingerprint())
-    if eval_batch_size > 1:
-        fingerprint["eval_path"] = BATCHED_PATH
-    if not memoize and checkpoint is not None:
-        raise AnalysisError(
-            "checkpointing requires memoize=True (the journal replays "
-            "verdicts through the fault-pattern cache)"
-        )
-    eval_path = BATCHED_PATH if eval_batch_size > 1 else SERIAL_PATH
-    store, cache = _open_journal(checkpoint, resume, seed, memoize,
-                                 cache, fingerprint, stats,
-                                 eval_path=eval_path)
+    }, checkpoint, resume)
+    gadget, locations = run.gadget, run.locations
+    store, stats = run.store, run.stats
     probs, choices, after_ops = _location_setup(noise, gadget,
                                                 locations)
     stream_key = noise.stream_key()
-    context = _EvalContext(gadget, initial_state, evaluator,
-                           invariant=invariant, policy=runtime,
-                           batch_size=eval_batch_size)
 
     histogram: Dict[int, int] = {}
     failures_by_count: Dict[int, int] = {}
@@ -323,78 +284,79 @@ def run_sequential_monte_carlo(
             max_workers=1, thread_name_prefix="repro-sample-prefetch")
     pending: Optional[Tuple[int, Future]] = None
     try:
-        while (test.decision is None and consumed < max_trials):
-            length = min(batch_size, max_trials - consumed)
-            if pending is not None and pending[0] == batch_index:
-                batch_histogram, batch_patterns, sampled = \
-                    pending[1].result()
-            else:
-                batch_histogram, batch_patterns, sampled = \
-                    _draw_batch(batch_index, length)
-            pending = None
-            stats.sample_seconds += sampled
-            stats.chunks += 1
-            if executor is not None:
-                # Overlap the next batch's sampling with this batch's
-                # evaluation.  Length is fixed now (consumed is not
-                # yet advanced, so next = max_trials-consumed-length);
-                # if the test decides first the draw is discarded.
-                next_length = min(batch_size,
-                                  max_trials - consumed - length)
-                if next_length > 0:
-                    pending = (batch_index + 1, executor.submit(
-                        _draw_batch, batch_index + 1, next_length))
-            if progress is not None:
-                progress(ProgressEvent(
-                    phase="sample", done=consumed + length,
-                    total=max_trials, chunk_index=batch_index,
-                    chunks_total=-(-max_trials // batch_size),
-                    elapsed_seconds=time.perf_counter() - start,
-                ))
-            verdict_map = _resolve_verdicts(
-                context, batch_patterns, memoize, cache, workers,
-                batch_size, stats, progress, journal=store)
-            batch_fbc: Dict[int, int] = {}
-            batch_failures = _batch_failures(batch_patterns,
-                                             verdict_map, batch_fbc)
-            _merge_counts(failures_by_count, batch_fbc)
-            _merge_counts(histogram, batch_histogram)
-            consumed += length
-            failures_total += batch_failures
-            stats.trials += length
-            test.update(batch_failures, length)
-            if store is not None:
-                store.append_record("batches", {
-                    "batch": batch_index,
-                    "length": length,
-                    "failures": batch_failures,
-                    "histogram": {str(k): v for k, v
-                                  in batch_histogram.items()},
-                    "failures_by_fault_count": {
-                        str(k): v for k, v in batch_fbc.items()},
-                })
-                store.write_state("estimator", {
-                    "method": method,
-                    "state": test.state_dict(),
-                })
-            if on_batch is not None:
-                on_batch(batch_index, consumed, failures_total,
-                         test.decision)
-            batch_index += 1
-    except KeyboardInterrupt:
-        if store is not None:
-            store.write_state("cursor", {
-                "batches_done": batch_index,
-                "trials": consumed,
-                "interrupted": True,
-            })
-        raise
+        with run.interruptible(lambda: {"batches_done": batch_index,
+                                        "trials": consumed}):
+            while test.decision is None and consumed < max_trials:
+                length = min(batch_size, max_trials - consumed)
+                if pending is not None and pending[0] == batch_index:
+                    batch_histogram, batch_patterns, sampled = \
+                        pending[1].result()
+                else:
+                    batch_histogram, batch_patterns, sampled = \
+                        _draw_batch(batch_index, length)
+                pending = None
+                stats.sample_seconds += sampled
+                stats.chunks += 1
+                if executor is not None:
+                    # Overlap the next batch's sampling with this
+                    # batch's evaluation.  Length is fixed now
+                    # (consumed is not yet advanced, so next =
+                    # max_trials-consumed-length); if the test decides
+                    # first the draw is discarded.
+                    next_length = min(batch_size,
+                                      max_trials - consumed - length)
+                    if next_length > 0:
+                        pending = (batch_index + 1, executor.submit(
+                            _draw_batch, batch_index + 1, next_length))
+                if progress is not None:
+                    progress(ProgressEvent(
+                        phase="sample", done=consumed + length,
+                        total=max_trials, chunk_index=batch_index,
+                        chunks_total=-(-max_trials // batch_size),
+                        elapsed_seconds=time.perf_counter() - run.start,
+                    ))
+                verdict_map = run.verdicts(batch_patterns, batch_size)
+                batch_fbc: Dict[int, int] = {}
+                batch_failures = _batch_failures(batch_patterns,
+                                                 verdict_map, batch_fbc)
+                _merge_counts(failures_by_count, batch_fbc)
+                _merge_counts(histogram, batch_histogram)
+                consumed += length
+                failures_total += batch_failures
+                test.update(batch_failures, length)
+                if store is not None:
+                    store.append_record("batches", {
+                        "batch": batch_index,
+                        "length": length,
+                        "failures": batch_failures,
+                        "histogram": {str(k): v for k, v
+                                      in batch_histogram.items()},
+                        "failures_by_fault_count": {
+                            str(k): v for k, v in batch_fbc.items()},
+                    })
+                    store.write_state("estimator", {
+                        "method": method,
+                        "state": test.state_dict(),
+                    })
+                if on_batch is not None:
+                    on_batch(batch_index, consumed, failures_total,
+                             test.decision)
+                batch_index += 1
     finally:
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
 
     stats.trials = consumed
-    stats.total_seconds = time.perf_counter() - start
+    claim_text = claim or (
+        f"{gadget.name} failure_rate <= {p0:g} at p={noise.p_gate:g}"
+    )
+    verdict = build_claim_verdict(test, claim_text, method, max_trials)
+    run.finish({
+        "trials": consumed,
+        "failures": failures_total,
+        "decision": verdict.decision,
+        "batches": batch_index,
+    })
     result = GadgetMonteCarloResult(
         p=noise.p_gate,
         trials=consumed,
@@ -403,17 +365,6 @@ def run_sequential_monte_carlo(
         fault_count_histogram=histogram,
         engine_stats=stats,
     )
-    claim_text = claim or (
-        f"{gadget.name} failure_rate <= {p0:g} at p={noise.p_gate:g}"
-    )
-    verdict = build_claim_verdict(test, claim_text, method, max_trials)
-    if store is not None:
-        store.finalize({
-            "trials": consumed,
-            "failures": failures_total,
-            "decision": verdict.decision,
-            "batches": batch_index,
-        })
     return SequentialResult(verdict=verdict, result=result,
                             batches=batch_index)
 
@@ -458,32 +409,19 @@ def run_sequential_pair_sampling(
     ``on_batch`` streaming hook, which change wall-clock and
     observability only, never verdicts or journals.
     """
-    start = time.perf_counter()
+    run = _Run(gadget, initial_state, evaluator, locations,
+               workers=workers, batch_size=eval_batch_size,
+               memoize=memoize, cache=cache, progress=progress,
+               invariant=invariant, runtime=runtime)
     if seed is None:
         raise AnalysisError(
             "sequential certification requires an explicit seed"
         )
-    max_samples = _coerce_count(max_samples, "max_samples")
-    if max_samples < 1:
-        raise AnalysisError(
-            f"max_samples must be >= 1, got {max_samples}"
-        )
-    batch_size = _coerce_chunk_size(batch_size)
-    eval_batch_size = _coerce_batch_size(eval_batch_size)
-    workers = _coerce_workers(workers)
-    if locations is None:
-        locations = _default_locations(gadget)
-    locations = list(locations)
-    if len(locations) < 2:
-        raise AnalysisError(
-            "malignant-pair sampling needs at least two fault locations"
-        )
+    max_samples = _coerce_count(max_samples, "max_samples", minimum=1)
+    batch_size = _coerce_positive(batch_size, "batch_size")
+    _require_pair_locations(run.locations)
     test = make_sequential_test(method, f0, f1, alpha=alpha, beta=beta)
-    stats = EngineStats(workers=1)
-    fingerprint = {
-        "workload": "sequential_pairs",
-        "gadget": gadget.name,
-        "locations": len(locations),
+    run.open("sequential_pairs", {
         "seed": seed,
         "max_samples": max_samples,
         "batch_size": batch_size,
@@ -493,20 +431,13 @@ def run_sequential_pair_sampling(
         "beta": float(beta),
         "method": method,
         "channel": channel,
-    }
-    if eval_batch_size > 1:
-        fingerprint["eval_path"] = BATCHED_PATH
-    eval_path = BATCHED_PATH if eval_batch_size > 1 else SERIAL_PATH
-    store, cache = _open_journal(checkpoint, resume, seed, memoize,
-                                 cache, fingerprint, stats,
-                                 eval_path=eval_path)
+    }, checkpoint, resume)
+    store, stats = run.store, run.stats
     model = NoiseModel.uniform(1.0, channel=channel)
-    _, choices, after_ops = _location_setup(model, gadget, locations)
-    context = _EvalContext(gadget, initial_state, evaluator,
-                           invariant=invariant, policy=runtime,
-                           batch_size=eval_batch_size)
+    _, choices, after_ops = _location_setup(model, run.gadget,
+                                            run.locations)
 
-    num_locations = len(locations)
+    num_locations = len(run.locations)
     consumed = 0
     malignant_total = 0
     batch_index = 0
@@ -539,78 +470,68 @@ def run_sequential_pair_sampling(
             max_workers=1, thread_name_prefix="repro-sample-prefetch")
     pending: Optional[Tuple[int, Future]] = None
     try:
-        while test.decision is None and consumed < max_samples:
-            length = min(batch_size, max_samples - consumed)
-            if pending is not None and pending[0] == batch_index:
-                batch_patterns, sampled = pending[1].result()
-            else:
-                batch_patterns, sampled = _draw_batch(batch_index,
-                                                      length)
-            pending = None
-            stats.sample_seconds += sampled
-            stats.chunks += 1
-            if executor is not None:
-                next_length = min(batch_size,
-                                  max_samples - consumed - length)
-                if next_length > 0:
-                    pending = (batch_index + 1, executor.submit(
-                        _draw_batch, batch_index + 1, next_length))
-            verdict_map = _resolve_verdicts(
-                context, batch_patterns, memoize, cache, workers,
-                batch_size, stats, progress, journal=store)
-            batch_malignant = sum(
-                multiplicity for pattern, multiplicity
-                in batch_patterns.items()
-                if not verdict_map[pattern])
-            consumed += length
-            malignant_total += batch_malignant
-            test.update(batch_malignant, length)
-            if store is not None:
-                store.append_record("batches", {
-                    "batch": batch_index,
-                    "length": length,
-                    "failures": batch_malignant,
-                })
-                store.write_state("estimator", {
-                    "method": method,
-                    "state": test.state_dict(),
-                })
-            if on_batch is not None:
-                on_batch(batch_index, consumed, malignant_total,
-                         test.decision)
-            batch_index += 1
-    except KeyboardInterrupt:
-        if store is not None:
-            store.write_state("cursor", {
-                "batches_done": batch_index,
-                "samples": consumed,
-                "interrupted": True,
-            })
-        raise
+        with run.interruptible(lambda: {"batches_done": batch_index,
+                                        "samples": consumed}):
+            while test.decision is None and consumed < max_samples:
+                length = min(batch_size, max_samples - consumed)
+                if pending is not None and pending[0] == batch_index:
+                    batch_patterns, sampled = pending[1].result()
+                else:
+                    batch_patterns, sampled = _draw_batch(batch_index,
+                                                          length)
+                pending = None
+                stats.sample_seconds += sampled
+                stats.chunks += 1
+                if executor is not None:
+                    next_length = min(batch_size,
+                                      max_samples - consumed - length)
+                    if next_length > 0:
+                        pending = (batch_index + 1, executor.submit(
+                            _draw_batch, batch_index + 1, next_length))
+                verdict_map = run.verdicts(batch_patterns, batch_size)
+                batch_malignant = sum(
+                    multiplicity for pattern, multiplicity
+                    in batch_patterns.items()
+                    if not verdict_map[pattern])
+                consumed += length
+                malignant_total += batch_malignant
+                test.update(batch_malignant, length)
+                if store is not None:
+                    store.append_record("batches", {
+                        "batch": batch_index,
+                        "length": length,
+                        "failures": batch_malignant,
+                    })
+                    store.write_state("estimator", {
+                        "method": method,
+                        "state": test.state_dict(),
+                    })
+                if on_batch is not None:
+                    on_batch(batch_index, consumed, malignant_total,
+                             test.decision)
+                batch_index += 1
     finally:
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
 
     stats.trials = consumed
-    stats.total_seconds = time.perf_counter() - start
+    claim_text = claim or (
+        f"{run.gadget.name} malignant_fraction <= {f0:g}"
+    )
+    verdict = build_claim_verdict(test, claim_text, method,
+                                  max_samples)
+    run.finish({
+        "samples": consumed,
+        "malignant": malignant_total,
+        "decision": verdict.decision,
+        "batches": batch_index,
+    })
     sample = MalignantPairSample(
         samples=consumed,
         malignant=malignant_total,
         num_locations=num_locations,
         engine_stats=stats,
     )
-    claim_text = claim or (
-        f"{gadget.name} malignant_fraction <= {f0:g}"
-    )
-    verdict = build_claim_verdict(test, claim_text, method,
-                                  max_samples)
-    if store is not None:
-        store.finalize({
-            "samples": consumed,
-            "malignant": malignant_total,
-            "decision": verdict.decision,
-            "batches": batch_index,
-        })
     return SequentialPairResult(verdict=verdict, sample=sample,
                                 batches=batch_index)
 
@@ -721,16 +642,19 @@ def adaptive_sweep_p(gadget: Gadget,
     here: which point samples next depends on the batch that is still
     evaluating, so sampling cannot run ahead of the allocator.
     """
-    start = time.perf_counter()
+    if cache is None and memoize:
+        cache = FaultPatternCache()
+    run = _Run(gadget, initial_state, evaluator, locations,
+               workers=workers, batch_size=eval_batch_size,
+               memoize=memoize, cache=cache, progress=progress,
+               invariant=invariant, runtime=runtime)
     if seed is None:
         raise AnalysisError(
             "adaptive_sweep_p requires an explicit seed: the "
             "allocation schedule must be replayable"
         )
     total_trials = _coerce_count(total_trials, "total_trials")
-    batch_size = _coerce_chunk_size(batch_size)
-    eval_batch_size = _coerce_batch_size(eval_batch_size)
-    workers = _coerce_workers(workers)
+    batch_size = _coerce_positive(batch_size, "batch_size")
     if not p_values:
         raise AnalysisError("adaptive_sweep_p needs at least one p value")
     if min_batches_per_point < 1:
@@ -748,14 +672,7 @@ def adaptive_sweep_p(gadget: Gadget,
             f"{batch_size} ({num_points} points x "
             f"{min_batches_per_point} min batches)"
         )
-    if locations is None:
-        locations = _default_locations(gadget)
-    locations = list(locations)
-    stats = EngineStats(workers=1)
-    fingerprint = {
-        "workload": "adaptive_sweep",
-        "gadget": gadget.name,
-        "locations": len(locations),
+    run.open("adaptive_sweep", {
         "p_values": p_values,
         "total_trials": total_trials,
         "seed": seed,
@@ -765,18 +682,9 @@ def adaptive_sweep_p(gadget: Gadget,
         "interval_method": interval_method,
         "boundary": None if boundary is None else float(boundary),
         "channel": channel,
-    }
-    if eval_batch_size > 1:
-        fingerprint["eval_path"] = BATCHED_PATH
-    eval_path = BATCHED_PATH if eval_batch_size > 1 else SERIAL_PATH
-    store, cache = _open_journal(checkpoint, resume, seed, memoize,
-                                 cache, fingerprint, stats,
-                                 eval_path=eval_path)
-    if cache is None and memoize:
-        cache = FaultPatternCache()
-    context = _EvalContext(gadget, initial_state, evaluator,
-                           invariant=invariant, policy=runtime,
-                           batch_size=eval_batch_size)
+    }, checkpoint, resume)
+    gadget, locations = run.gadget, run.locations
+    store, stats = run.store, run.stats
     models = [NoiseModel.uniform(p, channel=channel) for p in p_values]
     setups = [_location_setup(model, gadget, locations)
               for model in models]
@@ -802,7 +710,7 @@ def adaptive_sweep_p(gadget: Gadget,
                 for k, v in record["failures_by_fault_count"].items()})
             steps_done += 1
 
-    try:
+    with run.interruptible(lambda: {"steps_done": steps_done}):
         while steps_done < budget_batches:
             index, _ = _pick_adaptive_point(
                 trials, failures, batches, min_batches_per_point,
@@ -818,9 +726,7 @@ def adaptive_sweep_p(gadget: Gadget,
                                batch_histogram, batch_patterns)
             stats.sample_seconds += time.perf_counter() - sample_start
             stats.chunks += 1
-            verdict_map = _resolve_verdicts(
-                context, batch_patterns, memoize, cache, workers,
-                batch_size, stats, progress, journal=store)
+            verdict_map = run.verdicts(batch_patterns, batch_size)
             batch_fbc: Dict[int, int] = {}
             batch_failures = _batch_failures(batch_patterns,
                                              verdict_map, batch_fbc)
@@ -847,18 +753,10 @@ def adaptive_sweep_p(gadget: Gadget,
                     phase="sample", done=steps_done,
                     total=budget_batches, chunk_index=steps_done - 1,
                     chunks_total=budget_batches,
-                    elapsed_seconds=time.perf_counter() - start,
+                    elapsed_seconds=time.perf_counter() - run.start,
                 ))
-    except KeyboardInterrupt:
-        if store is not None:
-            store.write_state("cursor", {
-                "steps_done": steps_done,
-                "interrupted": True,
-            })
-        raise
 
     stats.trials = sum(trials)
-    stats.total_seconds = time.perf_counter() - start
     results = [
         GadgetMonteCarloResult(
             p=p_values[i],
@@ -872,12 +770,11 @@ def adaptive_sweep_p(gadget: Gadget,
     intervals = [binomial_interval(failures[i], trials[i], confidence,
                                    interval_method)
                  for i in range(num_points)]
-    if store is not None:
-        store.finalize({
-            "steps": steps_done,
-            "trials": sum(trials),
-            "allocation": list(batches),
-        })
+    run.finish({
+        "steps": steps_done,
+        "trials": sum(trials),
+        "allocation": list(batches),
+    })
     return AdaptiveSweepResult(
         results=results,
         intervals=intervals,

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.engine import run_monte_carlo
+from repro.analysis.stats import interval_stderr
 from repro.analysis.evaluators import (
     n_gadget_evaluator,
     recovered_overlap_evaluator,
@@ -533,7 +534,8 @@ def stress_certify(code=None,
             resume=resume,
         )
         allowance = baseline.failure_rate \
-            + 3.0 * baseline.stderr + 1.0 / trials
+            + 3.0 * interval_stderr(baseline.failures, baseline.trials) \
+            + 1.0 / trials
         for model_name, model in family:
             if progress is not None:
                 progress(f"{case.name} x {model_name}")

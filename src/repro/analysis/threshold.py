@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, TYPE_CHECKING
 
+from repro.analysis.engine import DEFAULT_CHUNK_SIZE
 from repro.analysis.propagation import GadgetFaultAnalyzer, SingleFaultSurvey
 from repro.codes.quantum.css import CssCode
 from repro.ft.gadget import Gadget
@@ -118,10 +119,9 @@ def sampled_threshold_report(gadget: Gadget,
                              locations: Optional[Sequence[FaultLocation]]
                              = None,
                              *,
-                             parallel: bool = False,
-                             workers: Optional[int] = None,
-                             chunk_size: Optional[int] = None,
-                             memoize: Optional[bool] = None,
+                             workers: int = 1,
+                             chunk_size: int = DEFAULT_CHUNK_SIZE,
+                             memoize: bool = True,
                              cache: Optional["FaultPatternCache"] = None,
                              checkpoint=None,
                              resume: bool = True,
@@ -160,23 +160,18 @@ def sampled_threshold_report(gadget: Gadget,
     confidence interval.
     """
     from repro.analysis import engine
-    from repro.analysis.montecarlo import _default_locations
     from repro.runtime.checkpoint import as_store
 
     if locations is None:
-        locations = _default_locations(gadget)
+        locations = engine._default_locations(gadget)
     locations = list(locations)
-    resolved_workers = engine.resolve_workers(parallel, workers)
-    resolved_chunk = chunk_size or engine.DEFAULT_CHUNK_SIZE
-    resolved_memoize = True if memoize is None else memoize
-    if cache is None and resolved_memoize:
+    if cache is None and memoize:
         cache = engine.FaultPatternCache()
     store = as_store(checkpoint)
     survey = engine.run_exhaustive(
         gadget, initial_state, evaluator, locations=locations,
-        channel=channel, workers=resolved_workers,
-        chunk_size=resolved_chunk, memoize=resolved_memoize,
-        cache=cache,
+        channel=channel, workers=workers, chunk_size=chunk_size,
+        memoize=memoize, cache=cache,
         checkpoint=store.substore("exhaustive") if store else None,
         resume=resume, runtime=runtime,
     )
@@ -210,12 +205,11 @@ def sampled_threshold_report(gadget: Gadget,
             gadget, initial_state, evaluator,
             f0=f0, f1=f1, alpha=alpha, beta=beta,
             max_samples=samples, seed=seed,
-            batch_size=resolved_chunk, method=sequential_method,
+            batch_size=chunk_size, method=sequential_method,
             claim=(f"{gadget.name} p_th >= {certify_threshold_at:g} "
                    f"(malignant_fraction <= {f0:g})"),
             locations=locations, channel=channel,
-            workers=resolved_workers, memoize=resolved_memoize,
-            cache=cache,
+            workers=workers, memoize=memoize, cache=cache,
             checkpoint=store.substore("pairs") if store else None,
             resume=resume, runtime=runtime,
         )
@@ -225,8 +219,8 @@ def sampled_threshold_report(gadget: Gadget,
         pair_sample = engine.run_malignant_pairs(
             gadget, initial_state, evaluator, samples,
             locations=locations, seed=seed, channel=channel,
-            workers=resolved_workers, chunk_size=resolved_chunk,
-            memoize=resolved_memoize, cache=cache,
+            workers=workers, chunk_size=chunk_size,
+            memoize=memoize, cache=cache,
             checkpoint=store.substore("pairs") if store else None,
             resume=resume, runtime=runtime,
         )

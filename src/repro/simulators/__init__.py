@@ -11,13 +11,10 @@ Three complementary engines:
 * :class:`~repro.simulators.pauli_tracker.PauliPropagator` —
   Heisenberg-picture fault propagation for paper-style error counting.
 
-Two accelerators ride on top:
-
-* :class:`~repro.simulators.batched.BatchedState` — B Monte Carlo
-  trials stacked into one sparse register, advanced by one vectorised
-  kernel call per gate yet bit-identical per lane to a serial run.
-* :mod:`~repro.simulators.ptm` — Pauli-transfer-matrix composition
-  for Pauli-channel-only noise (channels compose as matrix products).
+One accelerator rides on top:
+:class:`~repro.simulators.batched.BatchedState` — B Monte Carlo trials
+stacked into one sparse register, advanced by one vectorised kernel
+call per gate yet bit-identical per lane to a serial run.
 """
 
 from repro.simulators.batched import (

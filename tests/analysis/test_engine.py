@@ -112,8 +112,16 @@ class TestSerialParallelEquivalence:
     def test_exhaustive_engine_matches_serial_exactly(self, tiny,
                                                       workers):
         gadget, initial, evaluator = tiny
-        serial = exhaustive_single_faults_sparse(gadget, initial,
-                                                 evaluator)
+        # Reference: every single fault simulated directly, in
+        # enumeration order, outside the engine's scheduling.
+        model = NoiseModel.uniform(1.0)
+        serial = [
+            (location, pauli)
+            for location in _default_locations(gadget)
+            for pauli in model.fault_choices(location, gadget.num_qubits)
+            if not evaluate_fault_pattern(gadget, initial, evaluator,
+                                          [(pauli, location.after_op)])
+        ]
         engine = exhaustive_single_faults_sparse(gadget, initial,
                                                  evaluator,
                                                  workers=workers)
@@ -286,12 +294,16 @@ class TestEngineInstrumentation:
         done = [e.done for e in samples]
         assert done == sorted(done)
 
-    def test_serial_default_has_no_stats(self, tiny):
+    def test_default_call_attaches_stats(self, tiny):
+        """The engine is the only sampler, so a call without engine
+        options is instrumented like any other."""
         gadget, initial, evaluator = tiny
         result = gadget_monte_carlo(gadget, initial, evaluator,
                                     NoiseModel.uniform(0.2),
                                     trials=50, seed=1)
-        assert result.engine_stats is None
+        assert result.engine_stats is not None
+        assert result.engine_stats.trials == 50
+        assert result.engine_stats.workers == 1
 
 
 class TestEngineValidation:

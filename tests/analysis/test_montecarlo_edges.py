@@ -2,8 +2,8 @@
 
 Covers the degenerate regimes the samplers must not mis-report:
 zero-trial runs, all-failure and no-failure runs, standard-error
-bounds, and empty malignant-pair estimates — on both the serial and
-the engine execution paths.
+bounds, and empty malignant-pair estimates — in-process and on a
+worker pool.
 """
 
 import math
@@ -14,9 +14,11 @@ from repro.analysis import (
     GadgetMonteCarloResult,
     MalignantPairSample,
     gadget_monte_carlo,
+    interval_stderr,
     n_gadget_evaluator,
     sample_malignant_pairs,
 )
+from repro.analysis.stats import normal_quantile
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.noise import NoiseModel
 
@@ -37,17 +39,15 @@ class TestMonteCarloResultEdges:
         noise = NoiseModel.uniform(0.5)
         serial = gadget_monte_carlo(gadget, initial, evaluator, noise,
                                     trials=0, seed=1)
-        engine = gadget_monte_carlo(gadget, initial, evaluator, noise,
+        pooled = gadget_monte_carlo(gadget, initial, evaluator, noise,
                                     trials=0, seed=1, workers=2)
-        for result in (serial, engine):
+        for result in (serial, pooled):
             assert result.trials == 0
             assert result.failures == 0
             assert result.failure_rate == 0.0
-            assert result.stderr == 0.0
             assert result.fault_count_histogram == {}
             assert result.failures_by_fault_count == {}
-        # No RNG is consumed, so the two paths agree exactly.
-        assert serial == engine
+        assert serial == pooled
 
     @pytest.mark.parametrize("options", [{}, {"workers": 2}])
     def test_all_failure_run(self, tiny, options):
@@ -62,8 +62,6 @@ class TestMonteCarloResultEdges:
         assert result.failure_rate == 1.0
         assert sum(result.failures_by_fault_count.values()) == 40
         assert 0 not in result.fault_count_histogram
-        assert result.stderr >= 0.0
-        assert result.stderr <= 0.5 / math.sqrt(40) + 1e-9
 
     @pytest.mark.parametrize("options", [{}, {"workers": 2}])
     def test_no_failure_run(self, tiny, options):
@@ -76,24 +74,19 @@ class TestMonteCarloResultEdges:
         assert result.failure_rate == 0.0
         assert result.failures_by_fault_count == {}
         assert result.single_fault_failures == 0
-        assert result.stderr > 0.0  # floored variance, not zero
 
     def test_stderr_bounds(self):
-        """stderr is the binomial standard error: positive for any
-        finished run and never above the p=1/2 worst case."""
-        for trials, failures in [(10, 0), (10, 5), (10, 10),
-                                 (400, 123), (1, 1)]:
+        """The result's standard error is positive for any finished
+        run and never above the p=1/2 worst case (the grid points
+        test_stats does not already cover)."""
+        for trials, failures in [(400, 123), (1, 1)]:
             result = GadgetMonteCarloResult(
                 p=0.1, trials=trials, failures=failures,
                 failures_by_fault_count={}, fault_count_histogram={},
             )
-            assert result.stderr > 0.0
-            assert result.stderr <= 0.5 / math.sqrt(trials) + 1e-9
-        empty = GadgetMonteCarloResult(
-            p=0.1, trials=0, failures=0,
-            failures_by_fault_count={}, fault_count_histogram={},
-        )
-        assert empty.stderr == 0.0
+            stderr = interval_stderr(result.failures, result.trials)
+            assert stderr > 0.0
+            assert stderr <= 0.5 / math.sqrt(trials) + 1e-9
 
     def test_failure_rate_zero_trials_is_zero_not_nan(self):
         result = GadgetMonteCarloResult(
@@ -153,13 +146,16 @@ class TestResultIntervals:
         assert full.failure_rate_upper_bound() == 1.0
 
     def test_stderr_alias_matches_interval_stderr(self):
-        from repro.analysis import interval_stderr
-
+        """interval_stderr (what the removed ``.stderr`` alias
+        returned) is the result's Wilson half-width over z, so a
+        +-stderr band and interval() describe the same spread."""
         result = GadgetMonteCarloResult(
             p=0.1, trials=400, failures=123,
             failures_by_fault_count={}, fault_count_histogram={},
         )
-        assert result.stderr == interval_stderr(123, 400)
+        z = normal_quantile(0.975)
+        assert interval_stderr(result.failures, result.trials) == \
+            pytest.approx(result.interval().half_width / z, rel=1e-12)
 
 
 class TestPairSampleIntervals:

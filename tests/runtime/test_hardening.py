@@ -13,10 +13,12 @@ import os
 import pytest
 
 from repro.analysis import n_gadget_evaluator
+from dataclasses import fields
+
 from repro.analysis.engine import (
+    ChunkTiming,
     EngineStats,
     FaultPatternCache,
-    resolve_workers,
     run_monte_carlo,
 )
 from repro.exceptions import AnalysisError
@@ -133,13 +135,6 @@ class TestInputValidation:
                             trials=10, seed=0, workers=1,
                             chunk_size=bad)
 
-    def test_resolve_workers_contract(self):
-        assert resolve_workers(False, None) == 1
-        assert resolve_workers(False, 4) == 4
-        assert resolve_workers(True, None) >= 1
-        with pytest.raises(AnalysisError, match="workers"):
-            resolve_workers(True, 0)
-
 
 class TestEngineStatsEdges:
     def test_zero_work_rates_are_zero_not_nan(self):
@@ -182,6 +177,43 @@ class TestEngineStatsEdges:
         assert left.invariant_retries == 1
         assert left.cache_evictions == 2
         assert left.resumed_verdicts == 3
+
+    @staticmethod
+    def _distinct_stats(offset: int) -> EngineStats:
+        """Stats whose every field holds a value unique to ``offset``."""
+        values = {}
+        for number, spec in enumerate(fields(EngineStats), 1):
+            default = getattr(EngineStats(), spec.name)
+            seed = offset * 100 + number
+            if isinstance(default, dict):
+                values[spec.name] = {f"backend{seed}": seed}
+            elif isinstance(default, list):
+                values[spec.name] = [ChunkTiming(seed, seed, 0.5, seed)]
+            else:
+                values[spec.name] = type(default)(seed)
+        return EngineStats(**values)
+
+    def test_every_field_is_absorbed_and_serialised(self):
+        """Adding a field to EngineStats needs no hand-kept plumbing:
+        absorb folds it and the JSON snapshot carries it."""
+        left, right = self._distinct_stats(1), self._distinct_stats(2)
+        before = self._distinct_stats(1)
+        left.absorb(right)
+        for spec in fields(EngineStats):
+            mine = getattr(before, spec.name)
+            theirs = getattr(right, spec.name)
+            if spec.name == "workers":
+                expected = max(mine, theirs)
+            elif isinstance(mine, dict):
+                expected = {**mine, **theirs}  # disjoint keys
+            else:
+                expected = mine + theirs  # numbers add, lists extend
+            assert getattr(left, spec.name) == expected, spec.name
+        snapshot = before.to_json_dict()
+        names = {spec.name for spec in fields(EngineStats)}
+        assert set(snapshot) == names - {"chunk_timings"}
+        for name, value in snapshot.items():
+            assert value == getattr(before, name), name
 
 
 class TestArtifactWriting:

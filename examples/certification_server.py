@@ -49,7 +49,7 @@ from pathlib import Path
 from repro.service import (
     CertificationServer,
     CertificationService,
-    NetChaosPlan,
+    FaultPlan,
     ServiceClient,
     ServiceConfig,
     SweepSpec,
@@ -69,21 +69,21 @@ def build_sweep(args) -> SweepSpec:
         chunk_size=max(args.trials // 3, 1))
 
 
-def build_net_chaos(remote_workers: int = 0) -> NetChaosPlan:
+def build_net_chaos(remote_workers: int = 0) -> FaultPlan:
     """One of each network fault kind, at fixed coordinates."""
-    plan = (NetChaosPlan()
-            .drop("submit", 0)
-            .garble("submit", 1)
-            .duplicate("sweep_submit", 0)
-            .delay("sweep_status", 0, 0.1)
-            .disconnect("sweep_status", 1)
-            .garble("sweep_status", 2))
+    plan = (FaultPlan()
+            .add("net", "submit", 0, "drop")
+            .add("net", "submit", 1, "garble")
+            .add("net", "sweep_submit", 0, "duplicate")
+            .add("net", "sweep_status", 0, "delay", seconds=0.1)
+            .add("net", "sweep_status", 1, "disconnect")
+            .add("net", "sweep_status", 2, "garble"))
     if remote_workers:
         # Fleet coordinates: partition remote-1 for two consecutive
         # authenticated requests, and process one terminal complete
         # twice (absorbed by the queue's idempotent complete).
-        plan.partition("remote-1", 2, count=2)
-        plan.duplicate_complete(0)
+        plan.add("fleet", "remote-1", 2, "partition", count=2)
+        plan.add("net", "work_complete", 0, "duplicate")
     return plan
 
 
@@ -123,7 +123,7 @@ def main(argv=None) -> int:
                            job_deadline=120.0, max_attempts=3,
                            backoff_base=0.1,
                            clock_skew_grace=0.5)
-    service = CertificationService(root, config=config)
+    service = CertificationService(root, config=config, chaos=plan)
 
     print(f"service root: {root}")
     print(f"sweep {sweep.fingerprint[:12]}…: "
@@ -135,7 +135,7 @@ def main(argv=None) -> int:
     reference = run_sweep_inprocess(
         sweep, tempfile.mkdtemp(prefix="repro-server-ref-"))
 
-    with CertificationServer(service, net_chaos=plan,
+    with CertificationServer(service,
                              worker_secret=secret) as server:
         host, port = server.address
         print(f"server listening on http://{host}:{port}")
@@ -206,8 +206,7 @@ def main(argv=None) -> int:
               f"{stats.garbled_responses} garbled responses), "
               f"{stats.backoff_seconds:.3f}s backoff")
         fired = plan.fired if plan else 0
-        planned = (len(plan.events) + len(plan.worker_events)) \
-            if plan else 0
+        planned = len(plan.faults) if plan else 0
         if plan:
             print(f"network chaos: {fired}/{planned} injected "
                   f"faults fired")

@@ -12,10 +12,10 @@ batch and shows the second pass answered entirely from the cache with
 **zero** simulator evaluations.
 
 ``--chaos`` turns the demo into a live fault drill: the first worker
-attempt of several jobs is killed (SIGKILL, no cleanup), hung past
-its deadline, or has its lease forcibly expired — and the run still
-drains with every verdict bit-identical to what an undisturbed run
-produces, because interrupted attempts resume from each job's
+attempt of several jobs is killed (SIGKILL, no cleanup), has its
+lease forcibly expired, or fails with a typed error — and the run
+still drains with every verdict bit-identical to what an undisturbed
+run produces, because interrupted attempts resume from each job's
 checksummed checkpoint journal.
 
 Run:  PYTHONPATH=src python examples/certification_service.py
@@ -24,7 +24,8 @@ Run:  PYTHONPATH=src python examples/certification_service.py
 
 ``--out`` writes ``service_report.json`` (job states, attempts,
 cache hits, pool incidents).  Exit status is 0 when every job
-succeeded and the resubmission pass was fully cache-served.
+succeeded, every injected fault fired, and the resubmission pass was
+fully cache-served.
 """
 
 import argparse
@@ -38,8 +39,8 @@ from pathlib import Path
 from repro.service import (
     SUCCEEDED,
     CertificationService,
+    FaultPlan,
     JobSpec,
-    ServiceChaosPlan,
     ServiceConfig,
 )
 
@@ -67,15 +68,15 @@ def build_specs(args):
     return specs
 
 
-def build_chaos(specs) -> ServiceChaosPlan:
-    """Kill, hang and expire-lease a few first attempts."""
-    plan = ServiceChaosPlan()
+def build_chaos(specs) -> FaultPlan:
+    """Kill, expire-lease and fail a few first attempts."""
+    plan = FaultPlan()
     if len(specs) >= 1:
-        plan.kill(0, attempt=1, hook="batch", at=0)
+        plan.add("job", "batch:0", 0, "kill")
     if len(specs) >= 3:
-        plan.expire(2, attempt=1, hook="batch", at=0)
+        plan.add("job", "batch:0", 2, "expire")
     if len(specs) >= 5:
-        plan.fail(4, attempt=1)
+        plan.add("job", "start", 4, "fail")
     return plan
 
 
@@ -150,6 +151,14 @@ def main(argv=None) -> int:
           f"({outcome.get('mode')}, "
           f"respawns={outcome.get('respawns', 0)}, "
           f"deadline_kills={outcome.get('deadline_kills', 0)})")
+    # Job faults fire inside pool children, so the evidence is in the
+    # queue: a fault fired iff its job went on past the struck attempt.
+    faults = chaos.faults if chaos else []
+    fired = sum(1 for fault in faults
+                if service.status(fingerprints[fault.index]).attempt
+                > fault.attempt)
+    if chaos:
+        print(f"chaos: {fired}/{len(faults)} injected faults fired")
 
     # Resubmit everything: the cache must answer without simulating.
     for spec in specs:
@@ -172,6 +181,8 @@ def main(argv=None) -> int:
             "jobs": [service.status(fp).to_json_dict()
                      for fp in fingerprints],
             "chaos": bool(args.chaos),
+            "chaos_fired": fired,
+            "chaos_planned": len(faults),
             "workers": args.workers,
             "outcome": {key: value for key, value in outcome.items()
                         if key != "counts"},
@@ -186,8 +197,9 @@ def main(argv=None) -> int:
 
     if cleanup:
         shutil.rmtree(root, ignore_errors=True)
-    return 0 if failures == 0 and cache_hits == len(fingerprints) \
-        else 1
+    ok = (failures == 0 and fired == len(faults)
+          and cache_hits == len(fingerprints))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -84,6 +84,7 @@ from repro.exceptions import (
 from repro.ft.gadget import Gadget, apply_circuit_with_faults
 from repro.noise.locations import FaultLocation, enumerate_locations
 from repro.noise.model import NoiseModel
+from repro.runtime.chaos import Fault, raise_injected, strike
 from repro.runtime.checkpoint import CheckpointStore, as_store
 from repro.runtime.fallback import FallbackRecord
 from repro.runtime.policy import RuntimePolicy, resolve_policy
@@ -478,7 +479,7 @@ class ExhaustiveSurvey:
 class _EvalContext:
     """Everything a worker needs to turn a pattern into a verdict.
 
-    Carries the runtime policy's fallback ladder and chaos plan into
+    Carries the runtime policy's fallback ladder and fault plan into
     forked workers (by inheritance — nothing crosses the pipe).
     """
 
@@ -501,28 +502,22 @@ class _EvalContext:
         return BATCHED_PATH if self.batch_size > 1 else SERIAL_PATH
 
     def evaluate(self, pattern: FaultPattern) -> bool:
-        """Plain single-pattern evaluation (no chaos coordinates)."""
+        """Plain single-pattern evaluation (no fault injection)."""
         return evaluate_fault_pattern(self.gadget, self.initial_state,
                                       self.evaluator, pattern,
                                       invariant=self.invariant)
 
     def evaluate_one(self, pattern: FaultPattern,
-                     record: FallbackRecord, chunk_index: int,
-                     attempt: int, in_worker: bool) -> bool:
-        chaos = self.policy.chaos
+                     record: FallbackRecord,
+                     faults: Sequence[Fault]) -> bool:
         fallback = self.policy.fallback
         if fallback is not None:
             return fallback.evaluate(
                 self.gadget, self.initial_state, self.evaluator,
                 pattern, invariant=self.invariant, record=record,
-                chaos=chaos, chunk_index=chunk_index, attempt=attempt,
-                in_worker=in_worker,
+                faults=faults,
             )
-        if chaos is not None:
-            injected = chaos.primary_backend_error(
-                chunk_index, attempt, in_worker)
-            if injected is not None:
-                raise injected
+        raise_injected(faults, "oom", "simulation_error")
         return evaluate_fault_pattern(self.gadget, self.initial_state,
                                       self.evaluator, pattern,
                                       invariant=self.invariant)
@@ -537,17 +532,20 @@ def _evaluate_chunk(context: _EvalContext, index: int,
                     in_worker: bool) -> _ChunkResult:
     """Evaluate one chunk under the context's runtime policy."""
     start = time.perf_counter()
-    chaos = context.policy.chaos
-    if chaos is not None and in_worker:
-        chaos.on_chunk_start(index, attempt, in_worker=True)
+    faults: List[Fault] = []
+    if context.policy.chaos is not None:
+        # Fault attempts count from 1, the supervisor's from 0.
+        faults = context.policy.chaos.match(
+            "engine", "pool" if in_worker else "parent", index,
+            attempt + 1)
+        strike(faults)
     record = FallbackRecord()
     resilience: Dict[str, object]
     if context.batch_size > 1:
         verdicts, resilience = _evaluate_chunk_batched(
-            context, patterns, record, index, attempt, in_worker)
+            context, patterns, record, faults)
     else:
-        verdicts = [context.evaluate_one(pattern, record, index,
-                                         attempt, in_worker)
+        verdicts = [context.evaluate_one(pattern, record, faults)
                     for pattern in patterns]
         resilience = {}
     resilience["degraded"] = dict(record.degraded)
@@ -558,8 +556,8 @@ def _evaluate_chunk(context: _EvalContext, index: int,
 
 def _evaluate_chunk_batched(context: _EvalContext,
                             patterns: Sequence[FaultPattern],
-                            record: FallbackRecord, index: int,
-                            attempt: int, in_worker: bool
+                            record: FallbackRecord,
+                            faults: Sequence[Fault]
                             ) -> Tuple[List[bool], Dict[str, object]]:
     """One chunk's verdicts through the stacked batched evaluator.
 
@@ -587,8 +585,7 @@ def _evaluate_chunk_batched(context: _EvalContext,
             stacked += len(stack)
         except (MemoryError, SimulationError, VerificationError):
             stack_verdicts = [
-                context.evaluate_one(pattern, record, index, attempt,
-                                     in_worker)
+                context.evaluate_one(pattern, record, faults)
                 for pattern in stack
             ]
             fallbacks += len(stack)

@@ -16,17 +16,20 @@ out-of-memory, Ctrl-C and half-written files — and must prove it.
 * :mod:`repro.runtime.fallback` — :class:`FallbackPolicy`: sparse →
   statevector → density-matrix degradation on ``MemoryError`` /
   ``SimulationError``, and retry-once on ``VerificationError``.
-* :mod:`repro.runtime.chaos` — deterministic infrastructure-fault
-  injection plus checkpoint-corruption helpers; the certification
-  suite in ``tests/runtime`` drives every scenario to "correct result
-  or typed :class:`~repro.exceptions.RuntimeIntegrityError`".
+* :mod:`repro.runtime.chaos` — :class:`FaultPlan`, the one
+  deterministic fault plan: :class:`Fault`\\ s keyed by (layer, site,
+  index) that the engine, the service worker and the HTTP server each
+  match at their own coordinates; plus checkpoint-corruption helpers.
+  The certification suite in ``tests/runtime`` drives every engine
+  scenario to "correct result or typed
+  :class:`~repro.exceptions.RuntimeIntegrityError`".
 * :mod:`repro.runtime.policy` — :class:`RuntimePolicy`, the bundle
   the engine's ``runtime=`` keyword accepts.
 """
 
 from repro.runtime.chaos import (
-    ChaosEvent,
-    ChaosPlan,
+    Fault,
+    FaultPlan,
     garble_checkpoint_record,
     poison_checkpoint_verdict,
     truncate_checkpoint_record,
@@ -48,10 +51,10 @@ from repro.runtime.supervisor import (
 )
 
 __all__ = [
-    "ChaosEvent",
-    "ChaosPlan",
     "CheckpointStore",
     "DEFAULT_ROOT",
+    "Fault",
+    "FaultPlan",
     "FallbackPolicy",
     "FallbackRecord",
     "RuntimePolicy",

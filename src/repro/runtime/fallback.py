@@ -38,7 +38,7 @@ from repro.exceptions import (
     SimulationError,
     VerificationError,
 )
-from repro.runtime.chaos import ChaosPlan
+from repro.runtime.chaos import Fault, raise_injected
 from repro.simulators.sparse import SparseState
 
 #: Exception types that trigger a step down the ladder.
@@ -160,28 +160,19 @@ class FallbackPolicy:
 
     def _checked_state(self, backend: str, gadget, initial_state,
                        pattern, invariant, record: FallbackRecord,
-                       chaos: Optional[ChaosPlan], chunk_index: int,
-                       attempt: int, in_worker: bool) -> SparseState:
+                       faults: Sequence[Fault]) -> SparseState:
         """Simulate on one rung with the invariant retry shield."""
         invariant_attempt = 0
         while True:
-            if backend == "sparse" and chaos is not None \
-                    and invariant_attempt == 0:
-                injected = chaos.primary_backend_error(
-                    chunk_index, attempt, in_worker)
-                if injected is not None:
-                    raise injected
+            if backend == "sparse" and invariant_attempt == 0:
+                raise_injected(faults, "oom", "simulation_error")
             state = self._final_state(backend, gadget, initial_state,
                                       pattern)
             if invariant is None:
                 return state
             try:
-                if chaos is not None:
-                    injected = chaos.invariant_error(
-                        chunk_index, attempt, invariant_attempt,
-                        in_worker)
-                    if injected is not None:
-                        raise injected
+                if invariant_attempt == 0:
+                    raise_injected(faults, "verification_error")
                 invariant(state)
                 return state
             except VerificationError:
@@ -198,10 +189,7 @@ class FallbackPolicy:
                  invariant: Optional[
                      Callable[[SparseState], None]] = None,
                  record: Optional[FallbackRecord] = None,
-                 chaos: Optional[ChaosPlan] = None,
-                 chunk_index: int = 0,
-                 attempt: int = 0,
-                 in_worker: bool = False) -> bool:
+                 faults: Sequence[Fault] = ()) -> bool:
         """One pattern's verdict, degrading down the ladder on error.
 
         ``MemoryError``/``SimulationError`` step to the next rung;
@@ -210,6 +198,9 @@ class FallbackPolicy:
         last backend failure.  ``VerificationError`` (a *checked*
         divergence, not a capacity problem) propagates after the
         retry shield — degrading backends cannot launder it.
+        ``faults`` are the engine faults matched for this chunk
+        attempt: ``oom``/``simulation_error`` strike the sparse rung,
+        ``verification_error`` the invariant's first check.
         """
         if record is None:
             record = FallbackRecord()
@@ -218,8 +209,7 @@ class FallbackPolicy:
             try:
                 state = self._checked_state(
                     backend, gadget, initial_state, pattern,
-                    invariant, record, chaos, chunk_index, attempt,
-                    in_worker)
+                    invariant, record, faults)
             except DEGRADABLE as exc:
                 last_error = exc
                 continue

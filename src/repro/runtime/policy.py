@@ -2,7 +2,7 @@
 
 :class:`RuntimePolicy` groups the three orthogonal resilience
 mechanisms — worker supervision, backend fallback and (for the
-certification suite) chaos injection — into one object the public
+certification suite) fault injection — into one object the public
 ``runtime=`` keyword accepts.  ``RuntimePolicy()`` is the production
 default: generous supervision deadlines, the full degradation ladder,
 no chaos.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.runtime.chaos import ChaosPlan
+from repro.runtime.chaos import FaultPlan
 from repro.runtime.fallback import FallbackPolicy
 from repro.runtime.supervisor import SupervisorConfig
 
@@ -28,15 +28,16 @@ class RuntimePolicy:
         fallback: the backend degradation ladder; ``None`` disables
             degradation (errors escape to the supervisor's retry
             path instead).
-        chaos: deterministic fault injection; production runs leave
-            this ``None``.
+        chaos: deterministic fault injection; the engine acts on the
+            plan's ``engine`` faults, matched once per chunk attempt.
+            Production runs leave this ``None``.
     """
 
     supervisor: SupervisorConfig = field(
         default_factory=SupervisorConfig)
     fallback: Optional[FallbackPolicy] = field(
         default_factory=FallbackPolicy)
-    chaos: Optional[ChaosPlan] = None
+    chaos: Optional[FaultPlan] = None
 
 
 def resolve_policy(runtime: Optional[RuntimePolicy]) -> RuntimePolicy:

@@ -34,23 +34,22 @@ execution, deterministic chaos — into a durable job system:
   lease tokens on every mutation, idempotent retried completes;
 * :mod:`~repro.service.sweep` — one whole-grid claim decomposed into
   per-cell queue jobs with a crash-safe, journaled merge step;
-* :class:`~repro.service.chaos.ServiceChaosPlan` /
-  :class:`~repro.service.chaos.NetChaosPlan` — reproducible worker
-  kills, hangs, lease expiries, and request-coordinate network
-  faults (drop/delay/duplicate/disconnect/garble) for the chaos
-  suites.
+* :class:`~repro.runtime.chaos.FaultPlan` (re-exported) — the one
+  fault plan: the worker acts on its ``job`` faults (kills, hangs,
+  lease expiries, failures) and the server on its ``net`` and
+  ``fleet`` faults (drop/delay/duplicate/disconnect/garble,
+  partitions, late heartbeats), each at an exact coordinate.
 
 The contract throughout is the runtime's: a correct verdict —
 bit-identical whether or not the run was disturbed — or a typed
 error, never a silently wrong number.
 """
 
+from repro.runtime.chaos import Fault, FaultPlan
 from repro.service.auth import WorkerAuth, sign_request, \
     verify_request
 from repro.service.cache import ResultCache, garble_cache_entry, \
     verdict_digest
-from repro.service.chaos import NetChaosEvent, NetChaosPlan, \
-    ServiceChaosEvent, ServiceChaosPlan, WorkerChaosEvent
 from repro.service.client import ClientStats, ServiceClient, \
     wait_terminal
 from repro.service.remote import HttpTransport, RemoteWorker, \
@@ -75,6 +74,8 @@ __all__ = [
     "ClientStats",
     "DEAD",
     "FAILED",
+    "Fault",
+    "FaultPlan",
     "HttpTransport",
     "JOB_KINDS",
     "JobQueue",
@@ -82,8 +83,6 @@ __all__ = [
     "JobStatus",
     "Lease",
     "LeaseTransport",
-    "NetChaosEvent",
-    "NetChaosPlan",
     "PENDING",
     "QueueTransport",
     "RUNNING",
@@ -91,8 +90,6 @@ __all__ = [
     "ResultCache",
     "SUCCEEDED",
     "SWEEP_CELL_KINDS",
-    "ServiceChaosEvent",
-    "ServiceChaosPlan",
     "ServiceClient",
     "ServiceConfig",
     "ServiceStats",
@@ -101,7 +98,6 @@ __all__ = [
     "TERMINAL_STATES",
     "Worker",
     "WorkerAuth",
-    "WorkerChaosEvent",
     "WorkerPool",
     "backoff_delay",
     "garble_cache_entry",

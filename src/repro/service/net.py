@@ -53,9 +53,11 @@ Two properties carry the fault-tolerance story:
   retried; a corrupted verdict is never *believed*, mirroring the
   ResultCache's never-serve-corrupt rule on the wire.
 
-Faults are injected via :class:`~repro.service.chaos.NetChaosPlan`
-at exact request coordinates, keeping network soaks as reproducible
-as worker soaks.  The server itself holds no state — every request
+Faults come from the fronted service's
+:class:`~repro.runtime.chaos.FaultPlan`: its ``net`` faults at exact
+(op, request index) coordinates and its ``fleet`` faults at (worker,
+request index), keeping network soaks as reproducible as worker
+soaks.  The server itself holds no state — every request
 replays the journals — so killing and restarting it mid-campaign
 loses nothing.
 """
@@ -77,16 +79,6 @@ from repro.exceptions import (
     StaleLeaseError,
 )
 from repro.service.auth import verify_request
-from repro.service.chaos import (
-    DELAY_HEARTBEAT,
-    DELAY_RESPONSE,
-    DISCONNECT,
-    DROP_REQUEST,
-    DUPLICATE_REQUEST,
-    GARBLE_RESPONSE,
-    PARTITION_WORKER,
-    NetChaosPlan,
-)
 from repro.service.jobs import JobSpec
 from repro.service.sweep import (
     SweepSpec,
@@ -146,7 +138,6 @@ class CertificationServer:
 
     def __init__(self, service, host: str = "127.0.0.1",
                  port: int = 0, *,
-                 net_chaos: Optional[NetChaosPlan] = None,
                  merge_lock_timeout: float = 30.0,
                  worker_secret: Optional[str] = None,
                  busy_retry_after: float = 0.25,
@@ -157,7 +148,6 @@ class CertificationServer:
         self.leases = QueueTransport(service.queue, service.cache)
         self.host = host
         self.port = port
-        self.net_chaos = net_chaos
         self.merge_lock_timeout = merge_lock_timeout
         self.worker_secret = worker_secret
         self.busy_retry_after = float(busy_retry_after)
@@ -251,9 +241,10 @@ class CertificationServer:
             op, responder = self._route(method, path, body, headers)
             index = self.request_counts.get(op, 0)
             self.request_counts[op] = index + 1
-            events = (self.net_chaos.match(op, index)
-                      if self.net_chaos is not None else [])
-            kinds = {event.kind for event in events}
+            plan = self.service.chaos
+            faults = (plan.match("net", op, index)
+                      if plan is not None else [])
+            kinds = {fault.kind for fault in faults}
             worker: Optional[str] = None
             if op in _WORK_OPS:
                 worker = self._authenticate(method, path, body,
@@ -263,21 +254,21 @@ class CertificationServer:
                     return  # partitioned: not one response byte
             status, payload = await self._run_responder(responder,
                                                         worker)
-            if DUPLICATE_REQUEST in kinds:
+            if "duplicate" in kinds:
                 # An at-least-once delivery duplicate: the same
                 # request is processed a second time, and the second
                 # outcome is what the client sees.  Idempotent
                 # submission makes both outcomes agree.
                 status, payload = await self._run_responder(responder,
                                                             worker)
-            if DROP_REQUEST in kinds:
+            if "drop" in kinds:
                 return  # not one response byte
-            for event in events:
-                if event.kind == DELAY_RESPONSE:
-                    await asyncio.sleep(event.seconds)
+            for fault in faults:
+                if fault.kind == "delay":
+                    await asyncio.sleep(fault.seconds)
             blob = envelope(payload)
-            garble = GARBLE_RESPONSE in kinds
-            cut = len(blob) // 2 if DISCONNECT in kinds else None
+            garble = "garble" in kinds
+            cut = len(blob) // 2 if "disconnect" in kinds else None
             await self._respond(writer, status, blob,
                                 garble=garble, cut=cut)
         except ConnectionError:
@@ -342,23 +333,21 @@ class CertificationServer:
         return worker
 
     async def _fleet_chaos(self, worker: str, op: str) -> bool:
-        """Fire worker-coordinate chaos; True = drop the request."""
+        """Fire the plan's ``fleet`` faults; True = drop the request."""
         op_index = self.worker_op_requests.get((worker, op), 0)
         self.worker_op_requests[(worker, op)] = op_index + 1
-        if self.net_chaos is None:
+        plan = self.service.chaos
+        if plan is None:
             return False
         total_index = self.worker_requests.get(worker, 1) - 1
-        events = self.net_chaos.match_worker(worker, op, op_index,
-                                             total_index)
-        dropped = False
-        for event in events:
-            if event.kind == PARTITION_WORKER:
-                dropped = True
-            elif event.kind == DELAY_HEARTBEAT:
-                # Delay *processing*, so the renewal lands late by
+        faults = (plan.match("fleet", worker, total_index)
+                  + plan.match("fleet", f"{worker}/{op}", op_index))
+        for fault in faults:
+            if fault.kind == "delay":
+                # Delay *processing*, so the request lands late by
                 # the server's clock — the zombie coordinate.
-                await asyncio.sleep(event.seconds)
-        return dropped
+                await asyncio.sleep(fault.seconds)
+        return any(fault.kind == "partition" for fault in faults)
 
     async def _read_request(
             self, reader: asyncio.StreamReader
@@ -521,8 +510,8 @@ class CertificationServer:
             "net": {
                 "requests": dict(sorted(
                     self.request_counts.items())),
-                "chaos_fired": (self.net_chaos.fired
-                                if self.net_chaos else 0),
+                "chaos_fired": (self.service.chaos.fired
+                                if self.service.chaos else 0),
             },
             "fleet": {
                 "queue_depth": counts.get("pending", 0),

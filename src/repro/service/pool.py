@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.exceptions import ServiceError
+from repro.runtime.chaos import FaultPlan
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.policy import RuntimePolicy
 from repro.service.cache import ResultCache
-from repro.service.chaos import ServiceChaosPlan
 from repro.service.jobs import JobSpec, JobStatus
 from repro.service.queue import JobQueue
 from repro.service.worker import QueueTransport, Worker
@@ -144,7 +144,7 @@ class ServiceConfig:
 
 
 def _worker_main(root: str, config: ServiceConfig, name: str,
-                 chaos: Optional[ServiceChaosPlan],
+                 chaos: Optional[FaultPlan],
                  runtime: Optional[RuntimePolicy]) -> None:
     """Child-process entry: claim until the queue drains."""
     service = CertificationService(root, config=config, chaos=chaos,
@@ -158,7 +158,7 @@ class WorkerPool:
     """Forks and supervises the worker processes."""
 
     def __init__(self, root: str, config: ServiceConfig,
-                 chaos: Optional[ServiceChaosPlan] = None,
+                 chaos: Optional[FaultPlan] = None,
                  runtime: Optional[RuntimePolicy] = None) -> None:
         if config.workers < 1:
             raise ServiceError(
@@ -248,12 +248,15 @@ class CertificationService:
         <root>/sweeps/  per-sweep merge journals (repro.service.sweep)
 
     The handle is cheap and stateless — every process (submitters,
-    workers, watchers) opens its own against the same root.
+    workers, watchers) opens its own against the same root.  A
+    ``chaos`` plan reaches its workers (``job`` faults) and any
+    :class:`~repro.service.net.CertificationServer` fronting the
+    service (``net`` and ``fleet`` faults).
     """
 
     def __init__(self, root: str,
                  config: Optional[ServiceConfig] = None,
-                 chaos: Optional[ServiceChaosPlan] = None,
+                 chaos: Optional[FaultPlan] = None,
                  runtime: Optional[RuntimePolicy] = None) -> None:
         self.root = os.fspath(root)
         self.config = config or ServiceConfig()

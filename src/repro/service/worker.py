@@ -45,11 +45,11 @@ from repro.analysis.stress import gadget_cases, stress_certify
 from repro.codes import SteaneCode, TrivialCode
 from repro.exceptions import ServiceError, StaleLeaseError
 from repro.noise import NoiseModel
+from repro.runtime.chaos import FaultPlan, raise_injected, strike
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.fallback import FallbackPolicy
 from repro.runtime.policy import RuntimePolicy
 from repro.service.cache import ResultCache
-from repro.service.chaos import ServiceChaosPlan
 from repro.service.jobs import JobSpec
 from repro.service.queue import JobQueue, Lease
 
@@ -366,15 +366,16 @@ class Worker:
     """Executes queue jobs over a :class:`LeaseTransport`.
 
     One instance per worker process, thread or remote host; its
-    lifetime tallies feed soak audits.  A ``chaos`` plan acts on the
-    transport's queue, so it needs a :class:`QueueTransport`.
+    lifetime tallies feed soak audits.  A ``chaos`` plan's ``job``
+    faults fire at (site, submit index, attempt); ``expire`` acts on
+    the transport's queue, so it needs a :class:`QueueTransport`.
     """
 
     def __init__(self, transport: LeaseTransport, *,
                  name: str = "worker",
                  heartbeat_interval: Optional[float] = None,
                  runtime: Optional[RuntimePolicy] = None,
-                 chaos: Optional[ServiceChaosPlan] = None) -> None:
+                 chaos: Optional[FaultPlan] = None) -> None:
         self.transport = transport
         self.name = name
         self.heartbeat_interval = heartbeat_interval
@@ -389,14 +390,15 @@ class Worker:
 
     # -- chaos -------------------------------------------------------
 
-    def _chaos(self, lease: Lease, hook: str, at: int = 0) -> None:
+    def _chaos(self, lease: Lease, site: str) -> None:
         if self.chaos is None:
             return
-        event = self.chaos.match(lease.submit_index, lease.attempt,
-                                 hook, at)
-        if event is not None:
-            self.chaos.fire(event, self.transport.queue,
-                            lease.fingerprint)
+        faults = self.chaos.match("job", site, lease.submit_index,
+                                  lease.attempt)
+        if any(fault.kind == "expire" for fault in faults):
+            self.transport.queue.expire_lease(lease.fingerprint)
+        strike(faults)
+        raise_injected(faults, "fail")
 
     # -- the worker turn ---------------------------------------------
 
@@ -487,8 +489,8 @@ class Worker:
                     attempt=lease.attempt, runtime=self.runtime,
                     stream=lambda event: self.transport.progress(
                         lease.fingerprint, lease.token, event),
-                    on_batch=lambda at: self._chaos(lease, "batch",
-                                                    at=at)))
+                    on_batch=lambda at: self._chaos(lease,
+                                                    f"batch:{at}")))
         finally:
             heartbeat.stop()
         if heartbeat.stale.is_set():

@@ -3,7 +3,7 @@ either the *correct* result or a typed ``RuntimeIntegrityError`` —
 never a silently wrong number.
 
 Each scenario runs the real engine on a real gadget with a
-deterministic :class:`~repro.runtime.ChaosPlan` and compares against a
+deterministic :class:`~repro.runtime.FaultPlan` and compares against a
 chaos-free baseline computed with identical seeds.  Process-level
 faults (SIGKILL, hang) exercise the supervisor; backend faults (OOM,
 simulator error) exercise the degradation ladder; invariant faults
@@ -21,9 +21,10 @@ from repro.exceptions import CheckpointError, RuntimeIntegrityError
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.noise import NoiseModel
 from repro.runtime import (
-    ChaosPlan,
     CheckpointStore,
+    Fault,
     FallbackPolicy,
+    FaultPlan,
     RuntimePolicy,
     SupervisorConfig,
     poison_checkpoint_verdict,
@@ -65,20 +66,66 @@ def _mc(tiny, *, workers, runtime=None, invariant=None,
                            invariant=invariant, checkpoint=checkpoint)
 
 
+class TestChaosPlan:
+    def test_events_fire_once(self):
+        plan = FaultPlan().add("job", "start", 0, "fail")
+        assert plan.match("job", "start", 0, 1)
+        assert plan.match("job", "start", 0, 1) == []
+
+    def test_match_is_coordinate_exact(self):
+        plan = FaultPlan().add("job", "batch:1", 2, "fail", attempt=3)
+        assert plan.match("job", "batch:0", 2, 3) == []
+        assert plan.match("job", "batch:1", 2, 2) == []
+        assert plan.match("job", "batch:1", 1, 3) == []
+        assert plan.match("job", "batch:1", 2, 3)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            Fault("job", "start", 0, "segfault")
+
+    def test_unknown_layer_and_site_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault layer"):
+            Fault("disk", "start", 0, "fail")
+        with pytest.raises(ValueError, match="site"):
+            Fault("net", "nosuchop", 0, "drop")
+        with pytest.raises(ValueError, match="site"):
+            Fault("job", "batch", 0, "fail")
+
+    def test_process_kinds_never_target_the_parent(self):
+        with pytest.raises(ValueError, match="pool worker"):
+            Fault("engine", "parent", 0, "kill")
+
+    def test_every_attempt_fault_fires_once_per_attempt(self):
+        plan = FaultPlan().add("engine", "pool", 0, "oom",
+                               attempt=None)
+        for attempt in (1, 2, 3):
+            assert plan.match("engine", "pool", 0, attempt)
+            assert plan.match("engine", "pool", 0, attempt) == []
+        assert plan.fired == 1
+
+    def test_span_covers_count_indices_and_tallies_once(self):
+        plan = FaultPlan().add("fleet", "w1", 2, "partition", count=2)
+        hits = [bool(plan.match("fleet", "w1", index))
+                for index in range(5)]
+        assert hits == [False, False, True, True, False]
+        assert plan.fired == len(plan.faults) == 1
+
+
 @needs_fork
 class TestProcessChaos:
     def test_killed_worker_recovers_correct_result(self, tiny):
         baseline = _mc(tiny, workers=2)
         runtime = RuntimePolicy(
             supervisor=_fast_supervision(),
-            chaos=ChaosPlan.single("kill", chunk_index=0),
+            chaos=FaultPlan().add("engine", "pool", 0, "kill"),
         )
         survived = _mc(tiny, workers=2, runtime=runtime)
         assert survived == baseline
         stats = survived.engine_stats
         assert stats.hung_chunks >= 1
         assert stats.pool_restarts >= 1
-        assert stats.retries >= 1
+        assert stats.retries == 1
+        assert stats.quarantined_chunks == 0
         # Incidents must be visible in the human-readable report.
         assert any("resilience" in line
                    for line in stats.summary_lines())
@@ -87,12 +134,15 @@ class TestProcessChaos:
         baseline = _mc(tiny, workers=2)
         runtime = RuntimePolicy(
             supervisor=_fast_supervision(chunk_deadline_seconds=1.0),
-            chaos=ChaosPlan.single("hang", chunk_index=1),
+            chaos=FaultPlan().add("engine", "pool", 1, "hang",
+                                  seconds=3600.0),
         )
         survived = _mc(tiny, workers=2, runtime=runtime)
         assert survived == baseline
         assert survived.engine_stats.hung_chunks >= 1
         assert survived.engine_stats.pool_restarts >= 1
+        assert survived.engine_stats.retries == 1
+        assert survived.engine_stats.quarantined_chunks == 0
 
     def test_unkillable_chunk_is_quarantined_to_correct_result(
             self, tiny):
@@ -103,23 +153,25 @@ class TestProcessChaos:
         runtime = RuntimePolicy(
             supervisor=_fast_supervision(max_retries=1,
                                          chunk_deadline_seconds=1.0),
-            chaos=ChaosPlan.single("kill", chunk_index=0,
-                                   attempts=None),
+            chaos=FaultPlan().add("engine", "pool", 0, "kill",
+                                  attempt=None),
         )
         survived = _mc(tiny, workers=2, runtime=runtime)
         assert survived == baseline
-        assert survived.engine_stats.quarantined_chunks >= 1
+        assert survived.engine_stats.quarantined_chunks == 1
+        assert survived.engine_stats.retries == 1
 
     def test_unrecoverable_chunk_is_typed_error_not_wrong_number(
             self, tiny):
         # OOM on every attempt, no fallback ladder: the pool retries
-        # fail, and the quarantine re-evaluation (in_parent=True) is
-        # struck too.  The run must die typed, not return garbage.
+        # fail, and the in-parent quarantine re-evaluation is struck
+        # too.  The run must die typed, not return garbage.
         runtime = RuntimePolicy(
             supervisor=_fast_supervision(max_retries=1),
             fallback=None,
-            chaos=ChaosPlan.single("oom", chunk_index=0,
-                                   attempts=None, in_parent=True),
+            chaos=(FaultPlan()
+                   .add("engine", "pool", 0, "oom", attempt=None)
+                   .add("engine", "parent", 0, "oom", attempt=None)),
         )
         with pytest.raises(RuntimeIntegrityError,
                            match="no correct result"):
@@ -130,25 +182,27 @@ class TestBackendChaos:
     def test_oom_degrades_to_statevector(self, tiny):
         baseline = _mc(tiny, workers=1)
         runtime = RuntimePolicy(
-            chaos=ChaosPlan.single("oom", chunk_index=0,
-                                   in_parent=True),
+            chaos=FaultPlan().add("engine", "parent", 0, "oom"),
         )
         survived = _mc(tiny, workers=1, runtime=runtime)
         assert survived == baseline
         stats = survived.engine_stats
-        assert stats.degraded_evaluations.get("statevector", 0) >= 1
-        assert stats.degraded_total >= 1
+        # Every pattern of the struck chunk degrades (chunk_size=8).
+        assert stats.degraded_evaluations == {"statevector": 8}
+        assert stats.degraded_total == 8
+        assert stats.invariant_retries == 0
 
     def test_simulation_error_degrades_identically(self, tiny):
         baseline = _mc(tiny, workers=1)
         runtime = RuntimePolicy(
-            chaos=ChaosPlan.single("simulation_error", chunk_index=0,
-                                   in_parent=True),
+            chaos=FaultPlan().add("engine", "parent", 0,
+                                  "simulation_error"),
         )
         survived = _mc(tiny, workers=1, runtime=runtime)
         assert survived == baseline
-        assert survived.engine_stats.degraded_evaluations.get(
-            "statevector", 0) >= 1
+        assert survived.engine_stats.degraded_evaluations \
+            == {"statevector": 8}
+        assert survived.engine_stats.degraded_total == 8
 
     def test_oom_degrades_to_density_matrix(self, tiny):
         # Skip the statevector rung entirely: the density-matrix
@@ -157,19 +211,19 @@ class TestBackendChaos:
         runtime = RuntimePolicy(
             fallback=FallbackPolicy(ladder=("sparse",
                                             "density_matrix")),
-            chaos=ChaosPlan.single("oom", chunk_index=0,
-                                   in_parent=True),
+            chaos=FaultPlan().add("engine", "parent", 0, "oom"),
         )
         survived = _mc(tiny, workers=1, runtime=runtime)
         assert survived == baseline
-        assert survived.engine_stats.degraded_evaluations.get(
-            "density_matrix", 0) >= 1
+        assert survived.engine_stats.degraded_evaluations \
+            == {"density_matrix": 8}
+        assert survived.engine_stats.degraded_total == 8
 
     def test_exhausted_ladder_is_typed_error(self, tiny):
         runtime = RuntimePolicy(
             fallback=FallbackPolicy(ladder=("sparse",)),
-            chaos=ChaosPlan.single("oom", chunk_index=0,
-                                   attempts=None, in_parent=True),
+            chaos=FaultPlan().add("engine", "parent", 0, "oom",
+                                  attempt=None),
         )
         with pytest.raises(RuntimeIntegrityError,
                            match="every backend"):
@@ -179,13 +233,14 @@ class TestBackendChaos:
         invariant = norm_invariant()
         baseline = _mc(tiny, workers=1, invariant=invariant)
         runtime = RuntimePolicy(
-            chaos=ChaosPlan.single("verification_error",
-                                   chunk_index=0, in_parent=True),
+            chaos=FaultPlan().add("engine", "parent", 0,
+                                  "verification_error"),
         )
         survived = _mc(tiny, workers=1, runtime=runtime,
                        invariant=invariant)
         assert survived == baseline
-        assert survived.engine_stats.invariant_retries >= 1
+        assert survived.engine_stats.invariant_retries == 8
+        assert survived.engine_stats.degraded_total == 0
 
 
 class TestCheckpointChaos:
@@ -217,7 +272,7 @@ class TestCheckpointChaos:
         store = CheckpointStore(str(tmp_path / "combined"))
         runtime = RuntimePolicy(
             supervisor=_fast_supervision(),
-            chaos=ChaosPlan.single("kill", chunk_index=0),
+            chaos=FaultPlan().add("engine", "pool", 0, "kill"),
         )
         survived = _mc(tiny, workers=2, runtime=runtime,
                        checkpoint=store)

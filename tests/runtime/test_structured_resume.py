@@ -7,7 +7,7 @@ run identity), so the same guarantees are re-certified here:
 
 * a structured-model run killed mid-flight and resumed is
   bit-identical to an uninterrupted one;
-* a ChaosPlan-killed worker still converges to the chaos-free result;
+* a FaultPlan-killed worker still converges to the chaos-free result;
 * a journal written by one structured model refuses to resume a
   different one (the ``model`` fingerprint key);
 * worker count never changes a structured-model result.
@@ -29,8 +29,8 @@ from repro.noise import (
     RateSchedule,
 )
 from repro.runtime import (
-    ChaosPlan,
     CheckpointStore,
+    FaultPlan,
     RuntimePolicy,
     SupervisorConfig,
 )
@@ -165,7 +165,7 @@ class TestStructuredChaos:
                 chunk_deadline_seconds=2.0, max_retries=2,
                 backoff_base_seconds=0.01, backoff_factor=2.0,
                 backoff_jitter=0.25, poll_interval_seconds=0.02),
-            chaos=ChaosPlan.single("kill", chunk_index=0),
+            chaos=FaultPlan().add("engine", "pool", 0, "kill"),
         )
         survived = run_monte_carlo(gadget, initial, evaluator, model,
                                    runtime=runtime, **kwargs)
@@ -184,7 +184,7 @@ class TestStructuredChaos:
                 chunk_deadline_seconds=2.0, max_retries=2,
                 backoff_base_seconds=0.01, backoff_factor=2.0,
                 backoff_jitter=0.25, poll_interval_seconds=0.02),
-            chaos=ChaosPlan.single("kill", chunk_index=1),
+            chaos=FaultPlan().add("engine", "pool", 1, "kill"),
         )
         store = CheckpointStore(str(tmp_path / "chaos-ckpt"))
         survived = run_monte_carlo(gadget, initial, evaluator, model,

@@ -9,18 +9,20 @@ undisturbed run of the same spec.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.service import (
+    CertificationServer,
     CertificationService,
+    FaultPlan,
     JobSpec,
     SUCCEEDED,
-    ServiceChaosEvent,
-    ServiceChaosPlan,
+    ServiceClient,
     garble_cache_entry,
     truncate_queue_journal,
 )
-from repro.exceptions import ServiceError
 
 from tests.service.conftest import fast_config, mc_spec, needs_fork, \
     seq_spec
@@ -36,30 +38,11 @@ def _undisturbed_verdict(tmp_path, spec: JobSpec) -> dict:
     return status.verdict
 
 
-class TestChaosPlan:
-    def test_events_fire_once(self):
-        plan = ServiceChaosPlan().fail(0, attempt=1)
-        assert plan.match(0, 1, "start") is not None
-        assert plan.match(0, 1, "start") is None
-
-    def test_match_is_coordinate_exact(self):
-        plan = ServiceChaosPlan().fail(2, attempt=3, hook="batch",
-                                       at=1)
-        assert plan.match(2, 3, "batch", at=0) is None
-        assert plan.match(2, 2, "batch", at=1) is None
-        assert plan.match(1, 3, "batch", at=1) is None
-        assert plan.match(2, 3, "batch", at=1) is not None
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ServiceError, match="unknown chaos kind"):
-            ServiceChaosEvent(0, 1, "segfault")
-
-
 class TestInjectedWorkerFailure:
     def test_fail_then_retry_recovers_identically(self, tmp_path):
         spec = mc_spec()
         reference = _undisturbed_verdict(tmp_path, spec)
-        chaos = ServiceChaosPlan().fail(0, attempt=1)
+        chaos = FaultPlan().add("job", "start", 0, "fail")
         service = CertificationService(str(tmp_path / "svc"),
                                        config=fast_config(),
                                        chaos=chaos)
@@ -73,9 +56,9 @@ class TestInjectedWorkerFailure:
         assert status.verdict == reference
 
     def test_persistent_failure_dead_letters(self, tmp_path):
-        chaos = ServiceChaosPlan()
+        chaos = FaultPlan()
         for attempt in (1, 2, 3):
-            chaos.fail(0, attempt=attempt)
+            chaos.add("job", "start", 0, "fail", attempt=attempt)
         service = CertificationService(str(tmp_path / "svc"),
                                        config=fast_config(),
                                        chaos=chaos)
@@ -94,8 +77,7 @@ class TestExpireUnderLiveWorker:
         verdict, and the final verdict matches undisturbed."""
         spec = mc_spec(trials=80)
         reference = _undisturbed_verdict(tmp_path, spec)
-        chaos = ServiceChaosPlan().expire(0, attempt=1,
-                                          hook="batch", at=0)
+        chaos = FaultPlan().add("job", "batch:0", 0, "expire")
         service = CertificationService(str(tmp_path / "svc"),
                                        config=fast_config(),
                                        chaos=chaos)
@@ -109,6 +91,34 @@ class TestExpireUnderLiveWorker:
         completes = [e for e in events
                      if e["event"] == "complete"]
         assert len(completes) == 1
+
+
+class TestComposedFaults:
+    def test_faults_at_one_coordinate_all_fire(self, tmp_path):
+        """Two faults on one job coordinate and two on one request
+        coordinate: every one fires, and their effects compose."""
+        spec = mc_spec()
+        reference = _undisturbed_verdict(tmp_path, spec)
+        plan = (FaultPlan()
+                .add("job", "start", 0, "expire")
+                .add("job", "start", 0, "fail")
+                .add("net", "health", 0, "delay", seconds=0.1)
+                .add("net", "health", 0, "delay", seconds=0.2))
+        service = CertificationService(str(tmp_path / "svc"),
+                                       config=fast_config(),
+                                       chaos=plan)
+        with CertificationServer(service) as server:
+            client = ServiceClient(*server.address, timeout=5.0)
+            started = time.monotonic()
+            assert client.health()["ok"] is True
+            assert time.monotonic() - started >= 0.3
+        fp = service.submit(spec)
+        service.worker("w1").run_until_drained(timeout=60.0)
+        assert plan.fired == len(plan.faults)
+        status = service.status(fp)
+        assert status.state == SUCCEEDED
+        assert status.attempt == 2
+        assert status.verdict == reference
 
 
 class TestJournalTruncation:
@@ -167,8 +177,7 @@ class TestKilledWorker:
         per-job checkpoint and lands the identical verdict."""
         spec = mc_spec(trials=80)
         reference = _undisturbed_verdict(tmp_path, spec)
-        chaos = ServiceChaosPlan().kill(0, attempt=1, hook="batch",
-                                        at=0)
+        chaos = FaultPlan().add("job", "batch:0", 0, "kill")
         service = CertificationService(
             str(tmp_path / "svc"),
             config=fast_config(workers=1, lease_ttl=0.5,
@@ -187,8 +196,7 @@ class TestKilledWorker:
         spec = seq_spec(p=0.05, p0=0.001, p1=0.03, max_trials=400,
                         batch_size=50, seed=13)
         reference = _undisturbed_verdict(tmp_path, spec)
-        chaos = ServiceChaosPlan().kill(0, attempt=1, hook="batch",
-                                        at=0)
+        chaos = FaultPlan().add("job", "batch:0", 0, "kill")
         service = CertificationService(
             str(tmp_path / "svc"),
             config=fast_config(workers=1, lease_ttl=0.5,
@@ -207,8 +215,8 @@ class TestKilledWorker:
         the respawned worker finishes the job."""
         spec = mc_spec(trials=80)
         reference = _undisturbed_verdict(tmp_path, spec)
-        chaos = ServiceChaosPlan().hang(0, seconds=30.0, attempt=1,
-                                        hook="batch", at=0)
+        chaos = FaultPlan().add("job", "batch:0", 0, "hang",
+                                seconds=30.0)
         service = CertificationService(
             str(tmp_path / "svc"),
             config=fast_config(workers=1, lease_ttl=0.4,

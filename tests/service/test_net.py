@@ -18,7 +18,7 @@ from repro.service import (
     CANCELLED,
     CertificationServer,
     CertificationService,
-    NetChaosPlan,
+    FaultPlan,
     PENDING,
     SUCCEEDED,
     ServiceClient,
@@ -193,15 +193,16 @@ class TestCancellation:
 class TestClientRetries:
     """Each network fault kind, injected at an exact coordinate."""
 
-    def _served_with(self, tmp_path, plan: NetChaosPlan):
+    def _served_with(self, tmp_path, plan: FaultPlan):
         service = CertificationService(str(tmp_path / "svc"),
-                                       config=fast_config())
-        server = CertificationServer(service, net_chaos=plan)
+                                       config=fast_config(),
+                                       chaos=plan)
+        server = CertificationServer(service)
         server.start()
         return service, server
 
     def test_drop_is_retried(self, tmp_path):
-        plan = NetChaosPlan().drop("health", 0)
+        plan = FaultPlan().add("net", "health", 0, "drop")
         _service, server = self._served_with(tmp_path, plan)
         try:
             client = _client(server, timeout=1.0)
@@ -213,7 +214,7 @@ class TestClientRetries:
             server.close()
 
     def test_garble_is_never_believed(self, tmp_path):
-        plan = NetChaosPlan().garble("health", 0)
+        plan = FaultPlan().add("net", "health", 0, "garble")
         _service, server = self._served_with(tmp_path, plan)
         try:
             client = _client(server)
@@ -224,7 +225,7 @@ class TestClientRetries:
             server.close()
 
     def test_disconnect_midflight_is_retried(self, tmp_path):
-        plan = NetChaosPlan().disconnect("health", 0)
+        plan = FaultPlan().add("net", "health", 0, "disconnect")
         _service, server = self._served_with(tmp_path, plan)
         try:
             client = _client(server)
@@ -234,7 +235,8 @@ class TestClientRetries:
             server.close()
 
     def test_delay_beyond_timeout_is_retried(self, tmp_path):
-        plan = NetChaosPlan().delay("health", 0, 1.0)
+        plan = FaultPlan().add("net", "health", 0, "delay",
+                                  seconds=1.0)
         _service, server = self._served_with(tmp_path, plan)
         try:
             client = _client(server, timeout=0.2)
@@ -244,7 +246,7 @@ class TestClientRetries:
             server.close()
 
     def test_duplicate_submit_enqueues_once(self, tmp_path):
-        plan = NetChaosPlan().duplicate("submit", 0)
+        plan = FaultPlan().add("net", "submit", 0, "duplicate")
         service, server = self._served_with(tmp_path, plan)
         try:
             client = _client(server)
@@ -258,7 +260,8 @@ class TestClientRetries:
             server.close()
 
     def test_exhaustion_raises_typed_error(self, tmp_path):
-        plan = NetChaosPlan().drop("health", 0).drop("health", 1)
+        plan = (FaultPlan().add("net", "health", 0, "drop")
+                .add("net", "health", 1, "drop"))
         _service, server = self._served_with(tmp_path, plan)
         try:
             client = _client(server, timeout=0.5, max_attempts=2)
@@ -270,7 +273,7 @@ class TestClientRetries:
             server.close()
 
     def test_backoff_schedule_is_deterministic(self, tmp_path):
-        plan = NetChaosPlan().drop("health", 0)
+        plan = FaultPlan().add("net", "health", 0, "drop")
         _service, server = self._served_with(tmp_path, plan)
         try:
             client = _client(server, timeout=1.0)

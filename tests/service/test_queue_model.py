@@ -2,8 +2,10 @@
 
 A hypothesis ``RuleBasedStateMachine`` drives one queue on a fake
 clock through random interleavings of submit, claim, heartbeat,
-complete, fail, forced expiry, reap, cancel, clock advances and a
-torn journal tail, and mirrors every transition in dictionaries:
+complete, fail, forced expiry, reap (plus a targeted reap with the
+clock between a lease's deadline and its expiry), cancel, clock
+advances and a torn journal tail, and mirrors every transition in
+dictionaries:
 
 * ``jobs`` — what replaying the journal must derive per job (state,
   attempt, backoff ``not_before``, submit index);
@@ -29,7 +31,7 @@ import shutil
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     Bundle,
@@ -240,11 +242,34 @@ class QueueMachine(RuleBasedStateMachine):
             if held is not None and not (now > held["expires_at"]
                                          or now > held["deadline_at"]):
                 continue
+            if held is not None and now <= held["expires_at"]:
+                event("reap: lease past its deadline, not its expiry")
             self._append("expire")
             job["state"] = PENDING
             self.leases.pop(fingerprint, None)
             expected.append(fingerprint)
         assert reaped == expected
+
+    def _before_deadline(self):
+        """Running jobs whose held lease reaches its deadline before
+        its expiry, and has reached neither yet."""
+        now = self.clock()
+        return [fingerprint for fingerprint, held
+                in sorted(self.leases.items())
+                if self.jobs[fingerprint]["state"] == RUNNING
+                and now <= held["deadline_at"] < held["expires_at"]]
+
+    @precondition(lambda self: self._before_deadline())
+    @rule()
+    def reap_past_deadline(self):
+        """Move the clock between a lease's deadline and its expiry,
+        then reap: the deadline alone must reclaim it."""
+        fingerprint = self._before_deadline()[0]
+        held = self.leases[fingerprint]
+        self.clock.advance((held["deadline_at"] + held["expires_at"])
+                           / 2 - self.clock())
+        self.reap()
+        assert fingerprint not in self.leases
 
     @rule(index=st.integers(0, len(SPECS) - 1))
     def cancel(self, index):

@@ -31,7 +31,7 @@ from repro.service import (
     CertificationServer,
     CertificationService,
     DEAD,
-    NetChaosPlan,
+    FaultPlan,
     RemoteWorker,
     SUCCEEDED,
     ServiceClient,
@@ -58,9 +58,9 @@ def _served(tmp_path, *, net=None, secret=SECRET, **overrides):
     knobs = dict(workers=0, lease_ttl=1.0, job_deadline=60.0)
     knobs.update(overrides)
     service = CertificationService(str(tmp_path / "svc"),
-                                   config=fast_config(**knobs))
-    server = CertificationServer(service, net_chaos=net,
-                                 worker_secret=secret)
+                                   config=fast_config(**knobs),
+                                   chaos=net)
+    server = CertificationServer(service, worker_secret=secret)
     return service, server
 
 
@@ -301,7 +301,8 @@ class TestRemoteWorker:
         # claim must NOT reap the live holder in the window between
         # expiry and the late-landing renewal.
         spec = mc_spec(seed=36)
-        net = NetChaosPlan().delay_heartbeat("z1", 0, 0.3)
+        net = FaultPlan().add("fleet", "z1/work_heartbeat", 0, "delay",
+                              seconds=0.3)
         service, server = _served(tmp_path, net=net, lease_ttl=0.2,
                                   clock_skew_grace=2.0)
         with server:
@@ -364,13 +365,13 @@ class TestRemoteFleetSoak:
         assert reference["counts"] == {SUCCEEDED: 12}
 
         net = (
-            NetChaosPlan()
+            FaultPlan()
             # Partition r1 for two consecutive authenticated
             # requests (the retry is partitioned too).
-            .partition("r1", 2, count=2)
+            .add("fleet", "r1", 2, "partition", count=2)
             # Process the first terminal write twice: the
             # at-least-once duplicate the queue must absorb.
-            .duplicate_complete(0)
+            .add("net", "work_complete", 0, "duplicate")
         )
         service, server = _served(
             tmp_path, net=net, lease_ttl=0.5, max_attempts=4,
@@ -435,8 +436,7 @@ class TestRemoteFleetSoak:
             # Every injected fault actually fired, and the
             # duplicated complete surfaced to exactly one worker as
             # an absorbed duplicate.
-            assert net.fired == \
-                len(net.events) + len(net.worker_events)
+            assert net.fired == len(net.faults)
             assert sum(worker.duplicates for worker in workers) == 1
             assert sum(worker.completions for worker in workers) \
                 == 12

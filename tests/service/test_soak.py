@@ -15,9 +15,9 @@ from typing import Dict, List
 
 from repro.service import (
     CertificationService,
+    FaultPlan,
     JobSpec,
     SUCCEEDED,
-    ServiceChaosPlan,
     garble_cache_entry,
     truncate_queue_journal,
 )
@@ -69,16 +69,16 @@ class TestChaosSoak:
         specs = soak_specs()
 
         chaos = (
-            ServiceChaosPlan()
-            .kill(0, attempt=1, hook="start")          # instant kill
-            .kill(3, attempt=1, hook="batch", at=0)    # mid-journal
-            .kill(13, attempt=1, hook="batch", at=1)   # sequential
-            .hang(5, seconds=30.0, attempt=1,
-                  hook="batch", at=0)                  # past deadline
-            .expire(7, attempt=1, hook="batch", at=0)  # live holder
-            .expire(15, attempt=1, hook="start")
-            .fail(9, attempt=1)                        # typed error
-            .fail(16, attempt=1)
+            FaultPlan()
+            .add("job", "start", 0, "kill")            # instant kill
+            .add("job", "batch:0", 3, "kill")          # mid-journal
+            .add("job", "batch:1", 13, "kill")         # sequential
+            .add("job", "batch:0", 5, "hang",
+                 seconds=30.0)                         # past deadline
+            .add("job", "batch:0", 7, "expire")        # live holder
+            .add("job", "start", 15, "expire")
+            .add("job", "start", 9, "fail")            # typed error
+            .add("job", "start", 16, "fail")
         )
         service = CertificationService(
             str(tmp_path / "soak"),

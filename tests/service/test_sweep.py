@@ -10,8 +10,8 @@ from repro.exceptions import CheckpointError, ServiceError
 from repro.service import (
     CertificationService,
     DEAD,
+    FaultPlan,
     SUCCEEDED,
-    ServiceChaosPlan,
     SweepSpec,
     load_sweep,
     merge_sweep,
@@ -220,7 +220,8 @@ class TestSubmitAndMerge:
     def test_dead_cell_is_a_typed_partial_verdict(self, tmp_path):
         """A cell that exhausts its retry budget appears in the table
         as a named, typed failure — never a silent gap."""
-        chaos = ServiceChaosPlan().fail(2, attempt=1).fail(2, attempt=2)
+        chaos = (FaultPlan().add("job", "start", 2, "fail")
+                 .add("job", "start", 2, "fail", attempt=2))
         service = CertificationService(
             str(tmp_path / "svc"),
             config=fast_config(max_attempts=2), chaos=chaos)

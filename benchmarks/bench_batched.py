@@ -20,7 +20,6 @@ import pytest
 
 from repro.analysis import n_gadget_evaluator
 from repro.analysis.engine import run_malignant_pairs, run_monte_carlo
-from repro.analysis.montecarlo import _default_locations
 from repro.codes import SteaneCode
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.noise import NoiseModel
@@ -46,7 +45,7 @@ def _steane_n():
 def test_batched_speedup(benchmark):
     """Serial vs lane-stacked evaluation on the threshold sweep."""
     gadget, initial, evaluator = _steane_n()
-    locations = _default_locations(gadget)
+    locations = gadget.fault_locations()
     noise = NoiseModel.uniform(0.002)
     mc_trials = SAMPLES * 2
 

@@ -22,7 +22,6 @@ from repro.analysis import (
     n_gadget_evaluator,
     sample_malignant_pairs,
 )
-from repro.analysis.montecarlo import _default_locations
 from repro.codes import SteaneCode
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.noise import NoiseModel
@@ -47,7 +46,7 @@ def context():
 
 def test_fig1_report(benchmark, context):
     code, gadget, initial, evaluator = context
-    locations = _default_locations(gadget)
+    locations = gadget.fault_locations()
 
     def run_experiment():
         failures = exhaustive_single_faults_sparse(
@@ -104,12 +103,16 @@ def test_fig1_report(benchmark, context):
 def test_fig1_unprotected_baseline(benchmark):
     """Contrast: a bare (unencoded) bit copy degrades linearly."""
     from repro.circuits import Circuit, gates
-    from repro.noise import monte_carlo
-    from repro.simulators import StateVector
+    from repro.ft.gadget import Gadget, Register
+    from repro.simulators.sparse import SparseState
 
     circuit = Circuit(2)
     circuit.add_gate(gates.CNOT, 0, 1)
-    clean = StateVector(2)
+    # Both qubits are one unencoded data block: inputs and the gate
+    # are the fault locations.
+    bare = Gadget(name="bare_copy", circuit=circuit, registers={
+        "data": Register("data", (0, 1), role="data")})
+    clean = SparseState(2)
     ps = (3e-3, 1e-2, 3e-2)
 
     def evaluator(state):
@@ -118,9 +121,9 @@ def test_fig1_unprotected_baseline(benchmark):
     def run_experiment():
         rates = []
         for index, p in enumerate(ps):
-            result = monte_carlo(circuit, NoiseModel.uniform(p),
-                                 evaluator, trials=4000,
-                                 seed=20 + index)
+            result = gadget_monte_carlo(bare, SparseState(2), evaluator,
+                                        NoiseModel.uniform(p),
+                                        trials=4000, seed=20 + index)
             rates.append(result.failure_rate)
         return rates
 

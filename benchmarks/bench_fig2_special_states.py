@@ -16,7 +16,6 @@ sigma_z^{1/4} gadget, |AND> for the Toffoli gadget):
 import pytest
 
 from repro.analysis import exhaustive_single_faults_sparse
-from repro.analysis.montecarlo import _default_locations
 from repro.codes import SteaneCode, TrivialCode
 from repro.ft import (
     and_state_spec,
@@ -81,7 +80,7 @@ def test_fig2_fault_scope(benchmark):
         return scratch.block_overlap(block, expected) > 1 - 1e-7
 
     def run_experiment():
-        locations = _default_locations(gadget)
+        locations = gadget.fault_locations()
         failures = exhaustive_single_faults_sparse(
             gadget, initial, evaluator, locations=locations,
             workers=2,

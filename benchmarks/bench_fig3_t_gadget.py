@@ -21,7 +21,6 @@ from repro.analysis import (
     recovered_overlap_evaluator,
     sample_malignant_pairs,
 )
-from repro.analysis.montecarlo import _default_locations
 from repro.codes import SteaneCode
 from repro.ft import (
     build_t_gadget,
@@ -53,7 +52,7 @@ def context():
 
 def test_fig3_report(benchmark, context):
     code, gadget, initial, evaluator = context
-    locations = _default_locations(gadget)
+    locations = gadget.fault_locations()
 
     def run_experiment():
         clean = initial.copy()

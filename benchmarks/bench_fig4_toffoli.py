@@ -18,7 +18,6 @@ import pytest
 
 from repro.analysis import recovered_overlap_evaluator, \
     sample_malignant_pairs
-from repro.analysis.montecarlo import _default_locations
 from repro.codes import SteaneCode, TrivialCode
 from repro.ft import (
     build_toffoli_gadget,
@@ -72,14 +71,10 @@ def test_fig4_steane_counting(benchmark):
     small = build_toffoli_gadget(trivial)
 
     def run_experiment():
-        locations = _default_locations(gadget)
+        locations = gadget.fault_locations()
         from repro.noise import count_locations
 
-        counts = count_locations(
-            gadget.circuit,
-            input_qubits=[q for loc in locations
-                          if loc.kind == "input" for q in loc.qubits],
-        )
+        counts = count_locations(gadget.circuit, locations)
         expected = expected_toffoli_output(trivial, {(1, 1, 0): 1.0})
         evaluator = recovered_overlap_evaluator(
             small, trivial, ["and_a", "and_b", "and_c"], expected

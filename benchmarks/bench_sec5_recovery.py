@@ -19,7 +19,6 @@ from repro.analysis import (
     recovered_overlap_evaluator,
     sample_malignant_pairs,
 )
-from repro.analysis.montecarlo import _default_locations
 from repro.circuits import PauliString, iter_single_qubit_paulis
 from repro.codes import SteaneCode
 from repro.ft import (
@@ -100,7 +99,7 @@ def _extract(state, block):
 
 def test_sec5_internal_fault_tolerance(benchmark, context):
     code, data, gadget, initial, evaluator = context
-    locations = _default_locations(gadget)
+    locations = gadget.fault_locations()
 
     def run_experiment():
         failures = exhaustive_single_faults_sparse(

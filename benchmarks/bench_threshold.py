@@ -29,7 +29,6 @@ from repro.analysis import (
     sample_malignant_pairs,
     sampled_threshold_report,
 )
-from repro.analysis.montecarlo import _default_locations
 from repro.circuits import Circuit, PauliString, gates
 from repro.codes import SteaneCode
 from repro.ft import build_n_gadget, build_recovery_gadget, \
@@ -99,7 +98,7 @@ def test_threshold_table(benchmark):
         stats_lines = []
         for index, variant in enumerate(("direct", "voted")):
             gadget, initial, evaluator = analyze_n(variant)
-            locations = _default_locations(gadget)
+            locations = gadget.fault_locations()
             threshold_report = sampled_threshold_report(
                 gadget, initial, evaluator, samples=400,
                 seed=61 + index, locations=locations,
@@ -149,7 +148,7 @@ def test_engine_speedup(benchmark):
         {"quantum": sparse_coset_state(code, 0)}
     )
     evaluator = n_gadget_evaluator(gadget, code, 0)
-    locations = _default_locations(gadget)
+    locations = gadget.fault_locations()
     noise = NoiseModel.uniform(SPEEDUP_P)
 
     def run_experiment():
@@ -289,7 +288,7 @@ def test_gadget_inventory(benchmark):
         ]
         rows = []
         for gadget in gadgets:
-            locations = _default_locations(gadget)
+            locations = gadget.fault_locations()
             kinds = {"gate": 0, "input": 0, "delay": 0}
             for loc in locations:
                 kinds[loc.kind] += 1

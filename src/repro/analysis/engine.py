@@ -59,6 +59,7 @@ evaluation with identical results.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import multiprocessing
 import os
 import time
@@ -82,7 +83,7 @@ from repro.exceptions import (
     VerificationError,
 )
 from repro.ft.gadget import Gadget, apply_circuit_with_faults
-from repro.noise.locations import FaultLocation, enumerate_locations
+from repro.noise.locations import FaultLocation, FaultSpace
 from repro.noise.model import NoiseModel
 from repro.runtime.chaos import Fault, raise_injected, strike
 from repro.runtime.checkpoint import CheckpointStore, as_store
@@ -771,25 +772,6 @@ def _resolve_verdicts(context: _EvalContext,
     return verdict_map
 
 
-def _location_setup(noise: Optional[NoiseModel], gadget: Gadget,
-                    locations: Sequence[FaultLocation]
-                    ) -> Tuple[np.ndarray, List[List[PauliString]],
-                               List[int]]:
-    """Precompute per-location strike probabilities and fault choices.
-
-    ``fault_choices`` is a ``pauli_basis`` walk; doing it once per run
-    rather than per struck location of every trial is a measurable win
-    on its own.
-    """
-    model = noise if noise is not None else NoiseModel.uniform(1.0)
-    probs = np.array([model.probability_for(loc) for loc in locations],
-                     dtype=float)
-    choices = [model.fault_choices(loc, gadget.num_qubits)
-               for loc in locations]
-    after_ops = [loc.after_op for loc in locations]
-    return probs, choices, after_ops
-
-
 def _spawn_chunks(seed: Optional[int], total: int, chunk_size: int,
                   stream_key: Sequence[int] = ()
                   ) -> List[Tuple[int, np.random.SeedSequence]]:
@@ -840,17 +822,16 @@ def chunk_seed_sequence(seed: int, chunk_index: int,
 
 
 def sample_fault_chunk(noise: NoiseModel, gadget: Gadget,
-                       locations: Sequence[FaultLocation],
+                       space: FaultSpace,
                        probs: np.ndarray,
-                       choices: List[List[PauliString]],
-                       after_ops: List[int],
                        rng: np.random.Generator,
                        length: int,
                        histogram: Dict[int, int],
                        pattern_counts: Dict[FaultPattern, int]) -> None:
     """Sample ``length`` Monte-Carlo trials from one chunk RNG.
 
-    Folds fault-count tallies into ``histogram`` and canonical
+    ``probs`` is ``space.probabilities(noise)``, computed once per
+    run.  Folds fault-count tallies into ``histogram`` and canonical
     patterns into ``pattern_counts`` in place.  This is the exact draw
     sequence the historical ``run_monte_carlo`` loop used (structured
     per-trial path, vectorised iid fast path) — extracted so the
@@ -864,7 +845,7 @@ def sample_fault_chunk(noise: NoiseModel, gadget: Gadget,
         # path below would miss all of that.
         for _ in range(length):
             sampled = noise.sample_faults(gadget.circuit, rng,
-                                          locations)
+                                          space.locations)
             faults = [(fault.pauli, fault.after_op)
                       for fault in sampled]
             count = len(faults)
@@ -873,7 +854,8 @@ def sample_fault_chunk(noise: NoiseModel, gadget: Gadget,
                 key = canonical_pattern(faults)
                 pattern_counts[key] = pattern_counts.get(key, 0) + 1
         return
-    strikes = rng.random((length, len(locations)))
+    choices, after_ops = space.choices, space.after_ops
+    strikes = rng.random((length, len(space)))
     for row in range(length):
         struck = np.nonzero(strikes[row] < probs)[0]
         faults: List[Fault] = []
@@ -890,9 +872,7 @@ def sample_fault_chunk(noise: NoiseModel, gadget: Gadget,
             pattern_counts[key] = pattern_counts.get(key, 0) + 1
 
 
-def sample_pair_chunk(choices: List[List[PauliString]],
-                      after_ops: List[int],
-                      num_locations: int,
+def sample_pair_chunk(space: FaultSpace,
                       rng: np.random.Generator,
                       length: int,
                       pattern_counts: Dict[FaultPattern, int]) -> None:
@@ -902,6 +882,8 @@ def sample_pair_chunk(choices: List[List[PauliString]],
     Extracted from ``run_malignant_pairs`` unchanged (same draw order)
     so sequential pair certification shares its fault stream.
     """
+    choices, after_ops = space.choices, space.after_ops
+    num_locations = len(space)
     for _ in range(length):
         i = int(rng.integers(0, num_locations))
         j = int(rng.integers(0, num_locations - 1))
@@ -945,23 +927,39 @@ def _apply_optimizer(gadget: Gadget, optimize,
     return optimize_gadget(gadget, pipeline), pipeline.marker
 
 
-def _default_locations(gadget: Gadget) -> List[FaultLocation]:
-    """Every fault location of a gadget, its data and quantum-ancilla
-    registers counted as inputs."""
-    input_qubits: List[int] = []
-    for register in gadget.registers.values():
-        if register.role in ("data", "quantum_ancilla"):
-            input_qubits.extend(register.qubits)
-    return enumerate_locations(gadget.circuit,
-                               input_qubits=sorted(input_qubits))
+def _location_key(locations: Sequence[FaultLocation]) -> str:
+    return repr([(location.kind, location.qubits, location.after_op)
+                 for location in locations])
+
+
+def _location_fields(gadget: Gadget,
+                     given: Optional[Sequence[FaultLocation]],
+                     count: int) -> Dict[str, object]:
+    """The checkpoint fingerprint's location fields.
+
+    The location ``count``, plus a ``location_digest`` marker when the
+    caller's ``locations=`` (``given``; ``None`` means the defaults)
+    differ from :meth:`Gadget.fault_locations`: two location lists of
+    equal length must never share a journal, while a default-location
+    fingerprint stays byte-identical to what older journals recorded.
+    """
+    fields: Dict[str, object] = {"locations": count}
+    if given is not None:
+        key = _location_key(given)
+        if key != _location_key(gadget.fault_locations()):
+            fields["location_digest"] = hashlib.sha256(
+                key.encode()).hexdigest()
+    return fields
 
 
 class _Run:
     """The set-up every sampling entry point shares.
 
     Construction resolves the inputs: the ``optimize=`` rewrite, the
-    default fault locations, the ``workers``/``batch_size`` options
-    and the evaluation context.  :meth:`open` then stamps the run's
+    run's :class:`~repro.noise.locations.FaultSpace` (the gadget's
+    default locations unless given, with the noise model's channel or
+    ``channel``), the ``workers``/``batch_size`` options and the
+    evaluation context.  :meth:`open` then stamps the run's
     checkpoint fingerprint and opens its journal.  Entry points check
     their own arguments between the two steps, so a refused call never
     touches an existing journal.
@@ -971,6 +969,7 @@ class _Run:
                  evaluator: Callable[[SparseState], bool],
                  locations: Optional[Sequence[FaultLocation]], *,
                  noise: Optional[NoiseModel] = None,
+                 channel: str = "depolarizing",
                  optimize=False,
                  workers: int = 1,
                  batch_size: int = 1,
@@ -991,9 +990,11 @@ class _Run:
             )
         gadget, self.optimizer = _apply_optimizer(gadget, optimize,
                                                   locations)
-        if locations is None:
-            locations = _default_locations(gadget)
-        self.locations = list(locations)
+        self.given_locations = locations
+        self.space = FaultSpace.build(
+            gadget.circuit,
+            gadget.fault_locations() if locations is None else locations,
+            noise.channel if noise is not None else channel)
         self.noise = noise
         self.workers = _coerce_positive(workers, "workers")
         self.memoize = memoize
@@ -1015,8 +1016,9 @@ class _Run:
         """Fingerprint the run and open its ``checkpoint=`` journal.
 
         The fingerprint is the workload's ``fields`` framed by the
-        gadget identity, then the noise model's identity and the
-        markers.  A marker is stamped only when it applies, so the
+        gadget identity and its location fields (see
+        :func:`_location_fields`), then the noise model's identity and
+        the markers.  A marker is stamped only when it applies, so the
         fingerprint of a baseline-noise, serial, unoptimized run stays
         byte-identical to what older journals recorded, while a
         journal never silently resumes under a different structured
@@ -1028,10 +1030,14 @@ class _Run:
         after the fingerprint check; on a fresh run the directory is
         cleared and a new header written.
         """
+        store = as_store(checkpoint)
+        if store is None:
+            return
         fingerprint: Dict[str, object] = {
             "workload": workload,
             "gadget": self.gadget.name,
-            "locations": len(self.locations),
+            **_location_fields(self.gadget, self.given_locations,
+                               len(self.space)),
             **fields,
         }
         noise = self.noise
@@ -1047,10 +1053,6 @@ class _Run:
             fingerprint["eval_path"] = eval_path
         if self.optimizer is not None:
             fingerprint["optimizer"] = self.optimizer
-
-        store = as_store(checkpoint)
-        if store is None:
-            return
         # Only the exhaustive sweep is unseeded; it is deterministic.
         if "seed" in fingerprint and fingerprint["seed"] is None:
             raise AnalysisError(
@@ -1225,14 +1227,13 @@ def run_monte_carlo(gadget: Gadget,
     run.open("monte_carlo", {"seed": seed, "trials": trials,
                              "chunk_size": chunk_size},
              checkpoint, resume)
-    probs, choices, after_ops = _location_setup(noise, run.gadget,
-                                                run.locations)
+    probs = run.space.probabilities(noise)
     histogram: Dict[int, int] = {}
     pattern_counts, verdict_map = run.judge_chunks(
         seed, trials, chunk_size,
         lambda rng, length, counts: sample_fault_chunk(
-            noise, run.gadget, run.locations, probs, choices, after_ops,
-            rng, length, histogram, counts),
+            noise, run.gadget, run.space, probs, rng, length, histogram,
+            counts),
         stream_key=noise.stream_key())
 
     failures = 0
@@ -1258,8 +1259,8 @@ def run_monte_carlo(gadget: Gadget,
     )
 
 
-def _require_pair_locations(locations: Sequence[FaultLocation]) -> None:
-    if len(locations) < 2:
+def _require_pair_locations(space: FaultSpace) -> None:
+    if len(space) < 2:
         raise AnalysisError(
             "malignant-pair sampling needs at least two fault locations"
         )
@@ -1298,25 +1299,21 @@ def run_malignant_pairs(gadget: Gadget,
     from repro.analysis.montecarlo import MalignantPairSample
 
     run = _Run(gadget, initial_state, evaluator, locations,
-               optimize=optimize, workers=workers, batch_size=batch_size,
-               memoize=memoize, cache=cache, progress=progress,
-               invariant=invariant, runtime=runtime)
+               channel=channel, optimize=optimize, workers=workers,
+               batch_size=batch_size, memoize=memoize, cache=cache,
+               progress=progress, invariant=invariant, runtime=runtime)
     samples = _coerce_count(samples, "samples")
     if samples > 0:
-        _require_pair_locations(run.locations)
+        _require_pair_locations(run.space)
     chunk_size = _coerce_positive(chunk_size, "chunk_size")
     run.open("malignant_pairs", {"seed": seed, "samples": samples,
                                  "chunk_size": chunk_size,
                                  "channel": channel},
              checkpoint, resume)
-    model = NoiseModel.uniform(1.0, channel=channel)
-    _, choices, after_ops = _location_setup(model, run.gadget,
-                                            run.locations)
-    count = len(run.locations)
     pattern_counts, verdict_map = run.judge_chunks(
         seed, samples, chunk_size,
         lambda rng, length, counts: sample_pair_chunk(
-            choices, after_ops, count, rng, length, counts))
+            run.space, rng, length, counts))
     malignant = sum(multiplicity
                     for pattern, multiplicity in pattern_counts.items()
                     if not verdict_map[pattern])
@@ -1324,7 +1321,7 @@ def run_malignant_pairs(gadget: Gadget,
     return MalignantPairSample(
         samples=samples,
         malignant=malignant,
-        num_locations=count,
+        num_locations=len(run.space),
         engine_stats=run.stats,
     )
 
@@ -1364,16 +1361,14 @@ def run_exhaustive(gadget: Gadget,
     no seed is required to resume.
     """
     run = _Run(gadget, initial_state, evaluator, locations,
-               optimize=optimize, workers=workers, batch_size=batch_size,
-               memoize=memoize, cache=cache, progress=progress,
-               invariant=invariant, runtime=runtime)
+               channel=channel, optimize=optimize, workers=workers,
+               batch_size=batch_size, memoize=memoize, cache=cache,
+               progress=progress, invariant=invariant, runtime=runtime)
     chunk_size = _coerce_positive(chunk_size, "chunk_size")
-    model = NoiseModel.uniform(1.0, channel=channel)
     items: List[Tuple[FaultLocation, PauliString, FaultPattern]] = [
         (location, pauli,
          canonical_pattern([(pauli, location.after_op)]))
-        for location in run.locations
-        for pauli in model.fault_choices(location, run.gadget.num_qubits)
+        for location, pauli in run.space.singles()
     ]
     run.stats.trials = len(items)
     run.open("exhaustive", {"items": len(items),

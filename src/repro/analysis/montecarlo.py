@@ -34,7 +34,7 @@ from typing import (
 from repro.analysis.engine import (
     DEFAULT_CHUNK_SIZE,
     FaultPatternCache,
-    _default_locations,
+    _location_fields,
     run_exhaustive,
     run_malignant_pairs as sample_malignant_pairs,
     run_monte_carlo as gadget_monte_carlo,
@@ -265,8 +265,9 @@ def sweep_p(gadget: Gadget,
     process; the statistics did not).  Requires a seed and memoization,
     like the per-run journals.
     """
-    if locations is None:
-        locations = _default_locations(gadget)
+    given = locations
+    locations = list(gadget.fault_locations() if given is None
+                     else given)
     if cache is None and memoize:
         cache = FaultPatternCache()
 
@@ -285,7 +286,7 @@ def sweep_p(gadget: Gadget,
         fingerprint = {
             "workload": "sweep_p",
             "gadget": gadget.name,
-            "locations": len(list(locations)),
+            **_location_fields(gadget, given, len(locations)),
             "p_values": [float(p) for p in p_values],
             "trials": int(trials),
             "seed": seed,

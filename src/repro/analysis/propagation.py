@@ -1,7 +1,8 @@
 """Symbolic fault analysis of gadget circuits (conservative bounds).
 
-Works at any qubit count: faults are pushed through the gadget circuit
-in the Heisenberg picture (:class:`~repro.simulators.pauli_tracker.
+Works at any qubit count: every single fault of the gadget's default
+:class:`~repro.noise.locations.FaultSpace` is pushed through the
+circuit in the Heisenberg picture (:class:`~repro.simulators.pauli_tracker.
 PauliPropagator`), and the propagated residual is judged per register
 block — the style of evaluation the paper performs by hand ("the
 threshold can easily be calculated by counting the potential places
@@ -17,9 +18,10 @@ single faults as failures.  Its legitimate uses are (a) exact fault
 *location* counting, (b) conservative *upper bounds* on malignant
 pairs, and (c) relative comparisons between gadget variants.  The
 authoritative certification — zero malignant single faults, and
-sampled malignant-pair counts — comes from exact simulation in
-:mod:`repro.analysis.montecarlo`
-(:func:`~repro.analysis.montecarlo.exhaustive_single_faults_sparse`).
+sampled malignant-pair counts — comes from exact simulation of the
+same fault space by :mod:`repro.analysis.engine`
+(:func:`~repro.analysis.engine.run_exhaustive` and
+:func:`~repro.analysis.engine.run_malignant_pairs`).
 
 Acceptance criteria per block role:
 
@@ -42,14 +44,13 @@ Acceptance criteria per block role:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.circuits.pauli import PauliString
 from repro.codes.quantum.css import CssCode
 from repro.exceptions import AnalysisError
 from repro.ft.gadget import Gadget
-from repro.noise.locations import FaultLocation, enumerate_locations
-from repro.noise.model import NoiseModel
+from repro.noise.locations import FaultLocation, FaultSpace
 from repro.simulators.pauli_tracker import PauliPropagator, PropagatedFault
 
 
@@ -79,21 +80,17 @@ class GadgetFaultAnalyzer:
     """Propagates and judges faults for one gadget."""
 
     def __init__(self, gadget: Gadget, code: CssCode,
-                 ignore_quantum_ancilla_phase: bool = True,
-                 input_roles: Sequence[str] = ("data", "quantum_ancilla")
-                 ) -> None:
+                 ignore_quantum_ancilla_phase: bool = True) -> None:
         self.gadget = gadget
         self.code = code
         self.ignore_quantum_ancilla_phase = ignore_quantum_ancilla_phase
         self._propagator = PauliPropagator(gadget.circuit)
-        input_qubits: List[int] = []
-        for register in gadget.registers.values():
-            if register.role in input_roles:
-                input_qubits.extend(register.qubits)
-        self.locations: List[FaultLocation] = enumerate_locations(
-            gadget.circuit, input_qubits=sorted(input_qubits),
-        )
-        self._noise = NoiseModel.uniform(1.0)
+        self.space = FaultSpace.build(gadget.circuit,
+                                      gadget.fault_locations())
+
+    @property
+    def locations(self) -> Tuple[FaultLocation, ...]:
+        return self.space.locations
 
     # -- judging ---------------------------------------------------------
 
@@ -158,10 +155,10 @@ class GadgetFaultAnalyzer:
         """Propagate every single-location Pauli fault and judge it."""
         per_location: List[List[ResidualSignature]] = []
         failures: List[Tuple[FaultLocation, PauliString]] = []
-        for location in self.locations:
+        for location, choices in zip(self.space.locations,
+                                     self.space.choices):
             signatures: List[ResidualSignature] = []
-            for pauli in self._noise.fault_choices(
-                    location, self.gadget.num_qubits):
+            for pauli in choices:
                 signature = self.signature_of(pauli, location.after_op)
                 signatures.append(signature)
                 if not self.is_acceptable(signature):

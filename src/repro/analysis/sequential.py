@@ -67,7 +67,6 @@ from repro.analysis.engine import (
     ProgressEvent,
     _coerce_count,
     _coerce_positive,
-    _location_setup,
     _require_pair_locations,
     _Run,
     chunk_seed_sequence,
@@ -228,10 +227,9 @@ def run_sequential_monte_carlo(
         "beta": float(beta),
         "method": method,
     }, checkpoint, resume)
-    gadget, locations = run.gadget, run.locations
+    gadget, space = run.gadget, run.space
     store, stats = run.store, run.stats
-    probs, choices, after_ops = _location_setup(noise, gadget,
-                                                locations)
+    probs = space.probabilities(noise)
     stream_key = noise.stream_key()
 
     histogram: Dict[int, int] = {}
@@ -272,8 +270,7 @@ def run_sequential_monte_carlo(
         draw_start = time.perf_counter()
         drawn_histogram: Dict[int, int] = {}
         drawn_patterns: Dict[FaultPattern, int] = {}
-        sample_fault_chunk(noise, gadget, locations, probs,
-                           choices, after_ops, rng, length,
+        sample_fault_chunk(noise, gadget, space, probs, rng, length,
                            drawn_histogram, drawn_patterns)
         return (drawn_histogram, drawn_patterns,
                 time.perf_counter() - draw_start)
@@ -410,16 +407,16 @@ def run_sequential_pair_sampling(
     observability only, never verdicts or journals.
     """
     run = _Run(gadget, initial_state, evaluator, locations,
-               workers=workers, batch_size=eval_batch_size,
-               memoize=memoize, cache=cache, progress=progress,
-               invariant=invariant, runtime=runtime)
+               channel=channel, workers=workers,
+               batch_size=eval_batch_size, memoize=memoize, cache=cache,
+               progress=progress, invariant=invariant, runtime=runtime)
     if seed is None:
         raise AnalysisError(
             "sequential certification requires an explicit seed"
         )
     max_samples = _coerce_count(max_samples, "max_samples", minimum=1)
     batch_size = _coerce_positive(batch_size, "batch_size")
-    _require_pair_locations(run.locations)
+    _require_pair_locations(run.space)
     test = make_sequential_test(method, f0, f1, alpha=alpha, beta=beta)
     run.open("sequential_pairs", {
         "seed": seed,
@@ -433,11 +430,6 @@ def run_sequential_pair_sampling(
         "channel": channel,
     }, checkpoint, resume)
     store, stats = run.store, run.stats
-    model = NoiseModel.uniform(1.0, channel=channel)
-    _, choices, after_ops = _location_setup(model, run.gadget,
-                                            run.locations)
-
-    num_locations = len(run.locations)
     consumed = 0
     malignant_total = 0
     batch_index = 0
@@ -460,8 +452,7 @@ def run_sequential_pair_sampling(
             chunk_seed_sequence(seed, index))
         draw_start = time.perf_counter()
         drawn_patterns: Dict[FaultPattern, int] = {}
-        sample_pair_chunk(choices, after_ops, num_locations, rng,
-                          length, drawn_patterns)
+        sample_pair_chunk(run.space, rng, length, drawn_patterns)
         return drawn_patterns, time.perf_counter() - draw_start
 
     executor: Optional[ThreadPoolExecutor] = None
@@ -529,7 +520,7 @@ def run_sequential_pair_sampling(
     sample = MalignantPairSample(
         samples=consumed,
         malignant=malignant_total,
-        num_locations=num_locations,
+        num_locations=len(run.space),
         engine_stats=stats,
     )
     return SequentialPairResult(verdict=verdict, sample=sample,
@@ -645,9 +636,9 @@ def adaptive_sweep_p(gadget: Gadget,
     if cache is None and memoize:
         cache = FaultPatternCache()
     run = _Run(gadget, initial_state, evaluator, locations,
-               workers=workers, batch_size=eval_batch_size,
-               memoize=memoize, cache=cache, progress=progress,
-               invariant=invariant, runtime=runtime)
+               channel=channel, workers=workers,
+               batch_size=eval_batch_size, memoize=memoize, cache=cache,
+               progress=progress, invariant=invariant, runtime=runtime)
     if seed is None:
         raise AnalysisError(
             "adaptive_sweep_p requires an explicit seed: the "
@@ -683,11 +674,10 @@ def adaptive_sweep_p(gadget: Gadget,
         "boundary": None if boundary is None else float(boundary),
         "channel": channel,
     }, checkpoint, resume)
-    gadget, locations = run.gadget, run.locations
+    gadget, space = run.gadget, run.space
     store, stats = run.store, run.stats
     models = [NoiseModel.uniform(p, channel=channel) for p in p_values]
-    setups = [_location_setup(model, gadget, locations)
-              for model in models]
+    probs = [space.probabilities(model) for model in models]
 
     trials = [0] * num_points
     failures = [0] * num_points
@@ -717,12 +707,11 @@ def adaptive_sweep_p(gadget: Gadget,
                 confidence, interval_method, boundary)
             rng = np.random.default_rng(
                 chunk_seed_sequence(seed + index, batches[index]))
-            probs, choices, after_ops = setups[index]
             sample_start = time.perf_counter()
             batch_histogram: Dict[int, int] = {}
             batch_patterns: Dict[FaultPattern, int] = {}
-            sample_fault_chunk(models[index], gadget, locations, probs,
-                               choices, after_ops, rng, batch_size,
+            sample_fault_chunk(models[index], gadget, space,
+                               probs[index], rng, batch_size,
                                batch_histogram, batch_patterns)
             stats.sample_seconds += time.perf_counter() - sample_start
             stats.chunks += 1

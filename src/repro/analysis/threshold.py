@@ -37,7 +37,8 @@ class ThresholdReport:
     Attributes:
         gadget_name: display name.
         location_counts: {'input': ..., 'gate': ..., 'delay': ...,
-            'total': ...}.
+            'total': ...}, plus any extended kinds ('burst',
+            'crosstalk') the locations carry.
         single_fault_failures: single faults with unacceptable
             residuals (0 = the fault-tolerance property holds).
         malignant_pairs: the paper's two-error count (upper bound).
@@ -100,11 +101,7 @@ def analyze_gadget(gadget: Gadget, code: CssCode,
     malignant = survey.count_malignant_pairs() if count_pairs else -1
     return ThresholdReport(
         gadget_name=gadget.name,
-        location_counts=count_locations(
-            gadget.circuit,
-            input_qubits=[q for loc in analyzer.locations
-                          if loc.kind == "input" for q in loc.qubits],
-        ),
+        location_counts=analyzer.space.kind_counts(),
         single_fault_failures=len(survey.failures),
         malignant_pairs=malignant,
     )
@@ -162,9 +159,8 @@ def sampled_threshold_report(gadget: Gadget,
     from repro.analysis import engine
     from repro.runtime.checkpoint import as_store
 
-    if locations is None:
-        locations = engine._default_locations(gadget)
-    locations = list(locations)
+    locations = list(gadget.fault_locations() if locations is None
+                     else locations)
     if cache is None and memoize:
         cache = engine.FaultPatternCache()
     store = as_store(checkpoint)
@@ -224,15 +220,11 @@ def sampled_threshold_report(gadget: Gadget,
             checkpoint=store.substore("pairs") if store else None,
             resume=resume, runtime=runtime,
         )
-    counts = {"input": 0, "gate": 0, "delay": 0}
-    for location in locations:
-        counts[location.kind] += 1
-    counts["total"] = sum(counts.values())
     stats = survey.stats
     stats.absorb(pair_sample.engine_stats)
     return ThresholdReport(
         gadget_name=gadget.name,
-        location_counts=counts,
+        location_counts=count_locations(gadget.circuit, locations),
         single_fault_failures=len(survey.failures),
         malignant_pairs=int(round(pair_sample.estimated_malignant_pairs)),
         engine_stats=stats,

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.circuits.circuit import Circuit
 from repro.circuits.pauli import PauliString
 from repro.exceptions import FaultToleranceError
+from repro.noise.locations import FaultLocation, enumerate_locations
 from repro.simulators.sparse import SparseState
 
 
@@ -96,6 +97,20 @@ class Gadget:
     @property
     def num_qubits(self) -> int:
         return self.circuit.num_qubits
+
+    def fault_locations(self) -> List[FaultLocation]:
+        """Every fault location of the gadget, the default fault space.
+
+        Only the data and quantum-ancilla registers count as inputs:
+        they arrive carrying state, while the other blocks are prepared
+        inside the gadget and get their faults from the preparing gates.
+        """
+        input_qubits = sorted(
+            qubit for register in self.registers.values()
+            if register.role in ("data", "quantum_ancilla")
+            for qubit in register.qubits)
+        return enumerate_locations(self.circuit,
+                                   input_qubits=input_qubits)
 
     def initial_state(self, block_states: Dict[str, SparseState]
                       ) -> SparseState:

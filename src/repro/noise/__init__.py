@@ -1,14 +1,9 @@
 """Noise models, fault locations and fault injection."""
 
-from repro.noise.injection import (
-    MonteCarloResult,
-    exhaustive_single_faults,
-    monte_carlo,
-    run_with_coherent_noise,
-    run_with_faults,
-)
+from repro.noise.injection import run_with_coherent_noise, run_with_faults
 from repro.noise.locations import (
     FaultLocation,
+    FaultSpace,
     burst_locations,
     count_locations,
     crosstalk_locations,
@@ -43,7 +38,7 @@ __all__ = [
     "CrosstalkModel",
     "DriftingRateModel",
     "FaultLocation",
-    "MonteCarloResult",
+    "FaultSpace",
     "NoiseModel",
     "RateSchedule",
     "SampledFault",
@@ -55,8 +50,6 @@ __all__ = [
     "count_locations",
     "crosstalk_locations",
     "enumerate_locations",
-    "exhaustive_single_faults",
-    "monte_carlo",
     "register_channel",
     "run_with_coherent_noise",
     "run_with_faults",

@@ -1,24 +1,20 @@
-"""Fault injection into state-vector simulations.
+"""Fault injection into dense state-vector simulations.
 
-Executes a (measurement-free) circuit while inserting Pauli faults at
-chosen points — either an explicit fault list (for exhaustive
-single-fault and fault-pair sweeps) or faults sampled from a
-:class:`~repro.noise.model.NoiseModel` (for Monte-Carlo logical error
-rate estimates: the O(p^2) curves of the benchmark suite).
+Executes a small (measurement-free) circuit on the dense
+:class:`~repro.simulators.statevector.StateVector` with an explicit list
+of Pauli faults inserted, or with coherent over-rotations composed in.
+These are reference executors for hand-checked cases; sampling and
+exhaustive surveys over a gadget's fault space run on the sparse
+simulator through :mod:`repro.analysis.engine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit, GateOp
 from repro.circuits.pauli import PauliString
 from repro.exceptions import SimulationError
-from repro.noise.locations import FaultLocation, enumerate_locations
-from repro.noise.model import NoiseModel, SampledFault
 from repro.simulators.statevector import StateVector
 
 
@@ -59,40 +55,6 @@ def run_with_faults(circuit: Circuit,
     return state
 
 
-@dataclass
-class MonteCarloResult:
-    """Aggregate of a Monte-Carlo fault-injection campaign.
-
-    Attributes:
-        trials: number of runs.
-        failures: runs whose output the evaluator rejected.
-        fault_counts: histogram {number of faults in run: occurrences}.
-        failures_by_fault_count: failures split by how many faults the
-            failing run contained — the direct check of the paper's
-            claim that single faults never cause failure.
-    """
-
-    trials: int
-    failures: int
-    fault_counts: Dict[int, int]
-    failures_by_fault_count: Dict[int, int]
-
-    @property
-    def failure_rate(self) -> float:
-        return self.failures / self.trials if self.trials else 0.0
-
-    @property
-    def failure_rate_stderr(self) -> float:
-        if self.trials == 0:
-            return 0.0
-        rate = self.failure_rate
-        return float(np.sqrt(max(rate * (1 - rate), 1e-12) / self.trials))
-
-    @property
-    def single_fault_failures(self) -> int:
-        return self.failures_by_fault_count.get(1, 0)
-
-
 def run_with_coherent_noise(circuit: Circuit,
                             model: "CoherentOverRotationModel",
                             initial_state: Optional[StateVector] = None,
@@ -101,10 +63,11 @@ def run_with_coherent_noise(circuit: Circuit,
     """Run a circuit with systematic unitary over-rotations composed in.
 
     Coherent noise has no stochastic Pauli unravelling, so it cannot go
-    through :func:`monte_carlo`; instead the over-rotation unitary for
-    each gate kind is applied to every touched qubit right after the
-    gate — an exact, deterministic composition (pure states stay pure
-    under fixed unitaries; use
+    through the sampling engine
+    (:func:`~repro.analysis.engine.run_monte_carlo`); instead the
+    over-rotation unitary for each gate kind is applied to every
+    touched qubit right after the gate — an exact, deterministic
+    composition (pure states stay pure under fixed unitaries; use
     :func:`repro.simulators.channels.over_rotation` for the
     density-matrix form).
 
@@ -142,79 +105,3 @@ def run_with_coherent_noise(circuit: Circuit,
         for pauli in by_point.get(index, []):
             state.apply_pauli(pauli)
     return state
-
-
-def monte_carlo(circuit: Circuit,
-                noise: NoiseModel,
-                evaluator: Callable[[StateVector], bool],
-                trials: int,
-                initial_state: Optional[StateVector] = None,
-                locations: Optional[Sequence[FaultLocation]] = None,
-                seed: Optional[int] = None) -> MonteCarloResult:
-    """Estimate the failure rate under stochastic faults.
-
-    Args:
-        circuit: measurement-free circuit.
-        noise: the stochastic noise model.
-        evaluator: returns True when the corrupted output is
-            *acceptable* (e.g. the residual error is correctable).
-        trials: Monte-Carlo runs.
-        initial_state: shared starting state.
-        locations: pre-enumerated fault locations (computed once for
-            sweeps over p).
-        seed: RNG seed.
-    """
-    rng = np.random.default_rng(seed)
-    if locations is None:
-        locations = enumerate_locations(circuit)
-    fault_counts: Dict[int, int] = {}
-    failures_by_count: Dict[int, int] = {}
-    failures = 0
-    for _ in range(trials):
-        sampled = noise.sample_faults(circuit, rng, locations)
-        count = len(sampled)
-        fault_counts[count] = fault_counts.get(count, 0) + 1
-        if count == 0:
-            # No faults: by construction the run is perfect; skip the
-            # expensive simulation (dominant case at small p).
-            continue
-        state = run_with_faults(
-            circuit,
-            [(fault.pauli, fault.after_op) for fault in sampled],
-            initial_state,
-        )
-        if not evaluator(state):
-            failures += 1
-            failures_by_count[count] = failures_by_count.get(count, 0) + 1
-    return MonteCarloResult(
-        trials=trials,
-        failures=failures,
-        fault_counts=fault_counts,
-        failures_by_fault_count=failures_by_count,
-    )
-
-
-def exhaustive_single_faults(circuit: Circuit,
-                             evaluator: Callable[[StateVector], bool],
-                             initial_state: Optional[StateVector] = None,
-                             locations: Optional[Sequence[FaultLocation]]
-                             = None,
-                             channel: str = "depolarizing"
-                             ) -> List[Tuple[FaultLocation, PauliString]]:
-    """Try every single-location Pauli fault; return the failures.
-
-    An empty return list is the machine-checked statement of the
-    paper's fault-tolerance property: *no single fault anywhere in the
-    gadget causes an unacceptable output*.
-    """
-    if locations is None:
-        locations = enumerate_locations(circuit)
-    model = NoiseModel.uniform(1.0, channel=channel)
-    failures: List[Tuple[FaultLocation, PauliString]] = []
-    for location in locations:
-        for pauli in model.fault_choices(location, circuit.num_qubits):
-            state = run_with_faults(circuit, [(pauli, location.after_op)],
-                                    initial_state)
-            if not evaluator(state):
-                failures.append((location, pauli))
-    return failures

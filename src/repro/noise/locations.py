@@ -14,6 +14,10 @@ one of:
 Each location carries ``after_op``, the operation index after which its
 fault takes effect, which is what both the state-vector injector and
 the Pauli propagator consume.
+
+:class:`FaultSpace` is the object the paper counts over: a gadget's
+locations together with the Paulis a channel can place at each.  Every
+sampler, the exhaustive survey and the symbolic analyzer read one.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.circuits.circuit import Circuit, GateOp
-from repro.circuits.pauli import PauliString
+from repro.circuits.pauli import PauliString, pauli_basis
 from repro.exceptions import AnalysisError
 
 
@@ -43,21 +49,6 @@ class FaultLocation:
     qubits: Tuple[int, ...]
     after_op: int
     detail: str = ""
-
-    def fault_paulis(self, num_qubits: int) -> List[PauliString]:
-        """All non-identity Pauli faults supported on this location.
-
-        For a w-qubit location these are the 4^w - 1 non-identity
-        Paulis on its qubits, embedded into the full register.
-        """
-        from repro.circuits.pauli import pauli_basis
-
-        faults: List[PauliString] = []
-        for local in pauli_basis(len(self.qubits)):
-            if local.is_identity:
-                continue
-            faults.append(local.embedded(num_qubits, list(self.qubits)))
-        return faults
 
 
 def enumerate_locations(circuit: Circuit,
@@ -133,13 +124,92 @@ def _delay_locations(circuit: Circuit) -> List[FaultLocation]:
     return locations
 
 
-def count_locations(circuit: Circuit, **kwargs) -> dict:
-    """Histogram of location kinds — the paper's counting input."""
+def count_locations(circuit: Circuit,
+                    locations: Optional[Sequence[FaultLocation]] = None,
+                    **kwargs) -> dict:
+    """Histogram of location kinds — the paper's counting input.
+
+    Counts ``locations`` when given, else ``enumerate_locations(circuit,
+    **kwargs)``.  The three classic kinds are always present; extended
+    kinds (``burst``, ``crosstalk``) appear when they occur.
+    """
+    if locations is None:
+        locations = enumerate_locations(circuit, **kwargs)
+    return _kind_histogram(locations)
+
+
+def _kind_histogram(locations: Sequence[FaultLocation]) -> dict:
     counts = {"input": 0, "gate": 0, "delay": 0}
-    for location in enumerate_locations(circuit, **kwargs):
+    for location in locations:
         counts[location.kind] = counts.get(location.kind, 0) + 1
     counts["total"] = sum(counts.values())
     return counts
+
+
+def channel_paulis(width: int, channel: str) -> List[PauliString]:
+    """The non-identity ``width``-qubit Paulis a channel allows, in
+    ``pauli_basis`` order (pair and strike draws index into it)."""
+    from repro.noise.model import channel_spec  # model imports us
+
+    spec = channel_spec(channel)
+    return [local for local in pauli_basis(width)
+            if not local.is_identity and spec.allows(local.label())]
+
+
+@dataclass(frozen=True)
+class FaultSpace:
+    """Fault locations and the Pauli choices a channel allows at each.
+
+    Built once per run by :meth:`build`; ``choices[i]`` lists the
+    register-wide Paulis that can strike ``locations[i]`` in
+    :func:`channel_paulis` order, and ``after_ops[i]`` is where they
+    are inserted.  Seeded streams index into ``choices``, so the order
+    is part of the determinism contract.
+    """
+
+    locations: Tuple[FaultLocation, ...]
+    after_ops: Tuple[int, ...]
+    num_qubits: int
+    channel: str
+    choices: Tuple[Tuple[PauliString, ...], ...]
+
+    @classmethod
+    def build(cls, circuit: Circuit,
+              locations: Sequence[FaultLocation],
+              channel: str = "depolarizing") -> "FaultSpace":
+        locations = tuple(locations)
+        local: Dict[int, List[PauliString]] = {}
+        choices = []
+        for location in locations:
+            width = len(location.qubits)
+            if width not in local:
+                local[width] = channel_paulis(width, channel)
+            qubits = list(location.qubits)
+            choices.append(tuple(
+                pauli.embedded(circuit.num_qubits, qubits)
+                for pauli in local[width]))
+        return cls(locations=locations,
+                   after_ops=tuple(loc.after_op for loc in locations),
+                   num_qubits=circuit.num_qubits, channel=channel,
+                   choices=tuple(choices))
+
+    def __len__(self) -> int:
+        return len(self.locations)
+
+    def probabilities(self, noise) -> np.ndarray:
+        """Per-location strike probabilities under a noise model."""
+        return np.array([noise.probability_for(location)
+                         for location in self.locations], dtype=float)
+
+    def singles(self) -> Iterator[Tuple[FaultLocation, PauliString]]:
+        """Every (location, pauli) single fault, in enumeration order."""
+        for location, choices in zip(self.locations, self.choices):
+            for pauli in choices:
+                yield location, pauli
+
+    def kind_counts(self) -> dict:
+        """Histogram of location kinds (see :func:`count_locations`)."""
+        return _kind_histogram(self.locations)
 
 
 def burst_locations(circuit: Circuit,

@@ -23,9 +23,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.pauli import PauliString, pauli_basis
+from repro.circuits.pauli import PauliString
 from repro.exceptions import SimulationError
-from repro.noise.locations import FaultLocation, enumerate_locations
+from repro.noise.locations import (
+    FaultLocation,
+    channel_paulis,
+    enumerate_locations,
+)
 
 _PAULI_LETTERS = frozenset("XYZ")
 
@@ -172,16 +176,9 @@ class NoiseModel:
     def fault_choices(self, location: FaultLocation,
                       num_qubits: int) -> List[PauliString]:
         """The Pauli faults this channel can place at a location."""
-        width = len(location.qubits)
-        spec = channel_spec(self.channel)
-        choices: List[PauliString] = []
-        for local in pauli_basis(width):
-            if local.is_identity:
-                continue
-            if not spec.allows(local.label()):
-                continue
-            choices.append(local.embedded(num_qubits, list(location.qubits)))
-        return choices
+        qubits = list(location.qubits)
+        return [local.embedded(num_qubits, qubits) for local in
+                channel_paulis(len(qubits), self.channel)]
 
     def fault_weights(self, location: FaultLocation,
                       choices: Sequence[PauliString]

@@ -25,10 +25,9 @@ from repro.analysis import (
     sampled_threshold_report,
     sweep_p,
 )
-from repro.analysis.montecarlo import _default_locations
 from repro.exceptions import AnalysisError
 from repro.ft import build_n_gadget, sparse_coset_state
-from repro.noise import NoiseModel
+from repro.noise import NoiseModel, burst_locations
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +116,7 @@ class TestSerialParallelEquivalence:
         model = NoiseModel.uniform(1.0)
         serial = [
             (location, pauli)
-            for location in _default_locations(gadget)
+            for location in gadget.fault_locations()
             for pauli in model.fault_choices(location, gadget.num_qubits)
             if not evaluate_fault_pattern(gadget, initial, evaluator,
                                           [(pauli, location.after_op)])
@@ -157,7 +156,7 @@ class TestCacheCorrectness:
         model (not through the engine's own sampler)."""
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.5)
-        locations = _default_locations(gadget)
+        locations = gadget.fault_locations()
         cache = FaultPatternCache()
         for _ in range(50):
             sampled = noise.sample_faults(gadget.circuit, rng,
@@ -316,7 +315,7 @@ class TestEngineValidation:
 
     def test_pair_sampling_needs_two_locations(self, tiny):
         gadget, initial, evaluator = tiny
-        locations = _default_locations(gadget)[:1]
+        locations = gadget.fault_locations()[:1]
         with pytest.raises(AnalysisError):
             sample_malignant_pairs(gadget, initial, evaluator,
                                    samples=10, seed=0,
@@ -337,6 +336,19 @@ class TestSampledThresholdReport:
         assert report.malignant_pairs == \
             int(round(pair.estimated_malignant_pairs))
         assert report.location_counts["total"] == \
-            len(_default_locations(gadget))
+            len(gadget.fault_locations())
         assert report.engine_stats is not None
         assert report.engine_stats.requests > 0
+
+    def test_report_counts_burst_locations(self, tiny):
+        """Extended location kinds land in the histogram instead of
+        raising KeyError after both phases have run."""
+        gadget, initial, evaluator = tiny
+        bursts = burst_locations(gadget.circuit, weight=2,
+                                 after_ops=(-1, 0))
+        assert len(bursts) == 2
+        report = sampled_threshold_report(gadget, initial, evaluator,
+                                          samples=40, seed=1,
+                                          locations=bursts)
+        assert report.location_counts == {
+            "input": 0, "gate": 0, "delay": 0, "burst": 2, "total": 2}

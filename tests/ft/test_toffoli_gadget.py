@@ -155,7 +155,6 @@ class TestSteaneScale:
         import numpy as np
 
         from repro.analysis import recovered_overlap_evaluator
-        from repro.analysis.montecarlo import _default_locations
         from repro.ft.gadget import apply_circuit_with_faults
         from repro.ft.toffoli_gadget import (
             toffoli_initial_state,
@@ -175,7 +174,7 @@ class TestSteaneScale:
         evaluator = recovered_overlap_evaluator(
             gadget, steane, ["and_a", "and_b", "and_c"], expected
         )
-        locations = _default_locations(gadget)
+        locations = gadget.fault_locations()
         model = NoiseModel.uniform(1.0)
         rng = np.random.default_rng(97)
         # Each ideal-recovery evaluation walks six Steane blocks of a

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.analysis.engine import run_exhaustive
 from repro.circuits import Circuit, PauliString, gates
 from repro.exceptions import AnalysisError
-from repro.noise import count_locations, enumerate_locations
+from repro.ft.gadget import Gadget, Register
+from repro.noise import FaultSpace, count_locations, enumerate_locations
 from repro.noise.injection import run_with_faults
 from repro.simulators import StateVector
+from repro.simulators.sparse import SparseState
 
 
 def staircase() -> Circuit:
@@ -92,14 +95,20 @@ class TestDelayAnchoring:
         reference.apply_gate(gates.CNOT, [0, 1])
         assert faulty.fidelity(reference) > 1 - 1e-10
 
-    def test_fault_paulis_of_two_qubit_location(self):
+    def test_fault_space_of_two_qubit_location(self):
         circuit = Circuit(2)
         circuit.add_gate(gates.CNOT, 0, 1)
         location = enumerate_locations(circuit, include_inputs=False,
                                        include_delays=False)[0]
-        faults = location.fault_paulis(2)
+        space = FaultSpace.build(circuit, [location])
+        (faults,) = space.choices
         assert len(faults) == 15
         assert all(not f.is_identity for f in faults)
+        assert list(space.singles()) == [(location, f) for f in faults]
+        assert space.after_ops == (0,)
+        bit_flip = FaultSpace.build(circuit, [location], "bit_flip")
+        assert [f.label() for f in bit_flip.choices[0]] == \
+            ["XI", "IX", "XX"]
 
 
 class TestBurstLocations:
@@ -156,7 +165,10 @@ class TestBurstLocations:
         # count_locations must not KeyError if handed extended kinds
         # downstream; the histogram always carries the three classics.
         assert set(counts) >= {"input", "gate", "delay", "total"}
-        assert burst_locations(circuit, weight=2)[0].kind == "burst"
+        bursts = burst_locations(circuit, weight=2)
+        assert bursts[0].kind == "burst"
+        assert count_locations(circuit, bursts) == {
+            "input": 0, "gate": 0, "delay": 0, "burst": 2, "total": 2}
 
 
 class TestCrosstalkLocations:
@@ -195,11 +207,16 @@ class TestCrosstalkLocations:
         assert crosstalk_locations(circuit) == []
 
 
+def bare_gadget(circuit: Circuit) -> Gadget:
+    register = Register("q", tuple(range(circuit.num_qubits)))
+    return Gadget(name="bare", circuit=circuit, registers={"q": register})
+
+
 class TestExhaustiveMultiQubitLocations:
     def test_exhaustive_single_faults_over_burst_locations(self):
-        """exhaustive_single_faults accepts multi-qubit (burst)
-        locations: every non-identity Pauli on the window is tried."""
-        from repro.noise import burst_locations, exhaustive_single_faults
+        """run_exhaustive accepts multi-qubit (burst) locations: every
+        non-identity Pauli on the window is tried."""
+        from repro.noise import burst_locations
 
         circuit = Circuit(2)
         circuit.add_gate(gates.X, 0)
@@ -211,37 +228,35 @@ class TestExhaustiveMultiQubitLocations:
             seen.append(True)
             return True  # accept everything; we count coverage
 
-        failures = exhaustive_single_faults(circuit, evaluator,
-                                            locations=locations)
-        assert failures == []
+        survey = run_exhaustive(bare_gadget(circuit), SparseState(2),
+                                evaluator, locations=locations)
+        assert survey.failures == []
+        assert survey.checked == 15
         assert len(seen) == 15  # 4^2 - 1 Paulis on the one window
 
     def test_exhaustive_burst_failures_detected(self):
-        from repro.noise import burst_locations, exhaustive_single_faults
+        from repro.noise import burst_locations
 
         circuit = Circuit(2)
         circuit.add_gate(gates.X, 0)
         circuit.add_gate(gates.X, 1)
         locations = burst_locations(circuit, weight=2, after_ops=(1,))
-        reference = run_with_faults(circuit, [])
+        reference = SparseState(2)
+        reference.apply_circuit(circuit)
 
         def evaluator(state):
             return state.fidelity(reference) > 1 - 1e-10
 
-        failures = exhaustive_single_faults(circuit, evaluator,
-                                            locations=locations)
+        survey = run_exhaustive(bare_gadget(circuit), SparseState(2),
+                                evaluator, locations=locations)
         # X,Y flips and phase-carrying faults all disturb |11>... every
         # non-phase-only Pauli fails; pure-Z faults only add phase.
-        failing_labels = {pauli.label() for _, pauli in failures}
+        failing_labels = {pauli.label() for _, pauli in survey.failures}
         assert "XX" in failing_labels
         assert "ZZ" not in failing_labels
 
     def test_exhaustive_over_crosstalk_and_delay_locations(self):
-        from repro.noise import (
-            crosstalk_locations,
-            enumerate_locations,
-            exhaustive_single_faults,
-        )
+        from repro.noise import crosstalk_locations, enumerate_locations
 
         circuit = Circuit(3)
         circuit.add_gate(gates.X, 1)        # q1 busy at moment 0
@@ -259,10 +274,12 @@ class TestExhaustiveMultiQubitLocations:
             attempts.append(True)
             return True
 
-        failures = exhaustive_single_faults(circuit, evaluator,
-                                            locations=mixed,
-                                            channel="bit_flip")
-        assert failures == []
+        # memoize=False: coincident faults are simulated once each.
+        survey = run_exhaustive(bare_gadget(circuit), SparseState(3),
+                                evaluator, locations=mixed,
+                                channel="bit_flip", memoize=False)
+        assert survey.failures == []
         # bit_flip channel: exactly one X fault per single-qubit
         # location, multi-qubit would multiply accordingly.
+        assert survey.checked == len(mixed)
         assert len(attempts) == len(mixed)

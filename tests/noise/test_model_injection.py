@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.analysis.engine import run_exhaustive, run_monte_carlo
 from repro.circuits import Circuit, PauliString, gates
 from repro.exceptions import SimulationError
-from repro.noise import (
-    NoiseModel,
-    enumerate_locations,
-    exhaustive_single_faults,
-    monte_carlo,
-    run_with_faults,
-)
+from repro.ft.gadget import Gadget, Register
+from repro.noise import NoiseModel, enumerate_locations, run_with_faults
 from repro.simulators import StateVector
+from repro.simulators.sparse import SparseState
 
 
 def simple_circuit() -> Circuit:
@@ -111,55 +108,69 @@ class TestRunWithFaults:
             run_with_faults(circuit, [])
 
 
+def data_gadget(circuit: Circuit) -> Gadget:
+    """The circuit as a gadget whose qubits are all one data block, so
+    its default fault space is every input, gate and delay location."""
+    register = Register("data", tuple(range(circuit.num_qubits)),
+                        role="data")
+    return Gadget(name="bare", circuit=circuit,
+                  registers={"data": register})
+
+
+def identity_gadget() -> Gadget:
+    circuit = Circuit(1)
+    circuit.add_gate(gates.I, 0)
+    return data_gadget(circuit)
+
+
 class TestMonteCarlo:
     def test_unprotected_circuit_fails_linearly(self):
         """A bare qubit's failure rate tracks p — the paper's contrast
         to the O(p^2) of protected gadgets."""
-        circuit = Circuit(1)
-        circuit.add_gate(gates.I, 0)
-        clean = StateVector(1)
+        gadget = identity_gadget()
+        clean = SparseState(1)
 
-        def evaluator(state: StateVector) -> bool:
+        def evaluator(state: SparseState) -> bool:
             return state.fidelity(clean) > 0.99
 
-        result = monte_carlo(circuit, NoiseModel.uniform(0.1),
-                             evaluator, trials=3000, seed=0)
+        result = run_monte_carlo(gadget, SparseState(1), evaluator,
+                                 NoiseModel.uniform(0.1), trials=3000,
+                                 seed=0)
         # 2 locations (input + gate); Z faults keep |0> but X/Y break.
         assert 0.05 < result.failure_rate < 0.25
 
     def test_histogram_recorded(self):
-        circuit = simple_circuit()
-        result = monte_carlo(circuit, NoiseModel.uniform(0.05),
-                             lambda s: True, trials=500, seed=1)
-        assert sum(result.fault_counts.values()) == 500
+        gadget = data_gadget(simple_circuit())
+        result = run_monte_carlo(gadget, SparseState(2), lambda s: True,
+                                 NoiseModel.uniform(0.05), trials=500,
+                                 seed=1)
+        assert sum(result.fault_count_histogram.values()) == 500
         assert result.failures == 0
 
     def test_stderr(self):
-        circuit = Circuit(1)
-        circuit.add_gate(gates.I, 0)
-        result = monte_carlo(circuit, NoiseModel.uniform(0.5),
-                             lambda s: False, trials=100, seed=2)
-        assert result.failure_rate_stderr < 0.06
+        result = run_monte_carlo(identity_gadget(), SparseState(1),
+                                 lambda s: False, NoiseModel.uniform(0.5),
+                                 trials=100, seed=2)
+        # 95% Wilson half-width within 1.96 standard errors of 0.06.
+        interval = result.interval()
+        assert (interval.upper - interval.lower) / 2 < 1.96 * 0.06
 
 
 class TestExhaustiveSingleFaults:
     def test_unprotected_identity_has_failures(self):
-        circuit = Circuit(1)
-        circuit.add_gate(gates.I, 0)
-        clean = StateVector(1)
-        failures = exhaustive_single_faults(
-            circuit,
+        clean = SparseState(1)
+        survey = run_exhaustive(
+            identity_gadget(), SparseState(1),
             evaluator=lambda s: s.fidelity(clean) > 0.99,
         )
-        labels = {pauli.label() for _, pauli in failures}
+        labels = {pauli.label() for _, pauli in survey.failures}
         assert labels == {"X", "Y"}
 
     def test_phase_insensitive_evaluator(self):
-        circuit = Circuit(1)
-        circuit.add_gate(gates.I, 0)
-        failures = exhaustive_single_faults(
-            circuit,
+        survey = run_exhaustive(
+            identity_gadget(), SparseState(1),
             evaluator=lambda s: s.probability_of_outcome(0, 0) > 0.99,
             channel="phase_flip",
         )
-        assert failures == []
+        assert survey.failures == []
+        assert survey.checked == 2

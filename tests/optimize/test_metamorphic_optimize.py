@@ -13,7 +13,6 @@ import itertools
 
 import pytest
 
-from repro.analysis.montecarlo import _default_locations
 from repro.ft.gadget import apply_circuit_with_faults
 from repro.ft.ngate import build_n_gadget
 from repro.ft.recovery import build_recovery_gadget, \
@@ -159,5 +158,5 @@ def test_optimized_gadget_keeps_identity_and_registers(steane):
 def test_optimized_gadget_default_locations_shrink(steane):
     plain = build_n_gadget(steane)
     optimized = optimize_gadget(plain)
-    assert len(_default_locations(optimized)) < \
-        len(_default_locations(plain))
+    assert len(optimized.fault_locations()) < \
+        len(plain.fault_locations())

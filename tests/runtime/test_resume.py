@@ -8,6 +8,8 @@ path a Ctrl-C takes), resume them, and compare against uninterrupted
 baselines, for more than one worker count.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import n_gadget_evaluator, sweep_p
@@ -211,6 +213,45 @@ class TestSweepResume:
         with pytest.raises(CheckpointError, match="different run"):
             sweep_p(gadget, initial, evaluator, [0.2], trials=50,
                     seed=1, workers=1, checkpoint=store)
+
+    def test_sweep_refuses_other_locations_of_equal_size(self, tiny,
+                                                          tmp_path):
+        """Two location lists of the same length must not share a
+        journal: moving every fault to the circuit input changes the
+        numbers ([22, 53] -> [22, 51] fresh), so resuming the default
+        run's journal would return the wrong series."""
+        gadget, initial, evaluator = tiny
+        moved = [dataclasses.replace(location, after_op=-1)
+                 for location in gadget.fault_locations()]
+        store = str(tmp_path / "locs")
+        default = sweep_p(gadget, initial, evaluator, [0.05, 0.1], 400,
+                          seed=3, checkpoint=store)
+        fresh = sweep_p(gadget, initial, evaluator, [0.05, 0.1], 400,
+                        seed=3, locations=moved)
+        assert [r.failures for r in default] == [22, 53]
+        assert [r.failures for r in fresh] == [22, 51]
+        with pytest.raises(CheckpointError, match="location_digest"):
+            sweep_p(gadget, initial, evaluator, [0.05, 0.1], 400,
+                    seed=3, locations=moved, checkpoint=store)
+
+    def test_engine_refuses_other_locations_of_equal_size(self, tiny,
+                                                           tmp_path):
+        gadget, initial, evaluator = tiny
+        moved = [dataclasses.replace(location, after_op=-1)
+                 for location in gadget.fault_locations()]
+        store = str(tmp_path / "mc")
+        run_monte_carlo(gadget, initial, evaluator,
+                        NoiseModel.uniform(0.1), 64, seed=3,
+                        checkpoint=store)
+        with pytest.raises(CheckpointError, match="location_digest"):
+            run_monte_carlo(gadget, initial, evaluator,
+                            NoiseModel.uniform(0.1), 64, seed=3,
+                            locations=moved, checkpoint=store)
+        # Passing the defaults explicitly is the same run.
+        resumed = run_monte_carlo(
+            gadget, initial, evaluator, NoiseModel.uniform(0.1), 64,
+            seed=3, locations=gadget.fault_locations(), checkpoint=store)
+        assert resumed.engine_stats.evaluations == 0
 
     def test_shared_cache_survives_sweep_points(self, tiny):
         # The sweep shares one verdict cache across points; later

@@ -14,7 +14,9 @@ batch by batch:
    with ``SeedSequence(seed).spawn(n_chunks)[c]``.  The chunk layout
    depends only on ``(seed, trials, chunk_size)``, never on the worker
    count, so a seeded run is bit-identical for ``workers=1`` and
-   ``workers=64``.  Location strike draws are vectorised.
+   ``workers=64``.  Location strike draws and the Pauli picks for the
+   struck locations are vectorised (one array draw each per chunk),
+   in the order a per-trial loop would make them.
 2. **Deduplicate.**  Each sampled fault set is canonicalised to a
    sorted ``((pauli, after_op), ...)`` tuple.  At low p most non-empty
    samples are single-fault repeats, so the number of *distinct*
@@ -832,12 +834,14 @@ def sample_fault_chunk(noise: NoiseModel, gadget: Gadget,
 
     ``probs`` is ``space.probabilities(noise)``, computed once per
     run.  Folds fault-count tallies into ``histogram`` and canonical
-    patterns into ``pattern_counts`` in place.  This is the exact draw
-    sequence the historical ``run_monte_carlo`` loop used (structured
-    per-trial path, vectorised iid fast path) — extracted so the
-    sequential runner can consume the same streams batch by batch.
-    The seeded-stream stability tests pin the draw order; do not
-    reorder RNG calls here.
+    patterns into ``pattern_counts`` in place, both in the insertion
+    order a per-trial loop gives.  This is the exact draw sequence the
+    historical ``run_monte_carlo`` loop used (structured per-trial
+    path, vectorised iid fast path) — extracted so the sequential
+    runner can consume the same streams batch by batch.  The
+    seeded-stream stability tests and ``tests/analysis/
+    test_strike_path.py`` pin the draw order; do not reorder RNG calls
+    here.
     """
     if noise.structured:
         # Structured models own their sampling (correlations, weights,
@@ -854,22 +858,29 @@ def sample_fault_chunk(noise: NoiseModel, gadget: Gadget,
                 key = canonical_pattern(faults)
                 pattern_counts[key] = pattern_counts.get(key, 0) + 1
         return
+    # iid: one strike matrix, then one Pauli draw per struck location
+    # in row-major order.  An array ``high`` draws exactly as the
+    # per-strike scalar calls did (tests pin this).
     choices, after_ops = space.choices, space.after_ops
+    widths = space.widths
     strikes = rng.random((length, len(space)))
-    for row in range(length):
-        struck = np.nonzero(strikes[row] < probs)[0]
-        faults: List[Fault] = []
-        for loc_index in struck:
-            loc_choices = choices[loc_index]
-            if not loc_choices:
-                continue
-            pauli = loc_choices[int(rng.integers(0, len(loc_choices)))]
-            faults.append((pauli, after_ops[loc_index]))
-        count = len(faults)
-        histogram[count] = histogram.get(count, 0) + 1
-        if count:
-            key = canonical_pattern(faults)
-            pattern_counts[key] = pattern_counts.get(key, 0) + 1
+    rows, cols = np.nonzero((strikes < probs) & (widths > 0))
+    picks = rng.integers(0, widths[cols]) if cols.size else cols
+    counts = np.bincount(rows, minlength=length)
+    values, first, totals = np.unique(counts, return_index=True,
+                                      return_counts=True)
+    for order in np.argsort(first):  # first-seen order, as row by row
+        count = int(values[order])
+        histogram[count] = histogram.get(count, 0) + int(totals[order])
+    cols, picks = cols.tolist(), picks.tolist()
+    ends = np.cumsum(counts[counts > 0]).tolist()
+    start = 0
+    for end in ends:
+        key = canonical_pattern([
+            (choices[col][pick], after_ops[col])
+            for col, pick in zip(cols[start:end], picks[start:end])])
+        pattern_counts[key] = pattern_counts.get(key, 0) + 1
+        start = end
 
 
 def sample_pair_chunk(space: FaultSpace,

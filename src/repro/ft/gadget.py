@@ -16,7 +16,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.circuits.circuit import Circuit
 from repro.circuits.pauli import PauliString
 from repro.exceptions import FaultToleranceError
-from repro.noise.locations import FaultLocation, enumerate_locations
+from repro.noise.locations import (
+    FaultLocation,
+    circuit_memo,
+    enumerate_locations,
+)
 from repro.simulators.sparse import SparseState
 
 
@@ -104,13 +108,20 @@ class Gadget:
         Only the data and quantum-ancilla registers count as inputs:
         they arrive carrying state, while the other blocks are prepared
         inside the gadget and get their faults from the preparing gates.
+        The enumeration is memoised per circuit; each call returns a
+        fresh list.
         """
-        input_qubits = sorted(
+        input_qubits = tuple(sorted(
             qubit for register in self.registers.values()
             if register.role in ("data", "quantum_ancilla")
-            for qubit in register.qubits)
-        return enumerate_locations(self.circuit,
-                                   input_qubits=input_qubits)
+            for qubit in register.qubits))
+        memo = circuit_memo(self.circuit)
+        key = ("locations", input_qubits)
+        locations = memo.get(key)
+        if locations is None:
+            locations = memo[key] = tuple(enumerate_locations(
+                self.circuit, input_qubits=input_qubits))
+        return list(locations)
 
     def initial_state(self, block_states: Dict[str, SparseState]
                       ) -> SparseState:

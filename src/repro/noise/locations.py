@@ -18,10 +18,15 @@ the Pauli propagator consume.
 :class:`FaultSpace` is the object the paper counts over: a gadget's
 locations together with the Paulis a channel can place at each.  Every
 sampler, the exhaustive survey and the symbolic analyzer read one.
+Spaces (and a gadget's default locations) are memoised per circuit, so
+repeat runs on one gadget share them.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -101,24 +106,24 @@ def _delay_locations(circuit: Circuit) -> List[FaultLocation]:
     program operation that touches q in a moment <= m.
     """
     # Recompute the ASAP moment assignment, keeping program indices.
+    # Each qubit's ops get strictly increasing moments in program
+    # order, so the anchor is a bisect into that qubit's moment list.
     qubit_frontier = [0] * circuit.num_qubits
-    op_moment: List[int] = []
-    for op in circuit.operations:
-        moment = max(
-            (qubit_frontier[q] for q in op.touched_qubits), default=0
-        )
-        op_moment.append(moment)
-        for q in op.touched_qubits:
+    moments: List[List[int]] = [[] for _ in range(circuit.num_qubits)]
+    indices: List[List[int]] = [[] for _ in range(circuit.num_qubits)]
+    for index, op in enumerate(circuit.operations):
+        touched = op.touched_qubits
+        moment = max((qubit_frontier[q] for q in touched), default=0)
+        for q in touched:
             qubit_frontier[q] = moment + 1
+            moments[q].append(moment)
+            indices[q].append(index)
     locations: List[FaultLocation] = []
     for moment_index, qubit in circuit.idle_locations():
-        anchor = -1
-        for index, op in enumerate(circuit.operations):
-            if qubit in op.touched_qubits and op_moment[index] <= moment_index:
-                anchor = index
+        position = bisect_right(moments[qubit], moment_index) - 1
         locations.append(FaultLocation(
             kind="delay", qubits=(qubit,),
-            after_op=anchor,
+            after_op=indices[qubit][position] if position >= 0 else -1,
             detail=f"delay q{qubit}@m{moment_index}",
         ))
     return locations
@@ -146,6 +151,26 @@ def _kind_histogram(locations: Sequence[FaultLocation]) -> dict:
     return counts
 
 
+#: Tables derived from a circuit: circuit -> ((len, num_qubits), memo).
+#: Circuits only grow by appending, so a changed shape means every
+#: stored table is stale.  Entries die with their circuit.  Tables are
+#: pure functions of their key, so a racing writer costs only a
+#: rebuild.
+_CIRCUIT_MEMO: "weakref.WeakKeyDictionary[Circuit, tuple]" = \
+    weakref.WeakKeyDictionary()
+
+
+def circuit_memo(circuit: Circuit) -> dict:
+    """The memo of tables derived from ``circuit`` as it stands now
+    (:meth:`FaultSpace.build` and ``Gadget.fault_locations`` share
+    it, under distinct keys)."""
+    shape = (len(circuit), circuit.num_qubits)
+    entry = _CIRCUIT_MEMO.get(circuit)
+    if entry is None or entry[0] != shape:
+        entry = _CIRCUIT_MEMO[circuit] = (shape, {})
+    return entry[1]
+
+
 def channel_paulis(width: int, channel: str) -> List[PauliString]:
     """The non-identity ``width``-qubit Paulis a channel allows, in
     ``pauli_basis`` order (pair and strike draws index into it)."""
@@ -160,11 +185,14 @@ def channel_paulis(width: int, channel: str) -> List[PauliString]:
 class FaultSpace:
     """Fault locations and the Pauli choices a channel allows at each.
 
-    Built once per run by :meth:`build`; ``choices[i]`` lists the
-    register-wide Paulis that can strike ``locations[i]`` in
-    :func:`channel_paulis` order, and ``after_ops[i]`` is where they
-    are inserted.  Seeded streams index into ``choices``, so the order
-    is part of the determinism contract.
+    ``choices[i]`` lists the register-wide Paulis that can strike
+    ``locations[i]`` in :func:`channel_paulis` order, and
+    ``after_ops[i]`` is where they are inserted.  Seeded streams index
+    into ``choices``, so the order is part of the determinism contract.
+
+    :meth:`build` memoises each space per circuit and shares it between
+    runs (it is frozen); a noise model adds only
+    :meth:`probabilities`.
     """
 
     locations: Tuple[FaultLocation, ...]
@@ -177,7 +205,27 @@ class FaultSpace:
     def build(cls, circuit: Circuit,
               locations: Sequence[FaultLocation],
               channel: str = "depolarizing") -> "FaultSpace":
+        """The space of ``locations`` under ``channel``.
+
+        Repeat calls with the same circuit, locations and channel
+        return the same object.  The memo lives as long as the circuit
+        and is dropped when an op is appended to it.
+        """
+        from repro.noise.model import channel_spec  # model imports us
+
         locations = tuple(locations)
+        memo = circuit_memo(circuit)
+        key = ("space", locations, channel_spec(channel))
+        space = memo.get(key)
+        if space is None:
+            space = memo[key] = cls._embed(circuit.num_qubits, locations,
+                                           channel)
+        return space
+
+    @classmethod
+    def _embed(cls, num_qubits: int,
+               locations: Tuple[FaultLocation, ...],
+               channel: str) -> "FaultSpace":
         local: Dict[int, List[PauliString]] = {}
         choices = []
         for location in locations:
@@ -186,12 +234,21 @@ class FaultSpace:
                 local[width] = channel_paulis(width, channel)
             qubits = list(location.qubits)
             choices.append(tuple(
-                pauli.embedded(circuit.num_qubits, qubits)
+                pauli.embedded(num_qubits, qubits)
                 for pauli in local[width]))
         return cls(locations=locations,
                    after_ops=tuple(loc.after_op for loc in locations),
-                   num_qubits=circuit.num_qubits, channel=channel,
+                   num_qubits=num_qubits, channel=channel,
                    choices=tuple(choices))
+
+    @functools.cached_property
+    def widths(self) -> np.ndarray:
+        """``len(choices[i])`` per location: the iid sampler's draw
+        bounds (a location with no choice is never struck)."""
+        widths = np.array([len(choices) for choices in self.choices],
+                          dtype=np.int64)
+        widths.setflags(write=False)  # shared with every run
+        return widths
 
     def __len__(self) -> int:
         return len(self.locations)

@@ -6,16 +6,28 @@ pinned to a sha256 digest, and the symbolic analyzer's counts over the
 same space are pinned to literals.  Seeded fault streams index into
 the choice tuples, so any drift here (a reordered basis, a location
 kind that moved, a changed input-register rule) would silently change
-every seeded result; these pins make it loud.
+every seeded result; these pins make it loud.  The memo tests check
+that a shared, memoised space is only ever reused for identical
+inputs.
 """
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 
 from repro.analysis.propagation import GadgetFaultAnalyzer
+from repro.circuits.circuit import GateOp
+from repro.circuits.gates import X
 from repro.ft import build_n_gadget, build_recovery_gadget, build_t_gadget
-from repro.noise import FaultSpace, NoiseModel
+from repro.noise import (
+    FaultLocation,
+    FaultSpace,
+    NoiseModel,
+    enumerate_locations,
+    register_channel,
+)
 
 BUILDERS = {
     "steane_n_direct": ("steane", lambda code: build_n_gadget(code)),
@@ -161,3 +173,92 @@ def test_symbolic_survey_pinned_steane_n(gadgets, steane):
     survey = analyzer.single_fault_survey()
     assert len(analyzer.locations) == 522
     assert len(survey.failures) == 632
+
+
+class TestMemo:
+    """``FaultSpace.build`` and ``Gadget.fault_locations`` are memoised
+    per circuit; every way the inputs can change must miss the memo."""
+
+    @staticmethod
+    def fresh(circuit, locations, channel="depolarizing"):
+        """An unmemoised build: a copy of the circuit has no entry."""
+        return FaultSpace.build(circuit.copy(), locations, channel)
+
+    def test_repeat_build_returns_same_object(self, gadgets):
+        gadget = gadgets["steane_t"]
+        first = FaultSpace.build(gadget.circuit, gadget.fault_locations())
+        again = FaultSpace.build(gadget.circuit,
+                                 list(gadget.fault_locations()))
+        assert again is first
+
+    def test_appended_op_misses(self, trivial):
+        gadget = build_n_gadget(trivial)
+        before_locations = gadget.fault_locations()
+        before = FaultSpace.build(gadget.circuit, before_locations)
+        gadget.circuit.append(GateOp(X, (0,)))
+        locations = gadget.fault_locations()
+        assert locations != before_locations
+        assert locations == enumerate_locations(
+            gadget.circuit.copy(),
+            input_qubits=sorted(gadget.qubits("quantum")))
+        after = FaultSpace.build(gadget.circuit, before_locations)
+        assert after is not before
+        assert after == self.fresh(gadget.circuit, before_locations)
+
+    def test_other_channel_misses(self, gadgets):
+        gadget = gadgets["steane_recovery"]
+        locations = gadget.fault_locations()
+        depolarizing = FaultSpace.build(gadget.circuit, locations)
+        bit_flip = FaultSpace.build(gadget.circuit, locations, "bit_flip")
+        assert bit_flip is not depolarizing
+        assert bit_flip == self.fresh(gadget.circuit, locations,
+                                      "bit_flip")
+        assert bit_flip != depolarizing
+
+    def test_reregistered_channel_misses(self, gadgets):
+        gadget = gadgets["trivial_t"]
+        locations = gadget.fault_locations()
+        register_channel("memo_overwrite_test", ("X",), overwrite=True)
+        x_only = FaultSpace.build(gadget.circuit, locations,
+                                  "memo_overwrite_test")
+        register_channel("memo_overwrite_test", ("Z",), overwrite=True)
+        z_only = FaultSpace.build(gadget.circuit, locations,
+                                  "memo_overwrite_test")
+        assert z_only == self.fresh(gadget.circuit, locations,
+                                    "memo_overwrite_test")
+        assert z_only.choices != x_only.choices
+
+    def test_other_locations_of_equal_length_miss(self, gadgets):
+        gadget = gadgets["steane_n_direct"]
+        default = gadget.fault_locations()
+        shifted = [FaultLocation(kind=location.kind,
+                                 qubits=location.qubits,
+                                 after_op=location.after_op + 1,
+                                 detail=location.detail)
+                   for location in default]
+        first = FaultSpace.build(gadget.circuit, default)
+        other = FaultSpace.build(gadget.circuit, shifted)
+        assert len(other) == len(first)
+        assert other is not first
+        assert other == self.fresh(gadget.circuit, shifted)
+        assert other.after_ops != first.after_ops
+
+    def test_mutating_returned_locations_is_harmless(self, trivial):
+        gadget = build_n_gadget(trivial)
+        locations = gadget.fault_locations()
+        expected = list(locations)
+        locations.clear()
+        assert gadget.fault_locations() == expected
+        gadget.fault_locations().append(expected[0])
+        assert gadget.fault_locations() == expected
+
+    def test_entries_die_with_their_circuit(self, trivial):
+        gadget = build_n_gadget(trivial)
+        space = weakref.ref(FaultSpace.build(gadget.circuit,
+                                             gadget.fault_locations()))
+        circuit = weakref.ref(gadget.circuit)
+        assert space() is not None
+        del gadget
+        gc.collect()
+        assert circuit() is None
+        assert space() is None

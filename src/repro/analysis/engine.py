@@ -24,18 +24,18 @@ batch by batch:
    through a :class:`FaultPatternCache` instead of re-running the
    sparse simulator.  Deduplication happens in the parent, so workers
    never simulate the same pattern twice regardless of scheduling.
-3. **Evaluate** (worker pool).  Only cache-missing patterns are
-   simulated, fanned out across a ``multiprocessing`` fork pool in
-   chunks.  Verdicts are independent booleans, so evaluation order
-   cannot affect results.
+3. **Evaluate** (worker slots).  Only cache-missing patterns are
+   simulated, fanned out across forked worker slots in chunks.
+   Verdicts are independent booleans, so evaluation order cannot
+   affect results.
 
 Since PR 3 the evaluate phase runs under the resilience layer of
 :mod:`repro.runtime`:
 
 * pool scheduling goes through a :class:`~repro.runtime.Supervisor`
-  (per-chunk deadlines, bounded retry with backoff, in-parent
-  quarantine of chunks that keep failing — recorded in
-  :class:`EngineStats`, never dropped);
+  (per-chunk deadlines, per-slot kill and respawn, bounded retry
+  with backoff, in-parent quarantine of chunks that keep failing —
+  recorded in :class:`EngineStats`, never dropped);
 * per-pattern evaluation degrades down a
   :class:`~repro.runtime.FallbackPolicy` ladder (sparse →
   statevector → density matrix) on ``MemoryError`` /
@@ -119,12 +119,6 @@ DEFAULT_CACHE_MAX_ENTRIES = 1 << 20
 MAX_WORK_ITEMS = 1 << 48
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-#: Fork-inherited evaluation context for pool workers (set in the
-#: parent immediately before the pool is created; children copy it at
-#: fork time, so nothing unpicklable ever crosses the pipe).
-_WORKER_CONTEXT: Optional["_EvalContext"] = None
-
 
 # ---------------------------------------------------------------------------
 # Input validation (shared by every public entry point)
@@ -354,9 +348,9 @@ class EngineStats:
     chunk_timings: List[ChunkTiming] = field(default_factory=list)
     # -- resilience accounting (repro.runtime) ----------------------
     retries: int = 0
-    hung_chunks: int = 0
+    hung_chunks: int = 0           # chunks lost to a dead/overdue slot
     worker_errors: int = 0
-    pool_restarts: int = 0
+    pool_restarts: int = 0         # slots forked to replace one
     quarantined_chunks: int = 0
     degraded_evaluations: Dict[str, int] = field(default_factory=dict)
     invariant_retries: int = 0
@@ -441,9 +435,9 @@ class EngineStats:
             ) or "none"
             lines.append(
                 f"  resilience: {self.retries} retries, "
-                f"{self.hung_chunks} hung, "
+                f"{self.hung_chunks} lost to dead or overdue slots, "
                 f"{self.worker_errors} worker errors, "
-                f"{self.pool_restarts} pool restarts, "
+                f"{self.pool_restarts} slots replaced, "
                 f"{self.quarantined_chunks} quarantined; "
                 f"degraded [{degraded}], "
                 f"{self.invariant_retries} invariant retries, "
@@ -566,8 +560,9 @@ def _evaluate_chunk_batched(context: _EvalContext,
 
     Patterns are sliced into ``batch_size`` stacks; a stack that the
     batched path cannot handle — register too wide for the lane bits
-    (``SimulationError``), out of memory, or an invariant violation
-    that needs the retry-once shield — degrades to the serial
+    (``SimulationError``), out of memory, an invariant violation that
+    needs the retry-once shield, or one of the chunk's injected
+    backend ``faults`` — degrades to the serial
     per-pattern ladder of :meth:`_EvalContext.evaluate_one`, exactly
     the rung structure a serial run would use.  Verdict values are
     unaffected either way (the lanes are bit-identical to serial
@@ -581,6 +576,8 @@ def _evaluate_chunk_batched(context: _EvalContext,
     for lo in range(0, len(patterns), context.batch_size):
         stack = patterns[lo:lo + context.batch_size]
         try:
+            raise_injected(faults, "oom", "simulation_error",
+                           "verification_error")
             stack_verdicts = evaluate_fault_patterns_batched(
                 context.gadget, context.initial_state,
                 context.evaluator, stack, invariant=context.invariant)
@@ -598,17 +595,6 @@ def _evaluate_chunk_batched(context: _EvalContext,
         "batched_evaluations": stacked,
         "batched_fallbacks": fallbacks,
     }
-
-
-def _eval_chunk(task: Tuple[int, List[FaultPattern], int]
-                ) -> _ChunkResult:
-    """Pool entry point: evaluate one chunk via the forked context."""
-    index, patterns, attempt = task
-    context = _WORKER_CONTEXT
-    if context is None:  # pragma: no cover - defensive
-        raise AnalysisError("engine worker started without a context")
-    return _evaluate_chunk(context, index, patterns, attempt,
-                           in_worker=True)
 
 
 def _chunk_slices(total: int, chunk_size: int) -> List[Tuple[int, int]]:
@@ -682,24 +668,22 @@ def _evaluate_patterns(context: _EvalContext,
             ))
 
     if use_pool:
-        supervisor = Supervisor(context.policy.supervisor)
-        global _WORKER_CONTEXT
-        _WORKER_CONTEXT = context
-        try:
-            report = supervisor.run(
-                num_tasks=len(payloads),
-                make_task=lambda index, attempt: (
-                    index, payloads[index], attempt),
-                worker_fn=_eval_chunk,
-                workers=pool_workers,
-                on_result=lambda index, result: _record(*result),
-                local_eval=lambda index: _evaluate_chunk(
-                    context, index, payloads[index],
-                    attempt=context.policy.supervisor.max_retries + 1,
-                    in_worker=False),
-            )
-        finally:
-            _WORKER_CONTEXT = None
+        # The slots fork inside ``run``: the context and the payloads
+        # reach them by inheritance, so only (index, attempt) crosses
+        # the pipe.
+        report = Supervisor(context.policy.supervisor).run(
+            num_tasks=len(payloads),
+            make_task=lambda index, attempt: (index, attempt),
+            worker_fn=lambda task: _evaluate_chunk(
+                context, task[0], payloads[task[0]], task[1],
+                in_worker=True),
+            workers=pool_workers,
+            on_result=lambda index, result: _record(*result),
+            local_eval=lambda index: _evaluate_chunk(
+                context, index, payloads[index],
+                attempt=context.policy.supervisor.max_retries + 1,
+                in_worker=False),
+        )
         stats.retries += report.retries
         stats.hung_chunks += report.expired_chunks
         stats.worker_errors += report.worker_errors

@@ -9,10 +9,12 @@ out-of-memory, Ctrl-C and half-written files — and must prove it.
   (:class:`CheckpointStore`): atomic write-tmp-then-rename records
   with integrity checksums and run fingerprints, powering
   ``checkpoint=``/``resume=`` on every engine entry point.
-* :mod:`repro.runtime.supervisor` — :class:`Supervisor`: per-chunk
-  deadlines over the fork pool, bounded retry, pool restarts,
-  in-parent quarantine; :func:`backoff_delay` is the one retry rule
-  shared with the certification service.
+* :mod:`repro.runtime.supervisor` — the one process supervisor:
+  :class:`Slots` of forked children, each SIGKILLed on its own
+  deadline and respawned on exit, which run both the engine's chunks
+  (:class:`Supervisor`: per-chunk deadlines, bounded retry, in-parent
+  quarantine) and the certification service's workers;
+  :func:`backoff_delay` is the one retry rule the service shares.
 * :mod:`repro.runtime.fallback` — :class:`FallbackPolicy`: sparse →
   statevector → density-matrix degradation on ``MemoryError`` /
   ``SimulationError``, and retry-once on ``VerificationError``.

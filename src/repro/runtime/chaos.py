@@ -62,7 +62,8 @@ _OPS = "|".join(NET_OPS)
 #:   ``kill``/``hang`` act on the worker process, ``expire`` forces the
 #:   lease away under it, ``fail`` raises a typed error.
 #: * ``net`` — site = the request op, index = that op's request count
-#:   at the server.  ``drop`` closes without a byte, ``delay`` holds
+#:   at the server (a partitioned request never arrives, so it has
+#:   none).  ``drop`` closes without a byte, ``delay`` holds
 #:   the response, ``duplicate`` processes the request twice,
 #:   ``disconnect`` sends half the response, ``garble`` flips a byte.
 #: * ``fleet`` — site ``<worker>`` (index counts all of that worker's

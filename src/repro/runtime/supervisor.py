@@ -1,41 +1,40 @@
-"""Supervised fork-pool execution with deadlines, retries, quarantine.
+"""One process supervisor: forked slots with per-child deadlines.
 
-``multiprocessing.Pool`` alone fails the resilience bar in two ways:
-a worker that is SIGKILLed mid-task leaves its task unfinished forever
-(the pool replaces the process but never re-queues the work), and a
-worker stuck in a pathological simulation blocks ``imap`` with no
-recourse.  The :class:`Supervisor` closes both holes with one
-mechanism — a per-chunk wall-clock deadline:
+:class:`Slots` keeps a fixed number of forked children ("slots"),
+each with an optional deadline.  An overdue slot is SIGKILLed on its
+own, a slot that exits is noticed at once through its sentinel, and
+a replacement is forked while the caller has work left.
 
-* every chunk is dispatched with ``apply_async`` and watched; a chunk
-  that misses its deadline (hung *or* silently dead worker) triggers
-  a pool restart, re-queues innocent in-flight chunks at their current
-  attempt, and re-queues the offender with an incremented attempt;
-* failed or expired attempts are retried after :func:`backoff_delay`
-  (exponential, with jitter hashed from the chunk index and attempt),
-  up to ``max_retries``;
-* a chunk that exhausts its retries is **quarantined**: evaluated
-  in the parent process as a last resort (a fork-pool pathology cannot
-  follow it there).  If even that fails, the run terminates with
-  :class:`~repro.exceptions.RuntimeIntegrityError` — a supervised run
-  returns complete results or a typed error, never a silent gap;
-* ``KeyboardInterrupt`` tears the pool down cleanly and propagates, so
-  callers (the engine) can flush a final checkpoint.
+:class:`Supervisor` runs indexed engine chunks on long-lived slots: a
+child receives ``make_task(index, attempt)`` over its pipe and sends
+back ``worker_fn(task)`` or the error, while the parent waits on the
+pipes and sentinels until the next deadline or backoff.
 
-The supervisor is workload-agnostic: it schedules integer-indexed
-tasks through a picklable ``worker_fn`` and reports what happened in a
-:class:`SupervisionReport`.  The analysis engine is its only in-repo
-client, but nothing here knows about fault patterns.
+* a chunk whose slot dies or misses ``chunk_deadline_seconds`` is lost
+  alone: it counts as expired and is retried, after
+  :func:`backoff_delay`, like a chunk whose worker raised; the other
+  chunks keep running;
+* a chunk that exhausts ``max_retries`` is **quarantined**: evaluated
+  in the parent, where a forked-child pathology cannot follow it.  If
+  that fails too, the run ends in
+  :class:`~repro.exceptions.RuntimeIntegrityError` — complete results
+  or a typed error, never a silent gap;
+* ``KeyboardInterrupt`` tears the slots down and propagates, so the
+  engine can flush a final checkpoint.
+
+The certification service runs its lease workers in the same slots,
+each slot's deadline being its lease's ``deadline_at``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import multiprocessing
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from multiprocessing import connection
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.exceptions import ReproError, RuntimeIntegrityError
 
@@ -70,7 +69,6 @@ class SupervisorConfig:
     backoff_base_seconds: float = 0.25
     backoff_factor: float = 2.0
     backoff_jitter: float = 0.25
-    poll_interval_seconds: float = 0.02
 
 
 @dataclass
@@ -81,7 +79,7 @@ class SupervisionReport:
     retries: int = 0
     expired_chunks: int = 0
     worker_errors: int = 0
-    pool_restarts: int = 0
+    pool_restarts: int = 0  # slots forked to replace one
     quarantined: List[int] = field(default_factory=list)
 
     @property
@@ -91,14 +89,101 @@ class SupervisionReport:
 
 
 @dataclass
-class _InFlight:
-    handle: Any
-    deadline: float
-    attempt: int
+class Slot:
+    """A forked child, the parent's end of its pipe, its deadline and
+    the caller's task on it (``None``: none)."""
+
+    process: Any
+    conn: connection.Connection
+    deadline: Optional[float] = None
+    task: Any = None
+
+
+class Slots:
+    """Up to ``size`` forked children, each running ``target(name,
+    conn)``; deadlines are read on ``clock``."""
+
+    def __init__(self, size: int,
+                 target: Callable[[str, connection.Connection], None],
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        self.size = size
+        self.target = target
+        self.clock = clock
+        self.live: List[Slot] = []
+        self.forked = 0
+        self.replaced = 0  # forks beyond the first ``size``
+
+    def _main(self, name: str, conn: connection.Connection) -> None:
+        for slot in self.live:  # siblings' pipes: see EOF if orphaned
+            slot.conn.close()
+        self.target(name, conn)
+
+    def fill(self) -> None:
+        """Fork children until ``size`` are live."""
+        context = multiprocessing.get_context("fork")
+        while len(self.live) < self.size:
+            self.forked += 1
+            self.replaced += self.forked > self.size
+            name = f"worker-{self.forked}"
+            parent_end, child_end = context.Pipe()
+            process = context.Process(target=self._main,
+                                      args=(name, child_end),
+                                      name=name, daemon=True)
+            process.start()
+            child_end.close()
+            self.live.append(Slot(process, parent_end))
+
+    def wait(self, timeout: Optional[float]) -> None:
+        """Block up to ``timeout`` s (``None``: forever) or until a
+        slot's pipe is readable or its child exits."""
+        connection.wait([slot.conn for slot in self.live]
+                        + [slot.process.sentinel for slot in self.live],
+                        timeout)
+
+    def kill_overdue(self) -> int:
+        """SIGKILL every live slot past its deadline; returns how many."""
+        now = self.clock()
+        overdue = [slot for slot in self.live if slot.process.is_alive()
+                   and slot.deadline is not None and now > slot.deadline]
+        for slot in overdue:
+            slot.process.kill()
+            slot.process.join(timeout=5.0)
+        return len(overdue)
+
+    def reap(self) -> List[Slot]:
+        """Remove and return the slots whose child has exited."""
+        gone = [slot for slot in self.live
+                if not slot.process.is_alive()]
+        for slot in gone:
+            slot.conn.close()
+        self.live = [slot for slot in self.live if slot not in gone]
+        return gone
+
+    def stop(self) -> None:
+        for slot in self.live:
+            slot.process.kill()
+        for slot in self.live:
+            slot.process.join()
+        self.reap()
+
+
+def _serve(conn: connection.Connection,
+           worker_fn: Callable[[Any], Any]) -> None:
+    """A chunk slot's loop: run each task received, send the reply."""
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, worker_fn(task))
+        except Exception as exc:
+            reply = (False, exc)
+        conn.send(reply)
 
 
 class Supervisor:
-    """Run indexed tasks through a supervised fork pool."""
+    """Run indexed tasks on supervised forked slots."""
 
     def __init__(self, config: Optional[SupervisorConfig] = None
                  ) -> None:
@@ -114,11 +199,12 @@ class Supervisor:
         """Schedule tasks 0..num_tasks-1 until every one has a result.
 
         Args:
-            make_task: builds the picklable payload for (index,
-                attempt) — the attempt number rides along so chaos
-                injection and logging can tell retries apart.
-            worker_fn: module-level function executed in pool workers.
-            workers: pool size (must be >= 1; fork must be available).
+            make_task: builds the picklable payload sent over the
+                pipe for (index, attempt) — the attempt number rides
+                along so chaos injection can tell retries apart.
+            worker_fn: run on each payload in a forked slot; it is
+                inherited at fork, so it need not pickle.
+            workers: slot count (must be >= 1; fork must be available).
             on_result: called exactly once per index, in completion
                 order, with the worker's return value.
             local_eval: in-parent fallback used to quarantine a chunk
@@ -128,16 +214,24 @@ class Supervisor:
         report = SupervisionReport(chunks=num_tasks)
         if num_tasks == 0:
             return report
-        context = multiprocessing.get_context("fork")
-        pool = context.Pool(processes=workers)
-        pending: deque = deque((i, 0) for i in range(num_tasks))
-        delayed: List[Tuple[float, int, int]] = []
-        inflight: Dict[int, _InFlight] = {}
+        slots = Slots(workers,
+                      lambda name, conn: _serve(conn, worker_fn))
+        # A heap of (ready_at, index, attempt); retries wait a backoff.
+        waiting: List[Tuple[float, int, int]] = [
+            (0.0, index, 0) for index in range(num_tasks)]
         remaining = num_tasks
 
-        def _quarantine(index: int, attempt: int,
-                        cause: Optional[BaseException]) -> None:
+        def _requeue(index: int, attempt: int,
+                     cause: Optional[BaseException]) -> None:
             nonlocal remaining
+            attempt += 1
+            if attempt <= config.max_retries:
+                report.retries += 1
+                heapq.heappush(waiting, (time.monotonic() + backoff_delay(
+                    str(index), attempt, config.backoff_base_seconds,
+                    config.backoff_factor, config.backoff_jitter),
+                    index, attempt))
+                return
             report.quarantined.append(index)
             try:
                 result = local_eval(index)
@@ -153,69 +247,47 @@ class Supervisor:
             on_result(index, result)
             remaining -= 1
 
-        def _requeue(index: int, attempt: int,
-                     cause: Optional[BaseException]) -> None:
-            next_attempt = attempt + 1
-            if next_attempt > config.max_retries:
-                _quarantine(index, next_attempt, cause)
-                return
-            report.retries += 1
-            ready_at = time.monotonic() + backoff_delay(
-                str(index), next_attempt, config.backoff_base_seconds,
-                config.backoff_factor, config.backoff_jitter)
-            delayed.append((ready_at, index, next_attempt))
-
         try:
             while remaining > 0:
+                slots.fill()
                 now = time.monotonic()
-                for entry in list(delayed):
-                    if entry[0] <= now:
-                        delayed.remove(entry)
-                        pending.append((entry[1], entry[2]))
-                while pending and len(inflight) < workers:
-                    index, attempt = pending.popleft()
-                    handle = pool.apply_async(
-                        worker_fn, (make_task(index, attempt),))
-                    inflight[index] = _InFlight(
-                        handle, time.monotonic()
-                        + config.chunk_deadline_seconds, attempt)
-                finished = [i for i, f in inflight.items()
-                            if f.handle.ready()]
-                for index in finished:
-                    flight = inflight.pop(index)
+                for slot in slots.live:
+                    if slot.task is None and waiting \
+                            and waiting[0][0] <= now:
+                        slot.task = heapq.heappop(waiting)[1:]
+                        slot.deadline = now + config.chunk_deadline_seconds
+                        try:
+                            slot.conn.send(make_task(*slot.task))
+                        except OSError:
+                            pass  # died idle: reaped below, task lost
+                wakeups = [slot.deadline for slot in slots.live
+                           if slot.deadline is not None]
+                if waiting and waiting[0][0] > now:
+                    wakeups.append(waiting[0][0])
+                timeout = (max(0.0, min(wakeups) - time.monotonic())
+                           if wakeups else None)
+                slots.wait(timeout)
+                for slot in slots.live:
+                    if slot.task is None or not slot.conn.poll():
+                        continue
                     try:
-                        result = flight.handle.get()
-                    except KeyboardInterrupt:
-                        raise
-                    except BaseException as exc:
-                        report.worker_errors += 1
-                        _requeue(index, flight.attempt, exc)
-                    else:
-                        on_result(index, result)
+                        ok, value = slot.conn.recv()
+                    except EOFError:
+                        continue  # died mid-task: reaped below
+                    (index, attempt), slot.task = slot.task, None
+                    slot.deadline = None
+                    if ok:
+                        on_result(index, value)
                         remaining -= 1
-                now = time.monotonic()
-                expired = [i for i, f in inflight.items()
-                           if f.deadline <= now]
-                if expired:
-                    # A missed deadline means a hung or silently dead
-                    # worker; either way the pool's state is suspect.
-                    # Restart it, punish the expired chunks with a
-                    # retry, and re-queue innocent in-flight chunks at
-                    # their current attempt.
-                    report.expired_chunks += len(expired)
-                    report.pool_restarts += 1
-                    pool.terminate()
-                    pool.join()
-                    pool = context.Pool(processes=workers)
-                    for index in list(inflight):
-                        flight = inflight.pop(index)
-                        if index in expired:
-                            _requeue(index, flight.attempt, None)
-                        else:
-                            pending.appendleft((index, flight.attempt))
-                elif not finished and remaining > 0:
-                    time.sleep(config.poll_interval_seconds)
+                    else:
+                        report.worker_errors += 1
+                        _requeue(index, attempt, value)
+                slots.kill_overdue()
+                for slot in slots.reap():
+                    if slot.task is not None:
+                        report.expired_chunks += 1
+                        _requeue(*slot.task, None)
+            report.pool_restarts = slots.replaced
         finally:
-            pool.terminate()
-            pool.join()
+            slots.stop()
         return report

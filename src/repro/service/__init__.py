@@ -14,9 +14,9 @@ execution, deterministic chaos — into a durable job system:
 * :class:`~repro.service.worker.Worker` — the one lease loop: claim
   → cache check → seeded run with per-job checkpoints → streamed
   progress → token-checked completion, in-process or over HTTP;
-* :class:`~repro.service.pool.WorkerPool` /
-  :class:`~repro.service.pool.CertificationService` — forked,
-  supervised workers behind one facade, with
+* :class:`~repro.service.pool.CertificationService` — the facade,
+  draining in-process or in forked slots of the one process
+  supervisor (:class:`~repro.runtime.supervisor.Slots`), with
   :class:`~repro.service.pool.ServiceStats` observability;
 * :class:`~repro.service.cache.ResultCache` — fingerprint → verdict
   with integrity digests; corrupt entries quarantined and recomputed;
@@ -58,7 +58,7 @@ from repro.service.jobs import CANCELLED, DEAD, FAILED, JOB_KINDS, \
     JobSpec, JobStatus, PENDING, RUNNING, SUCCEEDED, TERMINAL_STATES
 from repro.service.net import CertificationServer
 from repro.service.pool import CertificationService, ServiceConfig, \
-    ServiceStats, WorkerPool
+    ServiceStats
 from repro.service.queue import JobQueue, Lease, backoff_delay, \
     truncate_queue_journal
 from repro.service.sweep import SWEEP_CELL_KINDS, SweepCell, \
@@ -98,7 +98,6 @@ __all__ = [
     "TERMINAL_STATES",
     "Worker",
     "WorkerAuth",
-    "WorkerPool",
     "backoff_delay",
     "garble_cache_entry",
     "load_sweep",

@@ -132,7 +132,7 @@ class CertificationServer:
     Start with :meth:`start` (spawns a daemon thread running its own
     asyncio loop, binds, returns the address) or embed the coroutine
     :meth:`serve` in an existing loop.  The server is safe to run
-    beside in-process workers and forked pools: all queue access goes
+    beside in-process and forked workers: all queue access goes
     through the same advisory-locked journals.
     """
 
@@ -239,19 +239,21 @@ class CertificationServer:
                 return
             method, path, body, headers = request
             op, responder = self._route(method, path, body, headers)
-            index = self.request_counts.get(op, 0)
-            self.request_counts[op] = index + 1
-            plan = self.service.chaos
-            faults = (plan.match("net", op, index)
-                      if plan is not None else [])
-            kinds = {fault.kind for fault in faults}
             worker: Optional[str] = None
             if op in _WORK_OPS:
                 worker = self._authenticate(method, path, body,
                                             headers)
                 dropped = await self._fleet_chaos(worker, op)
                 if dropped:
-                    return  # partitioned: not one response byte
+                    # Partitioned: the request never arrived, so it
+                    # takes no op index and fires no net fault.
+                    return
+            index = self.request_counts.get(op, 0)
+            self.request_counts[op] = index + 1
+            plan = self.service.chaos
+            faults = (plan.match("net", op, index)
+                      if plan is not None else [])
+            kinds = {fault.kind for fault in faults}
             status, payload = await self._run_responder(responder,
                                                         worker)
             if "duplicate" in kinds:

@@ -1,35 +1,23 @@
-"""Multi-process worker pool and the service facade.
+"""The service facade and its forked workers.
 
-The :class:`WorkerPool` forks ``config.workers`` child processes,
-each running the :class:`~repro.service.worker.Worker` claim loop
-against the shared on-disk queue, and supervises them from the
-parent:
-
-* **reap** — expired leases (dead or silent holders) are returned to
-  ``pending`` every scheduling tick;
-* **kill** — a child whose lease has passed its hard *deadline* is
-  SIGKILLed (it is hung: a healthy worker would have finished or
-  stopped heartbeating on its own), which also releases any advisory
-  store locks it held;
-* **respawn** — children that exit (chaos kills, deadline kills,
-  crashes) are replaced while undrained work remains, up to the
-  configured pool size.
+:class:`CertificationService` bundles queue + cache + workers behind
+the facade the CLI and the tests use.  With ``workers > 0`` its drain
+runs each worker's claim loop in a slot of
+:class:`~repro.runtime.supervisor.Slots`, the one process supervisor,
+and every tick the parent reaps expired leases, SIGKILLs a slot whose
+lease passed its hard ``deadline_at`` (hung: which also frees its
+store locks), and respawns slots that exited while work remains.
 
 Coordination is entirely through the filesystem — journal, lease
-files, advisory locks — so the pool tolerates losing *any* process,
-including the parent: a fresh pool pointed at the same root resumes
+files, advisory locks — so the service tolerates losing *any*
+process, the parent included: a fresh drain of the same root resumes
 exactly where the dead one stopped.
-
-:class:`CertificationService` bundles queue + cache + pool behind
-the small facade the CLI and the tests use.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import signal
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -38,6 +26,7 @@ from repro.exceptions import ServiceError
 from repro.runtime.chaos import FaultPlan
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.policy import RuntimePolicy
+from repro.runtime.supervisor import Slots
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobSpec, JobStatus
 from repro.service.queue import JobQueue
@@ -143,103 +132,8 @@ class ServiceConfig:
     cache_max_age: Optional[float] = None
 
 
-def _worker_main(root: str, config: ServiceConfig, name: str,
-                 chaos: Optional[FaultPlan],
-                 runtime: Optional[RuntimePolicy]) -> None:
-    """Child-process entry: claim until the queue drains."""
-    service = CertificationService(root, config=config, chaos=chaos,
-                                   runtime=runtime)
-    # The pool's supervisor reaps; the child just claims until drained.
-    service.worker(name).run_until_drained(
-        poll=config.poll_interval, timeout=math.inf, reap=False)
-
-
-class WorkerPool:
-    """Forks and supervises the worker processes."""
-
-    def __init__(self, root: str, config: ServiceConfig,
-                 chaos: Optional[FaultPlan] = None,
-                 runtime: Optional[RuntimePolicy] = None) -> None:
-        if config.workers < 1:
-            raise ServiceError(
-                f"pool needs >= 1 worker, got {config.workers}"
-            )
-        self.root = os.fspath(root)
-        self.config = config
-        self.chaos = chaos
-        self.runtime = runtime
-        self._context = multiprocessing.get_context("fork")
-        self._children: List[multiprocessing.Process] = []
-        self._spawned = 0
-
-    def _spawn(self) -> None:
-        self._spawned += 1
-        name = f"worker-{self._spawned}"
-        child = self._context.Process(
-            target=_worker_main,
-            args=(self.root, self.config, name, self.chaos,
-                  self.runtime),
-            name=name, daemon=True)
-        child.start()
-        self._children.append(child)
-
-    def _kill_overdeadline(self, queue: JobQueue) -> int:
-        """SIGKILL children hung past their job's hard deadline."""
-        now = queue.clock()
-        hung_workers = {
-            lease.get("worker") for lease in queue.leases()
-            if now > float(lease.get("deadline_at", now + 1.0))
-        }
-        killed = 0
-        for child in self._children:
-            if child.name in hung_workers and child.is_alive():
-                os.kill(child.pid, signal.SIGKILL)
-                child.join(timeout=5.0)
-                killed += 1
-        return killed
-
-    def run_until_drained(self, queue: JobQueue,
-                          timeout: float = 600.0) -> Dict[str, int]:
-        """Supervise until every job is terminal; returns counts.
-
-        Raises :class:`ServiceError` at timeout with the queue's
-        counts in the message, after stopping all children.
-        """
-        deadline = time.monotonic() + timeout
-        incidents = {"respawns": 0, "deadline_kills": 0,
-                     "reaped_leases": 0}
-        try:
-            while not queue.drained:
-                if time.monotonic() >= deadline:
-                    raise ServiceError(
-                        f"pool timed out after {timeout:g}s with "
-                        f"queue counts {queue.counts()}"
-                    )
-                incidents["deadline_kills"] += \
-                    self._kill_overdeadline(queue)
-                incidents["reaped_leases"] += \
-                    len(queue.reap_expired())
-                self._children = [child for child in self._children
-                                  if child.is_alive()]
-                while len(self._children) < self.config.workers:
-                    self._spawn()
-                    if self._spawned > self.config.workers:
-                        incidents["respawns"] += 1
-                time.sleep(self.config.poll_interval)
-        finally:
-            self.stop()
-        return incidents
-
-    def stop(self) -> None:
-        for child in self._children:
-            if child.is_alive():
-                child.terminate()
-            child.join(timeout=5.0)
-        self._children = []
-
-
 class CertificationService:
-    """Queue + cache + pool behind one handle.
+    """Queue + cache + workers behind one handle.
 
     Layout under ``root``::
 
@@ -327,22 +221,53 @@ class CertificationService:
             heartbeat_interval=self.config.heartbeat_interval,
             runtime=self.runtime, chaos=self.chaos)
 
+    def _slot_main(self, name: str, conn: Any) -> None:
+        """A forked slot: claim until drained; the parent reaps."""
+        CertificationService(
+            self.root, self.config, self.chaos, self.runtime
+        ).worker(name).run_until_drained(
+            poll=self.config.poll_interval, timeout=math.inf,
+            reap=False)
+
     def run_until_drained(self, timeout: float = 600.0
                           ) -> Dict[str, Any]:
-        """Drain the queue; forked pool or in-process.
+        """Drain the queue; forked slots or in-process.
 
         ``config.workers == 0`` runs a single in-process worker (no
         fork — deterministic, debuggable, used by most tests); any
-        positive count forks a supervised pool.
+        positive count runs that many supervised slots.  Raises
+        :class:`ServiceError` at timeout with the queue's counts in
+        the message, after stopping every slot.
         """
-        if self.config.workers == 0:
+        config, queue = self.config, self.queue
+        if config.workers == 0:
             turns = self.worker().run_until_drained(
-                poll=self.config.poll_interval, timeout=timeout)
+                poll=config.poll_interval, timeout=timeout)
             return {"mode": "in-process", "turns": turns,
                     "counts": self.counts()}
-        pool = WorkerPool(self.root, self.config, chaos=self.chaos,
-                          runtime=self.runtime)
-        incidents = pool.run_until_drained(self.queue,
-                                           timeout=timeout)
+        if config.workers < 0:
+            raise ServiceError(
+                f"pool needs >= 1 worker, got {config.workers}")
+        slots = Slots(config.workers, self._slot_main, clock=queue.clock)
+        deadline = time.monotonic() + timeout
+        incidents = {"deadline_kills": 0, "reaped_leases": 0}
+        try:
+            while not queue.drained:
+                if time.monotonic() >= deadline:
+                    raise ServiceError(
+                        f"pool timed out after {timeout:g}s with "
+                        f"queue counts {queue.counts()}")
+                held = {lease.get("worker"):
+                        float(lease.get("deadline_at", math.inf))
+                        for lease in queue.leases()}
+                for slot in slots.live:
+                    slot.deadline = held.get(slot.process.name)
+                incidents["deadline_kills"] += slots.kill_overdue()
+                incidents["reaped_leases"] += len(queue.reap_expired())
+                slots.reap()
+                slots.fill()
+                slots.wait(config.poll_interval)
+        finally:
+            slots.stop()
         return {"mode": "pool", "counts": self.counts(),
-                **incidents}
+                "respawns": slots.replaced, **incidents}

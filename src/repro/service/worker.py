@@ -368,7 +368,8 @@ class Worker:
     One instance per worker process, thread or remote host; its
     lifetime tallies feed soak audits.  A ``chaos`` plan's ``job``
     faults fire at (site, submit index, attempt); ``expire`` acts on
-    the transport's queue, so it needs a :class:`QueueTransport`.
+    the transport's queue, so a plan holding one is refused unless
+    the transport has a queue (:class:`QueueTransport`).
     """
 
     def __init__(self, transport: LeaseTransport, *,
@@ -376,6 +377,12 @@ class Worker:
                  heartbeat_interval: Optional[float] = None,
                  runtime: Optional[RuntimePolicy] = None,
                  chaos: Optional[FaultPlan] = None) -> None:
+        for fault in chaos.faults if chaos is not None else ():
+            if (fault.layer, fault.kind) == ("job", "expire") \
+                    and not hasattr(transport, "queue"):
+                raise ValueError(f"{fault} expires a lease in the "
+                                 f"transport's queue; "
+                                 f"{type(transport).__name__} has none")
         self.transport = transport
         self.name = name
         self.heartbeat_interval = heartbeat_interval
@@ -450,9 +457,9 @@ class Worker:
                           reap: bool = True) -> int:
         """Claim until every job is terminal; returns acting turns.
 
-        Optionally reaps expired leases between turns (a forked pool's
-        supervisor does that instead; the HTTP server reaps on every
-        claim).
+        Optionally reaps expired leases between turns (the parent of
+        forked worker slots does that instead; the HTTP server reaps
+        on every claim).
         """
         turns = 0
         deadline = time.monotonic() + timeout

@@ -51,19 +51,21 @@ def tiny(trivial):
 def _fast_supervision(**overrides):
     defaults = dict(chunk_deadline_seconds=2.0, max_retries=2,
                     backoff_base_seconds=0.01, backoff_factor=2.0,
-                    backoff_jitter=0.25, poll_interval_seconds=0.02)
+                    backoff_jitter=0.25)
     defaults.update(overrides)
     return SupervisorConfig(**defaults)
 
 
 def _mc(tiny, *, workers, runtime=None, invariant=None,
-        checkpoint=None, trials=800, seed=7, chunk_size=8):
+        checkpoint=None, trials=800, seed=7, chunk_size=8,
+        batch_size=1):
     gadget, initial, evaluator = tiny
     noise = NoiseModel.uniform(0.25)
     return run_monte_carlo(gadget, initial, evaluator, noise,
                            trials=trials, seed=seed, workers=workers,
                            chunk_size=chunk_size, runtime=runtime,
-                           invariant=invariant, checkpoint=checkpoint)
+                           invariant=invariant, checkpoint=checkpoint,
+                           batch_size=batch_size)
 
 
 class TestChaosPlan:
@@ -241,6 +243,29 @@ class TestBackendChaos:
         assert survived == baseline
         assert survived.engine_stats.invariant_retries == 8
         assert survived.engine_stats.degraded_total == 0
+
+    @pytest.mark.parametrize("kind", ["oom", "simulation_error",
+                                      "verification_error"])
+    def test_batched_path_honours_backend_faults(self, tiny, kind):
+        # The struck chunk's stack drops to the per-pattern ladder, so
+        # batch_size=8 must degrade or retry exactly as a serial run.
+        invariant = norm_invariant()
+
+        def struck(batch_size):
+            runtime = RuntimePolicy(
+                chaos=FaultPlan().add("engine", "parent", 0, kind))
+            return _mc(tiny, workers=1, runtime=runtime,
+                       invariant=invariant, batch_size=batch_size)
+
+        serial, batched = struck(1), struck(8)
+        assert batched == serial
+        serial_stats = serial.engine_stats
+        stats = batched.engine_stats
+        assert serial_stats.degraded_total \
+            + serial_stats.invariant_retries == 8
+        assert stats.degraded_evaluations \
+            == serial_stats.degraded_evaluations
+        assert stats.invariant_retries == serial_stats.invariant_retries
 
 
 class TestCheckpointChaos:

@@ -60,7 +60,7 @@ def _dies_first_attempt(task):
 def _fast_config(**overrides):
     defaults = dict(chunk_deadline_seconds=5.0, max_retries=2,
                     backoff_base_seconds=0.01, backoff_factor=2.0,
-                    backoff_jitter=0.25, poll_interval_seconds=0.01)
+                    backoff_jitter=0.25)
     defaults.update(overrides)
     return SupervisorConfig(**defaults)
 
@@ -135,14 +135,24 @@ class TestSupervisorRecovery:
         assert report.retries >= 1
 
     def test_sigkilled_worker_expires_and_retries(self):
-        # A killed worker's task is lost silently by the pool; only
-        # the deadline can recover it.
         config = _fast_config(chunk_deadline_seconds=1.5)
         results, report = _run(_dies_first_attempt, num_tasks=3,
                                config=config)
         assert sorted(results) == list(range(3))
         assert report.expired_chunks >= 1
         assert report.pool_restarts >= 1
+
+    def test_killed_worker_recovers_without_waiting_for_deadline(self):
+        # The slot's exit is seen at once through its sentinel, so a
+        # long deadline never delays the retry.
+        config = _fast_config(chunk_deadline_seconds=30.0)
+        start = time.monotonic()
+        results, report = _run(_dies_first_attempt, num_tasks=3,
+                               config=config)
+        assert time.monotonic() - start < 10.0
+        assert sorted(results) == list(range(3))
+        assert report.expired_chunks == 1
+        assert report.retries == 1
 
 
 class TestSupervisorConfig:

@@ -8,11 +8,13 @@ from repro.service import (
     CertificationServer,
     CertificationService,
     DEAD,
+    FaultPlan,
     HttpTransport,
     JobSpec,
     QueueTransport,
     SUCCEEDED,
     ServiceClient,
+    Worker,
     WorkerAuth,
 )
 from repro.service.jobs import JobSpec as RawJobSpec
@@ -154,6 +156,20 @@ class TestFailurePaths:
         assert status.state == DEAD
         assert status.attempt == service.config.max_attempts
         assert "no_such_code" in status.error
+
+    def test_expire_fault_needs_a_queue_transport(self, service,
+                                                  tmp_path):
+        # Over HTTP the worker cannot reach the queue to expire a
+        # lease; the plan is refused up front instead of the fault
+        # silently turning into a typed job failure.
+        expire = FaultPlan().add("job", "batch:0", 0, "expire")
+        http = HttpTransport(ServiceClient("127.0.0.1", 9),
+                             str(tmp_path / "scratch"))
+        with pytest.raises(ValueError, match="expire"):
+            Worker(http, chaos=expire)
+        Worker(http, chaos=FaultPlan().add("job", "start", 0, "fail"))
+        Worker(QueueTransport(service.queue, service.cache),
+               chaos=expire)
 
 
 class TestHeartbeatShutdown:

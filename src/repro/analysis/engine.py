@@ -893,6 +893,29 @@ def sample_pair_chunk(space: FaultSpace,
         pattern_counts[key] = pattern_counts.get(key, 0) + 1
 
 
+def _count_failures(pattern_counts: Dict[FaultPattern, int],
+                    verdict_map: Dict[FaultPattern, bool]
+                    ) -> Tuple[int, Dict[int, int]]:
+    """``(failures, failures_by_fault_count)`` over judged patterns."""
+    failures = 0
+    by_count: Dict[int, int] = {}
+    for pattern, multiplicity in pattern_counts.items():
+        if not verdict_map[pattern]:
+            failures += multiplicity
+            by_count[len(pattern)] = \
+                by_count.get(len(pattern), 0) + multiplicity
+    return failures, by_count
+
+
+def _encode_counts(counts: Dict[int, int]) -> Dict[str, int]:
+    """A per-fault-count table in its journal form (JSON keys)."""
+    return {str(count): value for count, value in counts.items()}
+
+
+def _decode_counts(payload: Dict[str, int]) -> Dict[int, int]:
+    return {int(count): int(value) for count, value in payload.items()}
+
+
 def _apply_optimizer(gadget: Gadget, optimize,
                      locations) -> Tuple[Gadget, Optional[str]]:
     """Resolve the ``optimize=`` knob for a gadget workload.
@@ -1231,14 +1254,8 @@ def run_monte_carlo(gadget: Gadget,
             counts),
         stream_key=noise.stream_key())
 
-    failures = 0
-    failures_by_count: Dict[int, int] = {}
-    for pattern, multiplicity in pattern_counts.items():
-        if not verdict_map[pattern]:
-            failures += multiplicity
-            count = len(pattern)
-            failures_by_count[count] = \
-                failures_by_count.get(count, 0) + multiplicity
+    failures, failures_by_count = _count_failures(pattern_counts,
+                                                  verdict_map)
     run.finish({
         "trials": trials,
         "failures": failures,

@@ -34,6 +34,8 @@ from typing import (
 from repro.analysis.engine import (
     DEFAULT_CHUNK_SIZE,
     FaultPatternCache,
+    _decode_counts,
+    _encode_counts,
     _location_fields,
     run_exhaustive,
     run_malignant_pairs as sample_malignant_pairs,
@@ -195,12 +197,10 @@ def _point_payload(result: GadgetMonteCarloResult) -> Dict[str, object]:
         "p": result.p,
         "trials": result.trials,
         "failures": result.failures,
-        "failures_by_fault_count": {
-            str(k): v for k, v in result.failures_by_fault_count.items()
-        },
-        "fault_count_histogram": {
-            str(k): v for k, v in result.fault_count_histogram.items()
-        },
+        "failures_by_fault_count": _encode_counts(
+            result.failures_by_fault_count),
+        "fault_count_histogram": _encode_counts(
+            result.fault_count_histogram),
     }
 
 
@@ -210,14 +210,10 @@ def _point_from_payload(payload: Dict[str, object]
         p=float(payload["p"]),
         trials=int(payload["trials"]),
         failures=int(payload["failures"]),
-        failures_by_fault_count={
-            int(k): int(v)
-            for k, v in payload["failures_by_fault_count"].items()
-        },
-        fault_count_histogram={
-            int(k): int(v)
-            for k, v in payload["fault_count_histogram"].items()
-        },
+        failures_by_fault_count=_decode_counts(
+            payload["failures_by_fault_count"]),
+        fault_count_histogram=_decode_counts(
+            payload["fault_count_histogram"]),
     )
 
 

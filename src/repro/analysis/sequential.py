@@ -17,6 +17,10 @@ ago.  This module adds the sequential layer on top of the engine:
   confidence intervals are widest (or nearest a decision boundary),
   under a deterministic schedule.
 
+All three run one batch loop, :func:`_drive` (replay the journal,
+then sample → judge → journal → fold each batch the runner asks
+for); the SPRT runners share :func:`_run_sprt` on top of it.
+
 **Determinism contract.**  Batch ``b`` of a sequential run draws its
 faults from ``chunk_seed_sequence(seed, b, stream_key)`` — exactly the
 stream the fixed-budget engine assigns to chunk ``b`` at the same
@@ -26,6 +30,13 @@ decision changes how many trials are drawn, never which ones.  The
 adaptive sweep keys point ``i`` by ``seed + i`` (the ``sweep_p``
 convention), and its allocation schedule is a pure function of the
 accumulated counts, so results are reproducible for any worker count.
+
+**Progress.**  ``progress=`` receives one ``sample``
+:class:`~repro.analysis.engine.ProgressEvent` per drawn batch, before
+that batch is evaluated: ``done``/``total`` count trials (samples for
+the pair runner), including batches replayed from a journal, and
+``chunks_total`` is ``ceil(total / batch_size)``.  The engine's
+``evaluate`` events for the batch follow it.
 
 **Resume safety.**  With ``checkpoint=`` every completed batch is
 journaled (counts per batch, plus the engine's verdict journal) and
@@ -39,16 +50,8 @@ the identical fault stream — proven by the chaos tests in
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +70,9 @@ from repro.analysis.engine import (
     ProgressEvent,
     _coerce_count,
     _coerce_positive,
+    _count_failures,
+    _decode_counts,
+    _encode_counts,
     _require_pair_locations,
     _Run,
     chunk_seed_sequence,
@@ -112,22 +118,152 @@ class SequentialPairResult:
         return self.verdict.decision
 
 
-def _merge_counts(total: Dict[int, int], delta: Dict[int, int]) -> None:
-    for key, value in delta.items():
-        total[key] = total.get(key, 0) + value
+@dataclass
+class _Tally:
+    """One batch stream and the counts folded from its records.
+
+    Batch ``b`` of the stream draws from ``chunk_seed_sequence(seed,
+    b, stream_key)`` through ``draw(rng, length, histogram,
+    pattern_counts)``.  A pair stream (``counted=False``) journals no
+    per-fault-count tables.
+    """
+
+    seed: int
+    draw: Callable[[np.random.Generator, int, Dict[int, int],
+                    Dict[FaultPattern, int]], None]
+    stream_key: Tuple[int, ...] = ()
+    counted: bool = True
+    trials: int = 0
+    failures: int = 0
+    batches: int = 0
+    histogram: Dict[int, int] = field(default_factory=dict)
+    failures_by_count: Dict[int, int] = field(default_factory=dict)
+
+    def fold(self, record: Dict[str, object]) -> None:
+        self.trials += int(record["length"])
+        self.failures += int(record["failures"])
+        self.batches += 1
+        if not self.counted:
+            return
+        for table, key in ((self.histogram, "histogram"),
+                           (self.failures_by_count,
+                            "failures_by_fault_count")):
+            for count, value in _decode_counts(record[key]).items():
+                table[count] = table.get(count, 0) + value
+
+    def result(self, p: float, stats: Optional[EngineStats] = None
+               ) -> GadgetMonteCarloResult:
+        return GadgetMonteCarloResult(
+            p=p, trials=self.trials, failures=self.failures,
+            failures_by_fault_count=self.failures_by_count,
+            fault_count_histogram=self.histogram, engine_stats=stats)
 
 
-def _batch_failures(pattern_counts: Dict[FaultPattern, int],
-                    verdict_map: Dict[FaultPattern, bool],
-                    failures_by_count: Dict[int, int]) -> int:
-    failures = 0
-    for pattern, multiplicity in pattern_counts.items():
-        if not verdict_map[pattern]:
-            failures += multiplicity
-            count = len(pattern)
-            failures_by_count[count] = \
-                failures_by_count.get(count, 0) + multiplicity
-    return failures
+# (record fields ahead of the counts, the stream, the batch length)
+_Batch = Tuple[Dict[str, object], _Tally, int]
+
+
+def _drive(run: _Run, kind: str,
+           fold: Callable[[Dict[str, object], bool], None],
+           next_batch: Callable[[], Optional[_Batch]],
+           total: int, batch_size: int,
+           cursor: Callable[[], Dict[str, object]]) -> None:
+    """The one sequential batch loop.
+
+    Folds the journaled ``kind`` records in order (``fold(record,
+    False)``), then, until ``next_batch()`` returns ``None``: draws
+    the batch from its stream, emits the ``sample`` progress event,
+    judges the patterns through the engine, journals the record (the
+    batch's leading fields, ``length``, ``failures`` and, for counted
+    streams, the two per-fault-count tables) and folds it
+    (``fold(record, True)``).  ``total`` is the trial budget the
+    progress events count against.
+    """
+    store, stats, progress = run.store, run.stats, run.progress
+    consumed = 0
+    steps = 0
+    if store is not None:
+        for record in store.load_records(kind):
+            fold(record, False)
+            consumed += int(record["length"])
+            steps += 1
+    with run.interruptible(cursor):
+        while (batch := next_batch()) is not None:
+            head, tally, length = batch
+            rng = np.random.default_rng(chunk_seed_sequence(
+                tally.seed, tally.batches, stream_key=tally.stream_key))
+            histogram: Dict[int, int] = {}
+            patterns: Dict[FaultPattern, int] = {}
+            draw_start = time.perf_counter()
+            tally.draw(rng, length, histogram, patterns)
+            stats.sample_seconds += time.perf_counter() - draw_start
+            stats.chunks += 1
+            consumed += length
+            if progress is not None:
+                progress(ProgressEvent(
+                    phase="sample", done=consumed, total=total,
+                    chunk_index=steps,
+                    chunks_total=-(-total // batch_size),
+                    elapsed_seconds=time.perf_counter() - run.start,
+                ))
+            failures, by_count = _count_failures(
+                patterns, run.verdicts(patterns, batch_size))
+            record = {**head, "length": length, "failures": failures}
+            if tally.counted:
+                record["histogram"] = _encode_counts(histogram)
+                record["failures_by_fault_count"] = \
+                    _encode_counts(by_count)
+            if store is not None:
+                store.append_record(kind, record)
+            fold(record, True)
+            steps += 1
+    stats.trials = consumed
+
+
+def _run_sprt(run: _Run, tally: _Tally, test, method: str,
+              limit: int, batch_size: int,
+              on_batch: Optional[Callable[[int, int, int,
+                                           Optional[str]], None]],
+              claim: str, units: Tuple[str, str]) -> ClaimVerdict:
+    """The SPRT core both sequential runners share.
+
+    Draws ``batch_size`` batches (the last one short) until ``test``
+    decides or ``limit`` work items are consumed; journals the
+    estimator state after every fresh batch and calls ``on_batch``
+    after every batch, replayed ones included.  ``units`` names the
+    work items and their failures in the cursor and final summary.
+    """
+    store = run.store
+
+    def fold(record: Dict[str, object], fresh: bool) -> None:
+        tally.fold(record)
+        test.update(int(record["failures"]), int(record["length"]))
+        if fresh and store is not None:
+            store.write_state("estimator", {
+                "method": method,
+                "state": test.state_dict(),
+            })
+        if on_batch is not None:
+            on_batch(tally.batches - 1, tally.trials, tally.failures,
+                     test.decision)
+
+    def next_batch() -> Optional[_Batch]:
+        if test.decision is not None or tally.trials >= limit:
+            return None
+        return ({"batch": tally.batches}, tally,
+                min(batch_size, limit - tally.trials))
+
+    _drive(run, "batches", fold, next_batch, limit, batch_size,
+           lambda: {"batches_done": tally.batches,
+                    units[0]: tally.trials})
+    verdict = build_claim_verdict(test, claim, method, limit)
+    run.finish({
+        units[0]: tally.trials,
+        units[1]: tally.failures,
+        "decision": verdict.decision,
+        "batches": tally.batches,
+    })
+    return verdict
 
 
 def run_sequential_monte_carlo(
@@ -148,7 +284,6 @@ def run_sequential_monte_carlo(
         locations: Optional[Sequence[FaultLocation]] = None,
         workers: int = 1,
         eval_batch_size: int = 1,
-        prefetch: bool = False,
         memoize: bool = True,
         cache: Optional[FaultPatternCache] = None,
         invariant: Optional[Callable[[SparseState], None]] = None,
@@ -188,12 +323,9 @@ def run_sequential_monte_carlo(
     journals carry an ``eval_path`` fingerprint marker so a resume
     never silently swaps paths.
 
-    ``prefetch=True`` pipelines batch ``b+1``'s fault sampling on a
-    helper thread while batch ``b`` evaluates — safe because chunk
-    streams are independent per batch and a prefetched draw is
-    discarded unused if the test stops first.  Off by default: with
-    ``workers > 1`` the evaluation pool forks while the sampler
-    thread may be running, which is best opted into knowingly.
+    ``progress`` receives one ``sample`` event per batch, before the
+    batch is evaluated, counting trials against ``max_trials`` (see
+    the module docstring).
 
     ``on_batch`` is the streaming hook: after every batch is folded
     into the estimator (journaled batches replayed on resume
@@ -228,142 +360,20 @@ def run_sequential_monte_carlo(
         "method": method,
     }, checkpoint, resume)
     gadget, space = run.gadget, run.space
-    store, stats = run.store, run.stats
     probs = space.probabilities(noise)
-    stream_key = noise.stream_key()
-
-    histogram: Dict[int, int] = {}
-    failures_by_count: Dict[int, int] = {}
-    consumed = 0
-    failures_total = 0
-    batch_index = 0
-
-    if store is not None:
-        # Replay completed batches: the estimator's decision sequence
-        # is a pure function of the journaled per-batch counts.
-        for record in store.load_records("batches"):
-            _merge_counts(histogram, {
-                int(k): int(v)
-                for k, v in record["histogram"].items()})
-            _merge_counts(failures_by_count, {
-                int(k): int(v)
-                for k, v in record["failures_by_fault_count"].items()})
-            consumed += int(record["length"])
-            failures_total += int(record["failures"])
-            test.update(int(record["failures"]), int(record["length"]))
-            batch_index = int(record["batch"]) + 1
-            if on_batch is not None:
-                on_batch(batch_index - 1, consumed, failures_total,
-                         test.decision)
-
-    def _draw_batch(
-            index: int, length: int,
-    ) -> Tuple[Dict[int, int], Dict[FaultPattern, int], float]:
-        """Sample one batch's fault stream.
-
-        Thread-safe by construction: every call builds its own rng
-        from the batch's chunk seed and writes only local dicts, so
-        the prefetch thread and the main loop never share state.
-        """
-        rng = np.random.default_rng(
-            chunk_seed_sequence(seed, index, stream_key=stream_key))
-        draw_start = time.perf_counter()
-        drawn_histogram: Dict[int, int] = {}
-        drawn_patterns: Dict[FaultPattern, int] = {}
-        sample_fault_chunk(noise, gadget, space, probs, rng, length,
-                           drawn_histogram, drawn_patterns)
-        return (drawn_histogram, drawn_patterns,
-                time.perf_counter() - draw_start)
-
-    executor: Optional[ThreadPoolExecutor] = None
-    if prefetch:
-        executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-sample-prefetch")
-    pending: Optional[Tuple[int, Future]] = None
-    try:
-        with run.interruptible(lambda: {"batches_done": batch_index,
-                                        "trials": consumed}):
-            while test.decision is None and consumed < max_trials:
-                length = min(batch_size, max_trials - consumed)
-                if pending is not None and pending[0] == batch_index:
-                    batch_histogram, batch_patterns, sampled = \
-                        pending[1].result()
-                else:
-                    batch_histogram, batch_patterns, sampled = \
-                        _draw_batch(batch_index, length)
-                pending = None
-                stats.sample_seconds += sampled
-                stats.chunks += 1
-                if executor is not None:
-                    # Overlap the next batch's sampling with this
-                    # batch's evaluation.  Length is fixed now
-                    # (consumed is not yet advanced, so next =
-                    # max_trials-consumed-length); if the test decides
-                    # first the draw is discarded.
-                    next_length = min(batch_size,
-                                      max_trials - consumed - length)
-                    if next_length > 0:
-                        pending = (batch_index + 1, executor.submit(
-                            _draw_batch, batch_index + 1, next_length))
-                if progress is not None:
-                    progress(ProgressEvent(
-                        phase="sample", done=consumed + length,
-                        total=max_trials, chunk_index=batch_index,
-                        chunks_total=-(-max_trials // batch_size),
-                        elapsed_seconds=time.perf_counter() - run.start,
-                    ))
-                verdict_map = run.verdicts(batch_patterns, batch_size)
-                batch_fbc: Dict[int, int] = {}
-                batch_failures = _batch_failures(batch_patterns,
-                                                 verdict_map, batch_fbc)
-                _merge_counts(failures_by_count, batch_fbc)
-                _merge_counts(histogram, batch_histogram)
-                consumed += length
-                failures_total += batch_failures
-                test.update(batch_failures, length)
-                if store is not None:
-                    store.append_record("batches", {
-                        "batch": batch_index,
-                        "length": length,
-                        "failures": batch_failures,
-                        "histogram": {str(k): v for k, v
-                                      in batch_histogram.items()},
-                        "failures_by_fault_count": {
-                            str(k): v for k, v in batch_fbc.items()},
-                    })
-                    store.write_state("estimator", {
-                        "method": method,
-                        "state": test.state_dict(),
-                    })
-                if on_batch is not None:
-                    on_batch(batch_index, consumed, failures_total,
-                             test.decision)
-                batch_index += 1
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    stats.trials = consumed
-    claim_text = claim or (
-        f"{gadget.name} failure_rate <= {p0:g} at p={noise.p_gate:g}"
-    )
-    verdict = build_claim_verdict(test, claim_text, method, max_trials)
-    run.finish({
-        "trials": consumed,
-        "failures": failures_total,
-        "decision": verdict.decision,
-        "batches": batch_index,
-    })
-    result = GadgetMonteCarloResult(
-        p=noise.p_gate,
-        trials=consumed,
-        failures=failures_total,
-        failures_by_fault_count=failures_by_count,
-        fault_count_histogram=histogram,
-        engine_stats=stats,
-    )
-    return SequentialResult(verdict=verdict, result=result,
-                            batches=batch_index)
+    tally = _Tally(
+        seed, lambda rng, length, histogram, patterns: sample_fault_chunk(
+            noise, gadget, space, probs, rng, length, histogram,
+            patterns),
+        stream_key=tuple(noise.stream_key()))
+    verdict = _run_sprt(
+        run, tally, test, method, max_trials, batch_size, on_batch,
+        claim or (f"{gadget.name} failure_rate <= {p0:g} "
+                  f"at p={noise.p_gate:g}"),
+        ("trials", "failures"))
+    return SequentialResult(verdict=verdict,
+                            result=tally.result(noise.p_gate, run.stats),
+                            batches=tally.batches)
 
 
 def run_sequential_pair_sampling(
@@ -384,7 +394,6 @@ def run_sequential_pair_sampling(
         channel: str = "depolarizing",
         workers: int = 1,
         eval_batch_size: int = 1,
-        prefetch: bool = False,
         memoize: bool = True,
         cache: Optional[FaultPatternCache] = None,
         invariant: Optional[Callable[[SparseState], None]] = None,
@@ -402,9 +411,10 @@ def run_sequential_pair_sampling(
     deciding the threshold early.  Same stream/stopping/resume
     contract as :func:`run_sequential_monte_carlo`, over the uniform
     distinct-location-pair draws of ``run_malignant_pairs`` — and the
-    same ``eval_batch_size``/``prefetch`` accelerators and
-    ``on_batch`` streaming hook, which change wall-clock and
-    observability only, never verdicts or journals.
+    same ``eval_batch_size`` accelerator, ``progress`` rule (counted in
+    samples against ``max_samples``) and ``on_batch`` streaming hook,
+    which change wall-clock and observability only, never verdicts or
+    journals.
     """
     run = _Run(gadget, initial_state, evaluator, locations,
                channel=channel, workers=workers,
@@ -429,102 +439,23 @@ def run_sequential_pair_sampling(
         "method": method,
         "channel": channel,
     }, checkpoint, resume)
-    store, stats = run.store, run.stats
-    consumed = 0
-    malignant_total = 0
-    batch_index = 0
-
-    if store is not None:
-        for record in store.load_records("batches"):
-            consumed += int(record["length"])
-            malignant_total += int(record["failures"])
-            test.update(int(record["failures"]), int(record["length"]))
-            batch_index = int(record["batch"]) + 1
-            if on_batch is not None:
-                on_batch(batch_index - 1, consumed, malignant_total,
-                         test.decision)
-
-    def _draw_batch(
-            index: int, length: int,
-    ) -> Tuple[Dict[FaultPattern, int], float]:
-        """Sample one pair batch (thread-safe: all state is local)."""
-        rng = np.random.default_rng(
-            chunk_seed_sequence(seed, index))
-        draw_start = time.perf_counter()
-        drawn_patterns: Dict[FaultPattern, int] = {}
-        sample_pair_chunk(run.space, rng, length, drawn_patterns)
-        return drawn_patterns, time.perf_counter() - draw_start
-
-    executor: Optional[ThreadPoolExecutor] = None
-    if prefetch:
-        executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-sample-prefetch")
-    pending: Optional[Tuple[int, Future]] = None
-    try:
-        with run.interruptible(lambda: {"batches_done": batch_index,
-                                        "samples": consumed}):
-            while test.decision is None and consumed < max_samples:
-                length = min(batch_size, max_samples - consumed)
-                if pending is not None and pending[0] == batch_index:
-                    batch_patterns, sampled = pending[1].result()
-                else:
-                    batch_patterns, sampled = _draw_batch(batch_index,
-                                                          length)
-                pending = None
-                stats.sample_seconds += sampled
-                stats.chunks += 1
-                if executor is not None:
-                    next_length = min(batch_size,
-                                      max_samples - consumed - length)
-                    if next_length > 0:
-                        pending = (batch_index + 1, executor.submit(
-                            _draw_batch, batch_index + 1, next_length))
-                verdict_map = run.verdicts(batch_patterns, batch_size)
-                batch_malignant = sum(
-                    multiplicity for pattern, multiplicity
-                    in batch_patterns.items()
-                    if not verdict_map[pattern])
-                consumed += length
-                malignant_total += batch_malignant
-                test.update(batch_malignant, length)
-                if store is not None:
-                    store.append_record("batches", {
-                        "batch": batch_index,
-                        "length": length,
-                        "failures": batch_malignant,
-                    })
-                    store.write_state("estimator", {
-                        "method": method,
-                        "state": test.state_dict(),
-                    })
-                if on_batch is not None:
-                    on_batch(batch_index, consumed, malignant_total,
-                             test.decision)
-                batch_index += 1
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    stats.trials = consumed
-    claim_text = claim or (
-        f"{run.gadget.name} malignant_fraction <= {f0:g}"
-    )
-    verdict = build_claim_verdict(test, claim_text, method,
-                                  max_samples)
-    run.finish({
-        "samples": consumed,
-        "malignant": malignant_total,
-        "decision": verdict.decision,
-        "batches": batch_index,
-    })
+    space = run.space
+    tally = _Tally(
+        seed, lambda rng, length, histogram, patterns: sample_pair_chunk(
+            space, rng, length, patterns),
+        counted=False)
+    verdict = _run_sprt(
+        run, tally, test, method, max_samples, batch_size, on_batch,
+        claim or f"{run.gadget.name} malignant_fraction <= {f0:g}",
+        ("samples", "malignant"))
     sample = MalignantPairSample(
-        samples=consumed,
-        malignant=malignant_total,
-        num_locations=len(run.space),
-        engine_stats=stats,
+        samples=tally.trials,
+        malignant=tally.failures,
+        num_locations=len(space),
+        engine_stats=run.stats,
     )
     return SequentialPairResult(verdict=verdict, sample=sample,
-                                batches=batch_index)
+                                batches=tally.batches)
 
 
 @dataclass
@@ -629,9 +560,9 @@ def adaptive_sweep_p(gadget: Gadget,
     sequence and final series.
 
     ``eval_batch_size > 1`` routes evaluation through the vectorised
-    batched simulator (results unchanged).  There is no ``prefetch``
-    here: which point samples next depends on the batch that is still
-    evaluating, so sampling cannot run ahead of the allocator.
+    batched simulator (results unchanged).  ``progress`` receives one
+    ``sample`` event per batch, before it is evaluated, counting
+    trials against the spendable budget (the whole batches).
     """
     if cache is None and memoize:
         cache = FaultPatternCache()
@@ -675,99 +606,52 @@ def adaptive_sweep_p(gadget: Gadget,
         "channel": channel,
     }, checkpoint, resume)
     gadget, space = run.gadget, run.space
-    store, stats = run.store, run.stats
-    models = [NoiseModel.uniform(p, channel=channel) for p in p_values]
-    probs = [space.probabilities(model) for model in models]
 
-    trials = [0] * num_points
-    failures = [0] * num_points
-    batches = [0] * num_points
-    histograms: List[Dict[int, int]] = [{} for _ in range(num_points)]
-    fbcs: List[Dict[int, int]] = [{} for _ in range(num_points)]
-    steps_done = 0
+    def _point(index: int) -> _Tally:
+        model = NoiseModel.uniform(p_values[index], channel=channel)
+        probs = space.probabilities(model)
+        return _Tally(
+            seed + index,
+            lambda rng, length, histogram, patterns: sample_fault_chunk(
+                model, gadget, space, probs, rng, length, histogram,
+                patterns))
 
-    if store is not None:
-        for record in store.load_records("alloc"):
-            index = int(record["point"])
-            trials[index] += int(record["length"])
-            failures[index] += int(record["failures"])
-            batches[index] += 1
-            _merge_counts(histograms[index], {
-                int(k): int(v)
-                for k, v in record["histogram"].items()})
-            _merge_counts(fbcs[index], {
-                int(k): int(v)
-                for k, v in record["failures_by_fault_count"].items()})
-            steps_done += 1
+    points = [_point(index) for index in range(num_points)]
 
-    with run.interruptible(lambda: {"steps_done": steps_done}):
-        while steps_done < budget_batches:
-            index, _ = _pick_adaptive_point(
-                trials, failures, batches, min_batches_per_point,
-                confidence, interval_method, boundary)
-            rng = np.random.default_rng(
-                chunk_seed_sequence(seed + index, batches[index]))
-            sample_start = time.perf_counter()
-            batch_histogram: Dict[int, int] = {}
-            batch_patterns: Dict[FaultPattern, int] = {}
-            sample_fault_chunk(models[index], gadget, space,
-                               probs[index], rng, batch_size,
-                               batch_histogram, batch_patterns)
-            stats.sample_seconds += time.perf_counter() - sample_start
-            stats.chunks += 1
-            verdict_map = run.verdicts(batch_patterns, batch_size)
-            batch_fbc: Dict[int, int] = {}
-            batch_failures = _batch_failures(batch_patterns,
-                                             verdict_map, batch_fbc)
-            trials[index] += batch_size
-            failures[index] += batch_failures
-            batches[index] += 1
-            _merge_counts(histograms[index], batch_histogram)
-            _merge_counts(fbcs[index], batch_fbc)
-            if store is not None:
-                store.append_record("alloc", {
-                    "step": steps_done,
-                    "point": index,
-                    "batch": batches[index] - 1,
-                    "length": batch_size,
-                    "failures": batch_failures,
-                    "histogram": {str(k): v for k, v
-                                  in batch_histogram.items()},
-                    "failures_by_fault_count": {
-                        str(k): v for k, v in batch_fbc.items()},
-                })
-            steps_done += 1
-            if progress is not None:
-                progress(ProgressEvent(
-                    phase="sample", done=steps_done,
-                    total=budget_batches, chunk_index=steps_done - 1,
-                    chunks_total=budget_batches,
-                    elapsed_seconds=time.perf_counter() - run.start,
-                ))
+    def steps() -> int:
+        return sum(point.batches for point in points)
 
-    stats.trials = sum(trials)
-    results = [
-        GadgetMonteCarloResult(
-            p=p_values[i],
-            trials=trials[i],
-            failures=failures[i],
-            failures_by_fault_count=fbcs[i],
-            fault_count_histogram=histograms[i],
-        )
-        for i in range(num_points)
-    ]
-    intervals = [binomial_interval(failures[i], trials[i], confidence,
-                                   interval_method)
-                 for i in range(num_points)]
+    def next_batch() -> Optional[_Batch]:
+        if steps() >= budget_batches:
+            return None
+        index, _ = _pick_adaptive_point(
+            [point.trials for point in points],
+            [point.failures for point in points],
+            [point.batches for point in points],
+            min_batches_per_point, confidence, interval_method,
+            boundary)
+        head = {"step": steps(), "point": index,
+                "batch": points[index].batches}
+        return head, points[index], batch_size
+
+    _drive(run, "alloc",
+           lambda record, fresh: points[int(record["point"])].fold(record),
+           next_batch, budget_batches * batch_size, batch_size,
+           lambda: {"steps_done": steps()})
+    allocation = [point.batches for point in points]
+    trials = sum(point.trials for point in points)
+    intervals = [binomial_interval(point.failures, point.trials,
+                                   confidence, interval_method)
+                 for point in points]
     run.finish({
-        "steps": steps_done,
-        "trials": sum(trials),
-        "allocation": list(batches),
+        "steps": steps(),
+        "trials": trials,
+        "allocation": allocation,
     })
     return AdaptiveSweepResult(
-        results=results,
+        results=[point.result(p) for point, p in zip(points, p_values)],
         intervals=intervals,
-        allocation=list(batches),
-        total_trials=sum(trials),
-        stats=stats,
+        allocation=list(allocation),
+        total_trials=trials,
+        stats=run.stats,
     )

@@ -312,3 +312,57 @@ class TestStressSequentialMode:
             assert verdict.trials_used <= 150
             assert verdict.ci_low is not None
             assert verdict.ci_high is not None
+
+
+def _progress_mc(tiny, **kwargs):
+    # Budget 60 = three batches of 16 and a short one of 12.
+    outcome = run_sequential_monte_carlo(
+        *tiny, NoiseModel.uniform(0.2), p0=0.15, p1=0.35,
+        max_trials=60, seed=3, batch_size=16, **kwargs)
+    return outcome.result.trials, outcome.batches, 60
+
+
+def _progress_pairs(tiny, **kwargs):
+    outcome = run_sequential_pair_sampling(
+        *tiny, f0=0.7, f1=0.8, max_samples=60, seed=3, batch_size=16,
+        **kwargs)
+    return outcome.sample.samples, outcome.batches, 60
+
+
+def _progress_adaptive(tiny, **kwargs):
+    # 70 trials buy four whole batches: the budget counted is 64.
+    sweep = adaptive_sweep_p(*tiny, [0.1, 0.2], 70, seed=3,
+                             batch_size=16, **kwargs)
+    return sweep.total_trials, sum(sweep.allocation), 64
+
+
+class TestProgressRule:
+    """One rule for all three runners: one ``sample`` event per drawn
+    batch, emitted before the batch is evaluated, counting trials (or
+    pair samples) against the spendable budget."""
+
+    @pytest.mark.parametrize("run", [_progress_mc, _progress_pairs,
+                                     _progress_adaptive],
+                             ids=["monte_carlo", "pairs", "adaptive"])
+    def test_one_sample_event_per_batch_before_evaluation(self, tiny,
+                                                          run):
+        events = []
+        # memoize=False simulates every batch afresh, so each batch
+        # emits its own evaluate events.
+        trials, batches, total = run(tiny, memoize=False,
+                                     progress=events.append)
+        samples = [event for event in events if event.phase == "sample"]
+        assert batches > 1
+        assert len(samples) == batches
+        assert [event.chunk_index for event in samples] == \
+            list(range(batches))
+        assert [event.done for event in samples] == \
+            [min(16 * (index + 1), total) for index in range(batches)]
+        assert samples[-1].done == trials
+        assert {event.total for event in samples} == {total}
+        assert {event.chunks_total for event in samples} == \
+            {-(-total // 16)}
+        phases = [event.phase for event in events]
+        runs = [phase for index, phase in enumerate(phases)
+                if index == 0 or phase != phases[index - 1]]
+        assert runs == ["sample", "evaluate"] * batches

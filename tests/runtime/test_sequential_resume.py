@@ -162,19 +162,6 @@ class TestBatchedSequentialResume:
             assert batched.result == serial.result
             assert batched.batches == serial.batches
 
-    def test_prefetch_changes_nothing(self, tiny):
-        gadget, initial, evaluator = tiny
-        noise = NoiseModel.uniform(0.05)
-        plain = run_sequential_monte_carlo(
-            gadget, initial, evaluator, noise, seed=2025,
-            eval_batch_size=16, **_SEQ_KWARGS)
-        prefetched = run_sequential_monte_carlo(
-            gadget, initial, evaluator, noise, seed=2025,
-            eval_batch_size=16, prefetch=True, **_SEQ_KWARGS)
-        assert prefetched.verdict == plain.verdict
-        assert prefetched.result == plain.result
-        assert prefetched.batches == plain.batches
-
     def test_sequential_batched_is_prefix_of_fixed_budget(self, tiny):
         """The stopped batched run consumed a bit-identical prefix of
         the fixed-budget batched engine run at the same seed."""
@@ -249,8 +236,7 @@ class TestBatchedSequentialResume:
         serial = run_sequential_pair_sampling(
             gadget, initial, evaluator, **kwargs)
         batched = run_sequential_pair_sampling(
-            gadget, initial, evaluator, eval_batch_size=16,
-            prefetch=True, **kwargs)
+            gadget, initial, evaluator, eval_batch_size=16, **kwargs)
         assert batched.verdict == serial.verdict
         assert batched.sample == serial.sample
         assert batched.batches == serial.batches

@@ -351,15 +351,31 @@ class CheckpointStore:
 
     # -- append-only record batches ---------------------------------
 
-    def _record_files(self, kind: str) -> List[Tuple[int, str]]:
-        if not os.path.isdir(self.directory):
+    def _record_names(self, kind: str, start: int = 0
+                      ) -> List[Tuple[int, str]]:
+        """``(sequence, file name)`` of each ``kind`` record numbered
+        at least ``start``, in sequence order."""
+        try:
+            names = os.listdir(self.directory)
+        except (FileNotFoundError, NotADirectoryError):
             return []
         found = []
-        for name in os.listdir(self.directory):
+        for name in names:
             match = _RECORD_NAME.match(name)
             if match and match.group(1) == kind:
-                found.append((int(match.group(2)), self._path(name)))
+                sequence = int(match.group(2))
+                if sequence >= start:
+                    found.append((sequence, name))
         return sorted(found)
+
+    def _record_files(self, kind: str, start: int = 0
+                      ) -> List[Tuple[int, str]]:
+        """Like :meth:`_record_names`, with full paths."""
+        return [(sequence, self._path(name))
+                for sequence, name in self._record_names(kind, start)]
+
+    def _record_path(self, kind: str, sequence: int) -> str:
+        return self._path(f"{kind}-{sequence:06d}.json")
 
     def append_record(self, kind: str, payload: Dict[str, Any]) -> int:
         """Journal one batch; returns its sequence number.
@@ -371,19 +387,23 @@ class CheckpointStore:
         """
         self._ensure_dir()
         with _flock(self._path(_APPEND_LOCK)):
-            existing = self._record_files(kind)
+            existing = self._record_names(kind)
             sequence = existing[-1][0] + 1 if existing else 0
             record = dict(payload)
             record["kind"] = kind
             record["sequence"] = sequence
-            _write_atomic_json(
-                self._path(f"{kind}-{sequence:06d}.json"), record)
+            _write_atomic_json(self._record_path(kind, sequence),
+                               record)
         return sequence
 
     def load_records(self, kind: str,
-                     tolerate_tail: bool = False
-                     ) -> List[Dict[str, Any]]:
-        """All batches of ``kind`` in append order (checksum-verified).
+                     tolerate_tail: bool = False,
+                     start: int = 0) -> List[Dict[str, Any]]:
+        """Batches of ``kind`` in append order (checksum-verified).
+
+        Only records with sequence number ``start`` or higher are
+        read, so a caller that has folded the journal up to some
+        sequence loads just what was appended since.
 
         With ``tolerate_tail`` a corrupt *last* record is quarantined
         (renamed ``<name>.corrupt``) and replay continues without it:
@@ -394,7 +414,7 @@ class CheckpointStore:
         :class:`CheckpointError`.
         """
         records = []
-        files = self._record_files(kind)
+        files = self._record_files(kind, start)
         for position, (sequence, path) in enumerate(files):
             try:
                 record = _read_checked_json(path)

@@ -21,7 +21,21 @@ a lost ``claim`` is covered by the lease file it wrote, a lost
 ``complete`` by the lease it removed (the job is reaped, re-claimed
 and served from the ResultCache).  A corrupt event in the middle of
 the journal is unambiguous damage and raises
-:class:`~repro.exceptions.CheckpointError`.
+:class:`~repro.exceptions.CheckpointError` when the journal is
+replayed from the start.
+
+Each :class:`JobQueue` keeps the journal *folded* in memory: the job
+table, the event tally and the journaled completes as of the last
+record it applied, plus that record file's identity (inode, size,
+mtime).  Under the queue lock every verb checks the identity, then
+loads and applies only the records appended since — by this process
+or any other writer on the same root, including forked children that
+inherited the fold.  If the last applied record is missing or has
+changed (a torn tail rewritten in place, a quarantined tail, a wiped
+or replaced root), the fold is rebuilt by a full replay.  A live
+queue therefore verifies each record's checksum once, when it folds
+it; damage to a record it has already folded is caught by the next
+queue opened on the root, not by the live one.
 
 Leases make crash recovery safe: a claim writes
 ``leases/<fp>.json`` with a random token and an expiry; the worker
@@ -41,10 +55,12 @@ directory as a typed terminal state instead of retrying forever.
 
 from __future__ import annotations
 
+import copy
 import os
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterator, List, Optional, \
+    Tuple
 
 from repro.exceptions import CheckpointError, ServiceError, \
     StaleLeaseError
@@ -100,6 +116,90 @@ _LEASE_FIELDS = ("fingerprint", "token", "attempt", "claimed_at",
                  "expires_at", "deadline_at", "submit_index")
 
 
+class _Fold:
+    """The event journal folded up to record ``sequence``.
+
+    Holds the job table replay derives, the lifetime event tally
+    (:meth:`JobQueue.event_counts`) and the canonical JSON of every
+    journaled ``complete``'s verdict keyed by (fingerprint, token),
+    which decides duplicate delivery.  ``identity`` is the ``(st_ino, st_size,
+    st_mtime_ns)`` of the last applied record's file.
+    """
+
+    def __init__(self) -> None:
+        self.sequence = -1
+        self.identity: Optional[Tuple[int, int, int]] = None
+        self.jobs: Dict[str, JobStatus] = {}
+        self.events: Dict[str, int] = {}
+        self.completes: Dict[Tuple[str, Any], List[Any]] = {}
+
+    def apply(self, record: Dict[str, Any]) -> None:
+        """Fold one verified event record into the state."""
+        event = record.get("event")
+        fingerprint = record.get("fingerprint", "")
+        name = str(record.get("event", "unknown"))
+        self.events[name] = self.events.get(name, 0) + 1
+        self.sequence = int(record["sequence"])
+        jobs = self.jobs
+        if event == "submit":
+            spec = JobSpec.from_json_dict(record["spec"])
+            existing = jobs.get(fingerprint)
+            if existing is None or existing.terminal:
+                jobs[fingerprint] = JobStatus(
+                    spec=spec, fingerprint=fingerprint,
+                    submit_index=int(record.get("index", 0)))
+            return
+        status = jobs.get(fingerprint)
+        if status is None:
+            # An event for a job whose submit record was lost to
+            # tail truncation of an earlier journal generation;
+            # cannot happen mid-journal (submit precedes every other
+            # event), so treat as damage.
+            raise CheckpointError(
+                f"queue journal event {event!r} references "
+                f"unknown job {fingerprint[:12]}…"
+            )
+        if event == "claim":
+            status.state = RUNNING
+            status.attempt = int(record["attempt"])
+            status.worker = str(record.get("worker", ""))
+        elif event == "complete":
+            status.state = SUCCEEDED
+            status.verdict = dict(record.get("verdict", {}))
+            status.meta = dict(record.get("meta", {}))
+            status.error = ""
+            try:
+                recorded = canonical_json(status.verdict)
+            except ValueError:
+                recorded = status.verdict  # refused again when used
+            self.completes.setdefault(
+                (fingerprint, record.get("token")), []
+            ).append(recorded)
+        elif event == "fail":
+            status.state = PENDING
+            status.error = str(record.get("error", ""))
+            status.not_before = float(record.get("not_before", 0.0))
+        elif event == "dead":
+            status.state = DEAD
+            status.error = str(record.get("error", ""))
+        elif event == "cancel":
+            status.state = CANCELLED
+            status.error = str(record.get("reason", ""))
+        elif event == "expire":
+            if not status.terminal:
+                status.state = PENDING
+        else:
+            raise CheckpointError(
+                f"queue journal holds unknown event {event!r}"
+            )
+
+
+def _copy_status(status: JobStatus) -> JobStatus:
+    """A caller's own copy of a folded job status."""
+    return replace(status, verdict=copy.deepcopy(status.verdict),
+                   meta=copy.deepcopy(status.meta))
+
+
 class JobQueue:
     """The durable queue.  All transitions serialise on ``queue.lock``.
 
@@ -137,6 +237,7 @@ class JobQueue:
         self.clock = clock
         self.journal = CheckpointStore(
             os.path.join(self.root, "journal"))
+        self._fold = _Fold()
 
     # -- paths -------------------------------------------------------
 
@@ -158,64 +259,45 @@ class JobQueue:
 
     # -- replay ------------------------------------------------------
 
-    def _replay(self) -> Dict[str, JobStatus]:
-        """Derive every job's state from the event journal.
+    def _identity(self, sequence: int
+                  ) -> Optional[Tuple[int, int, int]]:
+        """``(st_ino, st_size, st_mtime_ns)`` of one event record."""
+        try:
+            info = os.stat(self.journal._record_path(_EVENTS,
+                                                     sequence))
+        except OSError:
+            return None
+        return info.st_ino, info.st_size, info.st_mtime_ns
 
-        ``tolerate_tail=True``: a truncated final record is
-        quarantined and its effect recovered from the lease and
-        dead-letter files (see module docstring).
+    def _replay(self) -> _Fold:
+        """Bring the fold up to date with the journal and return it.
+
+        Caller holds the queue lock and must not mutate the fold
+        (public readers hand out copies).  When the last folded
+        record is unchanged on disk, only the records appended since
+        are loaded and applied; when it is missing or its identity
+        changed (a torn tail rewritten in place, a quarantined tail,
+        a wiped or replaced root) the whole journal is replayed into
+        a fresh fold.  ``tolerate_tail=True``: a truncated final
+        record is quarantined and its effect recovered from the lease
+        and dead-letter files (see module docstring).
         """
-        jobs: Dict[str, JobStatus] = {}
-        for record in self.journal.load_records(_EVENTS,
-                                                tolerate_tail=True):
-            event = record.get("event")
-            fingerprint = record.get("fingerprint", "")
-            if event == "submit":
-                spec = JobSpec.from_json_dict(record["spec"])
-                existing = jobs.get(fingerprint)
-                if existing is None or existing.terminal:
-                    jobs[fingerprint] = JobStatus(
-                        spec=spec, fingerprint=fingerprint,
-                        submit_index=int(record.get("index", 0)))
-                continue
-            status = jobs.get(fingerprint)
-            if status is None:
-                # An event for a job whose submit record was lost to
-                # tail truncation of an earlier journal generation;
-                # cannot happen mid-journal (submit precedes every
-                # other event), so treat as damage.
-                raise CheckpointError(
-                    f"queue journal event {event!r} references "
-                    f"unknown job {fingerprint[:12]}…"
-                )
-            if event == "claim":
-                status.state = RUNNING
-                status.attempt = int(record["attempt"])
-                status.worker = str(record.get("worker", ""))
-            elif event == "complete":
-                status.state = SUCCEEDED
-                status.verdict = dict(record.get("verdict", {}))
-                status.meta = dict(record.get("meta", {}))
-                status.error = ""
-            elif event == "fail":
-                status.state = PENDING
-                status.error = str(record.get("error", ""))
-                status.not_before = float(
-                    record.get("not_before", 0.0))
-            elif event == "dead":
-                status.state = DEAD
-                status.error = str(record.get("error", ""))
-            elif event == "cancel":
-                status.state = CANCELLED
-                status.error = str(record.get("reason", ""))
-            elif event == "expire":
-                if not status.terminal:
-                    status.state = PENDING
-            else:
-                raise CheckpointError(
-                    f"queue journal holds unknown event {event!r}"
-                )
-        return jobs
+        fold = self._fold
+        if fold.sequence >= 0:
+            identity = self._identity(fold.sequence)
+            if identity is None or identity != fold.identity:
+                fold = _Fold()
+        records = self.journal.load_records(
+            _EVENTS, tolerate_tail=True, start=fold.sequence + 1)
+        # A record that fails to apply leaves the fold half-updated:
+        # start the next call from an empty one, which replays all.
+        self._fold = _Fold()
+        for record in records:
+            fold.apply(record)
+        if records:
+            fold.identity = self._identity(fold.sequence)
+        self._fold = fold
+        return fold
 
     # -- lease files -------------------------------------------------
 
@@ -271,7 +353,7 @@ class JobQueue:
         """
         fingerprint = spec.fingerprint
         with self._locked():
-            jobs = self._replay()
+            jobs = self._replay().jobs
             existing = jobs.get(fingerprint)
             if existing is not None and not existing.terminal:
                 return fingerprint
@@ -301,12 +383,12 @@ class JobQueue:
         with a typed :class:`~repro.exceptions.ServiceError`.
         """
         with self._locked():
-            jobs = self._replay()
-            status = jobs.get(fingerprint)
+            status = self._replay().jobs.get(fingerprint)
             if status is None:
                 raise ServiceError(
                     f"cannot cancel unknown job {fingerprint[:12]}…"
                 )
+            status = _copy_status(status)
             if status.state == CANCELLED:
                 return status
             if status.state != PENDING:
@@ -339,7 +421,7 @@ class JobQueue:
         """
         now = self.clock()
         with self._locked():
-            jobs = self._replay()
+            jobs = self._replay().jobs
             for fingerprint in sorted(
                     jobs, key=lambda f: jobs[f].submit_index):
                 status = jobs[fingerprint]
@@ -442,16 +524,11 @@ class JobQueue:
         treated as duplicate delivery.
         """
         wanted = canonical_json(dict(verdict))
-        records = self.journal.load_records(_EVENTS,
-                                            tolerate_tail=True)
-        for record in records:
-            if (record.get("event") == "complete"
-                    and record.get("fingerprint") == fingerprint
-                    and record.get("token") == token
-                    and canonical_json(dict(record.get(
-                        "verdict", {}))) == wanted):
-                return True
-        return False
+        recorded = self._replay().completes.get((fingerprint, token),
+                                                ())
+        return any((earlier if isinstance(earlier, str)
+                    else canonical_json(dict(earlier))) == wanted
+                   for earlier in recorded)
 
     def fail(self, fingerprint: str, token: str, error: str) -> None:
         """Record a failed attempt: backoff-retry or dead-letter."""
@@ -460,13 +537,12 @@ class JobQueue:
             lease = self._check_token(fingerprint, token)
             attempt = int(lease.get("attempt", 1))
             if attempt >= self.max_attempts:
-                jobs = self._replay()
-                status = jobs.get(fingerprint)
+                status = self._replay().jobs.get(fingerprint)
                 if status is None:
                     raise CheckpointError(
                         f"failing unknown job {fingerprint[:12]}…"
                     )
-                status.attempt = attempt
+                status = replace(status, attempt=attempt)
                 self._bury(status, error)
             else:
                 delay = backoff_delay(
@@ -523,7 +599,7 @@ class JobQueue:
         now = self.clock()
         reaped = []
         with self._locked():
-            jobs = self._replay()
+            jobs = self._replay().jobs
             for fingerprint, status in jobs.items():
                 if status.state != RUNNING:
                     continue
@@ -554,8 +630,7 @@ class JobQueue:
         write raises :class:`StaleLeaseError`.
         """
         with self._locked():
-            jobs = self._replay()
-            status = jobs.get(fingerprint)
+            status = self._replay().jobs.get(fingerprint)
             if status is None or status.state != RUNNING:
                 raise ServiceError(
                     f"cannot expire lease of job {fingerprint[:12]}…:"
@@ -598,16 +673,20 @@ class JobQueue:
 
     def status(self, fingerprint: str) -> Optional[JobStatus]:
         with self._locked():
-            return self._replay().get(fingerprint)
+            status = self._replay().jobs.get(fingerprint)
+            return None if status is None else _copy_status(status)
 
     def jobs(self) -> Dict[str, JobStatus]:
         with self._locked():
-            return self._replay()
+            return {fingerprint: _copy_status(status)
+                    for fingerprint, status
+                    in self._replay().jobs.items()}
 
     def counts(self) -> Dict[str, int]:
         tally: Dict[str, int] = {}
-        for status in self.jobs().values():
-            tally[status.state] = tally.get(status.state, 0) + 1
+        with self._locked():
+            for status in self._replay().jobs.values():
+                tally[status.state] = tally.get(status.state, 0) + 1
         return tally
 
     def event_counts(self) -> Dict[str, int]:
@@ -619,20 +698,15 @@ class JobQueue:
         journaled — the raw material for
         :class:`~repro.service.pool.ServiceStats`.
         """
-        tally: Dict[str, int] = {}
         with self._locked():
-            records = self.journal.load_records(
-                _EVENTS, tolerate_tail=True)
-        for record in records:
-            event = str(record.get("event", "unknown"))
-            tally[event] = tally.get(event, 0) + 1
-        return tally
+            return dict(self._replay().events)
 
     @property
     def drained(self) -> bool:
         """True when every submitted job reached a terminal state."""
-        return all(status.terminal
-                   for status in self.jobs().values())
+        with self._locked():
+            return all(status.terminal
+                       for status in self._replay().jobs.values())
 
     def watch(self, fingerprint: str, poll: float = 0.2,
               timeout: float = 60.0

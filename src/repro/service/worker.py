@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, ContextManager, Dict, Iterator, \
     Optional, Protocol, Tuple
 
-from repro.analysis.engine import run_monte_carlo
+from repro.analysis.engine import _encode_counts, run_monte_carlo
 from repro.analysis.sequential import run_sequential_monte_carlo
 from repro.analysis.stats import wilson_interval
 from repro.analysis.stress import gadget_cases, stress_certify
@@ -157,12 +157,10 @@ def _execute_monte_carlo(ctx: ExecutionContext
         "trials": result.trials,
         "failures": result.failures,
         "failure_rate": result.failure_rate,
-        "failures_by_fault_count": {
-            str(k): v for k, v in
-            sorted(result.failures_by_fault_count.items())},
-        "fault_count_histogram": {
-            str(k): v for k, v in
-            sorted(result.fault_count_histogram.items())},
+        "failures_by_fault_count": _encode_counts(
+            dict(sorted(result.failures_by_fault_count.items()))),
+        "fault_count_histogram": _encode_counts(
+            dict(sorted(result.fault_count_histogram.items()))),
         "interval": interval.to_json_dict(),
     }
     stats = result.engine_stats

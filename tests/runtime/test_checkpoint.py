@@ -288,3 +288,23 @@ class TestHardening:
             handle.write("{ torn")
         with pytest.raises(CheckpointError):
             store.load_records("events", tolerate_tail=True)
+
+    def test_start_reads_only_later_records(self, tmp_path):
+        store = CheckpointStore(str(tmp_path / "run"))
+        for i in range(4):
+            store.append_record("events", {"i": i})
+        first = os.path.join(store.directory, "events-000000.json")
+        with open(first, "w", encoding="utf-8") as handle:
+            handle.write("{ torn")
+        records = store.load_records("events", start=2)
+        assert [r["sequence"] for r in records] == [2, 3]
+        assert store.load_records("events", start=4) == []
+        # The journal's last record is still the tolerated tail.
+        tail = os.path.join(store.directory, "events-000003.json")
+        with open(tail, "r+", encoding="utf-8") as handle:
+            handle.truncate(20)
+        records = store.load_records("events", tolerate_tail=True,
+                                     start=2)
+        assert [r["i"] for r in records] == [2]
+        with pytest.raises(CheckpointError):
+            store.load_records("events", tolerate_tail=True)

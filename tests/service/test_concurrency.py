@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import threading
 import time
+from typing import Optional
 
 import pytest
 
@@ -25,8 +26,10 @@ from repro.service import (
 from tests.service.conftest import fast_config, mc_spec, needs_fork
 
 
-def _claim_worker(root: str, out_dir: str, index: int) -> None:
-    queue = JobQueue(root, lease_ttl=30.0)
+def _claim_worker(root: str, out_dir: str, index: int,
+                  queue: Optional[JobQueue] = None) -> None:
+    if queue is None:
+        queue = JobQueue(root, lease_ttl=30.0)
     claimed = []
     while True:
         lease = queue.claim(f"claimer-{index}")
@@ -40,19 +43,26 @@ def _claim_worker(root: str, out_dir: str, index: int) -> None:
 
 @needs_fork
 class TestRivalClaimers:
-    def test_two_processes_never_claim_the_same_job(self, tmp_path):
+    @pytest.mark.parametrize("inherit", [False, True],
+                             ids=["fresh", "inherited-fold"])
+    def test_two_processes_never_claim_the_same_job(self, tmp_path,
+                                                    inherit):
         """N processes drain the claimable set; every job must be
-        claimed exactly once across all of them."""
+        claimed exactly once across all of them — also when each
+        forked child works through the parent's already-folded
+        queue."""
         root = str(tmp_path / "q")
         out_dir = str(tmp_path / "out")
         os.makedirs(out_dir)
         queue = JobQueue(root, lease_ttl=30.0)
         fingerprints = [queue.submit(mc_spec(seed=s))
                         for s in range(8)]
+        assert len(queue.jobs()) == 8
         context = multiprocessing.get_context("fork")
         children = [
             context.Process(target=_claim_worker,
-                            args=(root, out_dir, index))
+                            args=(root, out_dir, index,
+                                  queue if inherit else None))
             for index in range(4)
         ]
         for child in children:
@@ -67,6 +77,7 @@ class TestRivalClaimers:
                 all_claims.extend(json.load(fh))
         assert sorted(all_claims) == sorted(fingerprints)
         assert len(set(all_claims)) == len(all_claims)
+        assert queue.jobs() == JobQueue(root).jobs()
 
 
 class TestLeaseExpiryRace:

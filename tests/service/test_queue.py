@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+
 import pytest
 
-from repro.exceptions import ServiceError, StaleLeaseError
+from repro.exceptions import CheckpointError, ServiceError, \
+    StaleLeaseError
+from repro.runtime import checkpoint
 from repro.service import (
     CANCELLED,
+    CertificationService,
     DEAD,
     JobQueue,
     JobSpec,
@@ -16,6 +23,8 @@ from repro.service import (
     backoff_delay,
     truncate_queue_journal,
 )
+
+from tests.service.conftest import fast_config, mc_spec
 
 
 class FakeClock:
@@ -468,3 +477,143 @@ class TestIdempotentComplete:
             queue.complete(fp, stale.token, {"failures": 3})
         assert queue.complete(fp, fresh.token,
                               {"failures": 3}) is True
+
+    def test_non_canonical_verdict_does_not_poison_the_fold(self,
+                                                           queue):
+        """A verdict canonical JSON refuses (NaN) is journaled as
+        before and must not stop later verbs from folding it."""
+        fp = queue.submit(spec())
+        lease = queue.claim("w1")
+        assert queue.complete(fp, lease.token,
+                              {"rate": float("nan")}) is True
+        assert queue.status(fp).state == SUCCEEDED
+        assert queue.event_counts()["complete"] == 1
+
+
+def garble_event(queue: JobQueue, position: int) -> None:
+    """Change one journaled event on disk without fixing its
+    checksum."""
+    _, path = queue.journal._record_files("events")[position]
+    with open(path, encoding="utf-8") as handle:
+        record = json.load(handle)
+    record["fingerprint"] = "0" * 64
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(record, handle)
+
+
+class TestJournalFold:
+    """Each verb folds only the events appended since its last replay;
+    a record is still checksum-verified when it is folded."""
+
+    def test_records_read_grow_with_events_not_journal(
+            self, queue, monkeypatch):
+        read = []
+        real = checkpoint._read_checked_json
+
+        def counting(path):
+            if os.path.basename(path).startswith("events-"):
+                read.append(path)
+            return real(path)
+
+        monkeypatch.setattr(checkpoint, "_read_checked_json", counting)
+        for seed in range(40):
+            fp = queue.submit(spec(seed))
+            lease = queue.claim("w1")
+            assert lease.fingerprint == fp
+            queue.complete(fp, lease.token, {"v": seed})
+            assert queue.status(fp).state == SUCCEEDED
+        journaled = len(queue.journal._record_files("events"))
+        assert journaled == 120
+        assert len(read) <= 2 * journaled
+
+    def test_callers_cannot_mutate_the_fold(self, queue):
+        fp = queue.submit(spec())
+        lease = queue.claim("w1")
+        queue.complete(fp, lease.token, {"interval": {"low": 0.1}},
+                       meta={"evaluations": 3})
+        status = queue.status(fp)
+        status.state = PENDING
+        status.verdict["interval"]["low"] = 9.0
+        queue.jobs()[fp].meta["evaluations"] = 0
+        again = queue.status(fp)
+        assert again.state == SUCCEEDED
+        assert again.verdict == {"interval": {"low": 0.1}}
+        assert again.meta == {"evaluations": 3}
+
+    def test_second_writer_is_folded(self, queue, clock):
+        a = queue.submit(spec(1))
+        assert queue.status(a).state == PENDING
+        other = JobQueue(queue.root, lease_ttl=10.0, clock=clock)
+        b = other.submit(spec(2))
+        lease = other.claim("w2")
+        assert lease.fingerprint == a
+        assert queue.status(a).state == RUNNING
+        assert set(queue.jobs()) == {a, b}
+        queue.complete(a, lease.token, {"v": 1})
+        assert other.status(a).state == SUCCEEDED
+        assert queue.event_counts() == other.event_counts() == {
+            "submit": 2, "claim": 1, "complete": 1}
+
+    def test_folded_tail_torn_in_place_is_replayed(self, queue):
+        fp = queue.submit(spec())
+        lease = queue.claim("w1")
+        queue.complete(fp, lease.token, {"v": 1})
+        assert queue.status(fp).state == SUCCEEDED  # folded
+        truncate_queue_journal(queue)
+        assert queue.status(fp).state == RUNNING
+        assert queue.event_counts() == {"submit": 1, "claim": 1}
+
+    def test_wiped_root_is_replayed(self, queue):
+        queue.submit(spec(1))
+        assert len(queue.jobs()) == 1
+        shutil.rmtree(queue.root)
+        assert queue.jobs() == {}
+        b = queue.submit(spec(2))
+        assert queue.status(b).submit_index == 0
+        assert set(queue.jobs()) == {b}
+
+    def test_mid_journal_damage_refuses_fresh_queue(self, queue, clock):
+        for seed in range(3):
+            queue.submit(spec(seed))
+        garble_event(queue, 1)
+        with pytest.raises(CheckpointError, match="integrity"):
+            JobQueue(queue.root, clock=clock).jobs()
+
+    def test_damage_in_unfolded_records_is_refused(self, queue, clock):
+        queue.submit(spec(1))
+        assert len(queue.jobs()) == 1
+        other = JobQueue(queue.root, clock=clock)
+        other.submit(spec(2))
+        other.submit(spec(3))
+        garble_event(queue, 1)
+        with pytest.raises(CheckpointError, match="integrity"):
+            queue.jobs()
+
+
+class TestFsyncsPerJob:
+    """Pins how many fsyncs one job lifecycle costs through the
+    service (no heartbeat fires: the interval outlasts the job)."""
+
+    def test_fresh_and_cached_lifecycle(self, tmp_path, monkeypatch):
+        service = CertificationService(
+            str(tmp_path / "svc"),
+            config=fast_config(lease_ttl=60.0, heartbeat_interval=30.0))
+        synced = []
+        real = os.fsync
+
+        def counting(fd):
+            synced.append(fd)
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        counts = []
+        for _ in range(2):
+            synced.clear()
+            fp = service.submit(mc_spec())
+            service.run_until_drained()
+            counts.append(len(synced))
+        assert service.status(fp).meta["cache_hit"] is True
+        # fresh: submit, claim + lease, engine header/cursor/verdicts/
+        # final, one progress record, cache entry, complete.
+        # cached: submit, claim + lease, one progress record, complete.
+        assert counts == [10, 5]

@@ -4,8 +4,9 @@ A hypothesis ``RuleBasedStateMachine`` drives one queue on a fake
 clock through random interleavings of submit, claim, heartbeat,
 complete, fail, forced expiry, reap (plus a targeted reap with the
 clock between a lease's deadline and its expiry), cancel, clock
-advances and a torn journal tail, and mirrors every transition in
-dictionaries:
+advances, a torn journal tail and transitions made by a second
+``JobQueue`` on the same root (standing in for a forked or concurrent
+writer), and mirrors every transition in dictionaries:
 
 * ``jobs`` — what replaying the journal must derive per job (state,
   attempt, backoff ``not_before``, submit index);
@@ -14,8 +15,9 @@ dictionaries:
   journal holds, which decide duplicate delivery.
 
 After every step ``status()``/``counts()`` must equal the model, no
-submitted job may be missing, and the journal must hold at most one
-``complete`` per job per submission round.
+submitted job may be missing, the live queue's in-memory fold must
+equal a fresh replay by a newly opened queue, and the journal must
+hold at most one ``complete`` per job per submission round.
 
 A torn tail is only drawn when the newest event is a claim, complete,
 fail or expire: those are the losses the queue re-derives from its
@@ -25,6 +27,7 @@ no replay can recover.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import shutil
@@ -84,10 +87,12 @@ class QueueMachine(RuleBasedStateMachine):
     @initialize(job_deadline=st.sampled_from([5.0, 14.0]))
     def open_queue(self, job_deadline):
         self.job_deadline = job_deadline
-        self.queue = JobQueue(self.root, lease_ttl=LEASE_TTL,
-                              job_deadline=job_deadline,
-                              max_attempts=MAX_ATTEMPTS,
-                              backoff_base=1.0, clock=self.clock)
+        self.queue, self.second = (
+            JobQueue(self.root, lease_ttl=LEASE_TTL,
+                     job_deadline=job_deadline,
+                     max_attempts=MAX_ATTEMPTS, backoff_base=1.0,
+                     clock=self.clock)
+            for _ in range(2))
         for index in range(len(SPECS)):
             self.submit(index)
 
@@ -106,6 +111,16 @@ class QueueMachine(RuleBasedStateMachine):
         self._append("dead")
         self.jobs[fingerprint]["state"] = DEAD
         self.leases.pop(fingerprint, None)
+
+    @contextlib.contextmanager
+    def _through_second_queue(self):
+        """Run one rule's transition through the second queue, whose
+        fold lags the live one's."""
+        live, self.queue = self.queue, self.second
+        try:
+            yield
+        finally:
+            self.queue = live
 
     # -- rules -------------------------------------------------------
 
@@ -288,14 +303,36 @@ class QueueMachine(RuleBasedStateMachine):
     def advance(self, seconds):
         self.clock.advance(seconds)
 
+    @rule(target=leases_issued)
+    def claim_elsewhere(self):
+        with self._through_second_queue():
+            return self.claim()
+
+    @rule(verb=st.sampled_from(["submit", "cancel", "expire_lease"]),
+          index=st.integers(0, len(SPECS) - 1))
+    def transition_elsewhere(self, verb, index):
+        with self._through_second_queue():
+            getattr(self, verb)(index)
+
     @precondition(lambda self: self.last_event in TORN_RECOVERABLE)
-    @rule()
-    def tear_journal_tail(self):
+    @rule(observer=st.sampled_from(["live", "second"]))
+    def tear_journal_tail(self, observer):
+        """Tear the newest event after the live queue folded it.
+
+        The invariants replay after every rule, so the live fold
+        already holds the torn record.  Whichever queue looks first
+        finds it rewritten in place; the live queue, when second,
+        finds it quarantined by the other.
+        """
+        newest = self.queue.journal._record_files("events")[-1][0]
+        assert self.queue._fold.sequence == newest
         assert truncate_queue_journal(self.queue) is not None
         # The lost event's effect on the replayed state is undone;
         # the lease files it wrote or removed stay as they are.
         self.jobs, self.completes = self.before_last
         self.last_event = None
+        first = self.queue if observer == "live" else self.second
+        assert set(first.jobs()) == set(self.jobs)
 
     # -- invariants --------------------------------------------------
 
@@ -313,6 +350,11 @@ class QueueMachine(RuleBasedStateMachine):
         for job in self.jobs.values():
             tally[job["state"]] = tally.get(job["state"], 0) + 1
         assert self.queue.counts() == tally
+
+    @invariant()
+    def fold_equals_fresh_replay(self):
+        assert self.queue.jobs() \
+            == JobQueue(self.root, clock=self.clock).jobs()
 
     @invariant()
     def completed_at_most_once_per_round(self):

@@ -16,11 +16,11 @@ Run with ``pytest benchmarks/bench_fig1_ngate.py --benchmark-only -s``.
 import pytest
 
 from repro.analysis import (
-    exhaustive_single_faults_sparse,
     fit_power_law,
-    gadget_monte_carlo,
     n_gadget_evaluator,
-    sample_malignant_pairs,
+    run_exhaustive,
+    run_malignant_pairs,
+    run_monte_carlo,
 )
 from repro.codes import SteaneCode
 from repro.ft import build_n_gadget, sparse_coset_state
@@ -49,19 +49,19 @@ def test_fig1_report(benchmark, context):
     locations = gadget.fault_locations()
 
     def run_experiment():
-        failures = exhaustive_single_faults_sparse(
+        failures = run_exhaustive(
             gadget, initial, evaluator, locations=locations,
             workers=2,
-        )
-        pair_sample = sample_malignant_pairs(
+        ).failures
+        pair_sample = run_malignant_pairs(
             gadget, initial, evaluator, samples=500, seed=7,
             locations=locations, workers=2,
         )
-        mc = gadget_monte_carlo(gadget, initial, evaluator,
-                                NoiseModel.uniform(MC_P),
-                                trials=MC_TRIALS, seed=11,
-                                locations=locations,
-                                workers=2, memoize=True)
+        mc = run_monte_carlo(gadget, initial, evaluator,
+                             NoiseModel.uniform(MC_P),
+                             trials=MC_TRIALS, seed=11,
+                             locations=locations,
+                             workers=2, memoize=True)
         return failures, pair_sample, mc
 
     failures, pair_sample, mc = benchmark.pedantic(
@@ -121,9 +121,9 @@ def test_fig1_unprotected_baseline(benchmark):
     def run_experiment():
         rates = []
         for index, p in enumerate(ps):
-            result = gadget_monte_carlo(bare, SparseState(2), evaluator,
-                                        NoiseModel.uniform(p),
-                                        trials=4000, seed=20 + index)
+            result = run_monte_carlo(bare, SparseState(2), evaluator,
+                                     NoiseModel.uniform(p),
+                                     trials=4000, seed=20 + index)
             rates.append(result.failure_rate)
         return rates
 

@@ -15,7 +15,7 @@ sigma_z^{1/4} gadget, |AND> for the Toffoli gadget):
 
 import pytest
 
-from repro.analysis import exhaustive_single_faults_sparse
+from repro.analysis import run_exhaustive
 from repro.codes import SteaneCode, TrivialCode
 from repro.ft import (
     and_state_spec,
@@ -81,10 +81,10 @@ def test_fig2_fault_scope(benchmark):
 
     def run_experiment():
         locations = gadget.fault_locations()
-        failures = exhaustive_single_faults_sparse(
+        failures = run_exhaustive(
             gadget, initial, evaluator, locations=locations,
             workers=2,
-        )
+        ).failures
         failing_locations = {
             (loc.kind, loc.detail) for loc, _ in failures
         }

@@ -17,9 +17,9 @@ import pytest
 
 from repro.analysis import (
     fit_power_law,
-    gadget_monte_carlo,
     recovered_overlap_evaluator,
-    sample_malignant_pairs,
+    run_malignant_pairs,
+    run_monte_carlo,
 )
 from repro.codes import SteaneCode
 from repro.ft import (
@@ -62,15 +62,15 @@ def test_fig3_report(benchmark, context):
         overlap = gadget.block_overlap(
             clean, "data", expected_t_output(code, ALPHA, BETA)
         )
-        pair_sample = sample_malignant_pairs(
+        pair_sample = run_malignant_pairs(
             gadget, initial, evaluator, samples=350, seed=31,
             locations=locations, workers=2,
         )
-        mc = gadget_monte_carlo(gadget, initial, evaluator,
-                                NoiseModel.uniform(MC_P),
-                                trials=MC_TRIALS, seed=32,
-                                locations=locations,
-                                workers=2, memoize=True)
+        mc = run_monte_carlo(gadget, initial, evaluator,
+                             NoiseModel.uniform(MC_P),
+                             trials=MC_TRIALS, seed=32,
+                             locations=locations,
+                             workers=2, memoize=True)
         return overlap, pair_sample, mc
 
     overlap, pair_sample, mc = benchmark.pedantic(

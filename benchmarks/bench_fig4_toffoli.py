@@ -16,8 +16,7 @@ import itertools
 
 import pytest
 
-from repro.analysis import recovered_overlap_evaluator, \
-    sample_malignant_pairs
+from repro.analysis import recovered_overlap_evaluator, run_malignant_pairs
 from repro.codes import SteaneCode, TrivialCode
 from repro.ft import (
     build_toffoli_gadget,
@@ -86,9 +85,9 @@ def test_fig4_steane_counting(benchmark):
                            sparse_coset_state(trivial, 1),
                            sparse_coset_state(trivial, 0)),
         )
-        sample = sample_malignant_pairs(small, initial, evaluator,
-                                        samples=400, seed=41,
-                                        workers=2)
+        sample = run_malignant_pairs(small, initial, evaluator,
+                                     samples=400, seed=41,
+                                     workers=2)
         return counts, sample
 
     counts, sample = benchmark.pedantic(run_experiment, rounds=1,

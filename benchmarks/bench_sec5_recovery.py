@@ -13,11 +13,11 @@ Regenerates the Sec. 5 evaluation:
 import pytest
 
 from repro.analysis import (
-    exhaustive_single_faults_sparse,
     fit_power_law,
-    gadget_monte_carlo,
     recovered_overlap_evaluator,
-    sample_malignant_pairs,
+    run_exhaustive,
+    run_malignant_pairs,
+    run_monte_carlo,
 )
 from repro.circuits import PauliString, iter_single_qubit_paulis
 from repro.codes import SteaneCode
@@ -102,18 +102,18 @@ def test_sec5_internal_fault_tolerance(benchmark, context):
     locations = gadget.fault_locations()
 
     def run_experiment():
-        failures = exhaustive_single_faults_sparse(
+        failures = run_exhaustive(
             gadget, initial, evaluator, locations=locations,
             workers=2,
-        )
-        pair_sample = sample_malignant_pairs(
+        ).failures
+        pair_sample = run_malignant_pairs(
             gadget, initial, evaluator, samples=400, seed=51,
             locations=locations, workers=2,
         )
-        mc = gadget_monte_carlo(gadget, initial, evaluator,
-                                NoiseModel.uniform(MC_P), trials=900,
-                                seed=52, locations=locations,
-                                workers=2, memoize=True)
+        mc = run_monte_carlo(gadget, initial, evaluator,
+                             NoiseModel.uniform(MC_P), trials=900,
+                             seed=52, locations=locations,
+                             workers=2, memoize=True)
         return failures, pair_sample, mc
 
     failures, pair_sample, mc = benchmark.pedantic(

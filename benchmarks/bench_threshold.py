@@ -23,10 +23,9 @@ import pytest
 from repro.analysis import (
     GadgetFaultAnalyzer,
     GadgetMonteCarloResult,
-    exhaustive_single_faults_sparse,
-    gadget_monte_carlo,
     n_gadget_evaluator,
-    sample_malignant_pairs,
+    run_exhaustive,
+    run_monte_carlo,
     sampled_threshold_report,
 )
 from repro.circuits import Circuit, PauliString, gates
@@ -159,7 +158,7 @@ def test_engine_speedup(benchmark):
         )
         serial_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        fast = gadget_monte_carlo(
+        fast = run_monte_carlo(
             gadget, initial, evaluator, noise, SPEEDUP_TRIALS,
             seed=71, locations=locations,
             workers=SPEEDUP_WORKERS, memoize=True,
@@ -244,8 +243,8 @@ def test_ablation_symbolic_vs_exact(benchmark):
             {"quantum": sparse_coset_state(code, 0)}
         )
         evaluator = n_gadget_evaluator(gadget, code, 0)
-        exact = exhaustive_single_faults_sparse(gadget, initial,
-                                                evaluator, workers=2)
+        exact = run_exhaustive(gadget, initial, evaluator,
+                               workers=2).failures
         return len(survey.failures), len(exact)
 
     symbolic, exact = benchmark.pedantic(run_experiment, rounds=1,

@@ -10,9 +10,8 @@ ideal output).  These are the data behind every O(p^2) curve in the
 benchmark suite.
 
 The sampling itself is :mod:`repro.analysis.engine`, the one
-evaluation path: :func:`gadget_monte_carlo` and
-:func:`sample_malignant_pairs` are its ``run_monte_carlo`` and
-``run_malignant_pairs`` under their historical names.  The engine
+evaluation path (``run_monte_carlo``, ``run_malignant_pairs``,
+``run_exhaustive``), which returns these result types.  The engine
 chunks trials over per-chunk ``SeedSequence.spawn`` streams
 (bit-identical results for any worker count) and memoises verdicts by
 canonical fault pattern.
@@ -27,7 +26,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
     TYPE_CHECKING,
 )
 
@@ -37,9 +35,7 @@ from repro.analysis.engine import (
     _decode_counts,
     _encode_counts,
     _location_fields,
-    run_exhaustive,
-    run_malignant_pairs as sample_malignant_pairs,
-    run_monte_carlo as gadget_monte_carlo,
+    run_monte_carlo,
 )
 from repro.exceptions import AnalysisError
 from repro.ft.gadget import Gadget
@@ -54,9 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "GadgetMonteCarloResult",
     "MalignantPairSample",
-    "exhaustive_single_faults_sparse",
-    "gadget_monte_carlo",
-    "sample_malignant_pairs",
     "sweep_p",
 ]
 
@@ -94,37 +87,9 @@ class GadgetMonteCarloResult:
         return binomial_interval(self.failures, self.trials,
                                  confidence, method)
 
-    def failure_rate_upper_bound(self, confidence: float = 0.95
-                                 ) -> float:
-        """One-sided Clopper–Pearson upper bound — the honest number
-        a zero-failure certification run should report."""
-        from repro.analysis.stats import clopper_pearson_interval
-
-        if not self.trials:
-            return 1.0
-        return clopper_pearson_interval(
-            self.failures, self.trials,
-            1.0 - 2.0 * (1.0 - confidence)).upper
-
     @property
     def single_fault_failures(self) -> int:
         return self.failures_by_fault_count.get(1, 0)
-
-
-def exhaustive_single_faults_sparse(
-        gadget: Gadget,
-        initial_state: SparseState,
-        evaluator: Callable[[SparseState], bool],
-        locations: Optional[Sequence[FaultLocation]] = None,
-        channel: str = "depolarizing",
-        **options,
-) -> List[Tuple[FaultLocation, object]]:
-    """The failing (location, pauli) pairs of
-    :func:`~repro.analysis.engine.run_exhaustive` (which also returns
-    its :class:`~repro.analysis.engine.EngineStats`); empty = fault
-    tolerant.  ``options`` are that function's engine options."""
-    return run_exhaustive(gadget, initial_state, evaluator, locations,
-                          channel, **options).failures
 
 
 @dataclass
@@ -169,25 +134,6 @@ class MalignantPairSample:
 
         return binomial_interval(self.malignant, self.samples,
                                  confidence, method)
-
-    def threshold_interval(self, confidence: float = 0.95,
-                           method: str = "clopper-pearson"
-                           ) -> Tuple[Optional[float], Optional[float]]:
-        """(lower, upper) bounds on the threshold p_th ~ 1/M.
-
-        Inverts the malignant-fraction interval through the monotone
-        map f -> 1 / (f * location_pairs): the *upper* fraction bound
-        gives the conservative (lower) threshold bound.  ``None``
-        upper bound means the fraction interval reaches 0 — no finite
-        threshold ceiling can be claimed from this sample.
-        """
-        fraction = self.interval(confidence, method)
-        pairs = self.location_pairs
-        lower = (1.0 / (fraction.upper * pairs)
-                 if fraction.upper > 0 and pairs else None)
-        upper = (1.0 / (fraction.lower * pairs)
-                 if fraction.lower > 0 and pairs else None)
-        return lower, upper
 
 
 def _point_payload(result: GadgetMonteCarloResult) -> Dict[str, object]:
@@ -245,10 +191,11 @@ def sweep_p(gadget: Gadget,
     figures.
 
     ``channel`` and the engine options are threaded through to every
-    underlying :func:`gadget_monte_carlo` call.  With ``memoize`` a
-    single :class:`~repro.analysis.engine.FaultPatternCache` is shared
-    across all points (verdicts depend only on the fault pattern, not
-    on p), so later points mostly reuse earlier simulations.
+    underlying :func:`~repro.analysis.engine.run_monte_carlo` call.
+    With ``memoize`` a single
+    :class:`~repro.analysis.engine.FaultPatternCache` is shared across
+    all points (verdicts depend only on the fault pattern, not on p),
+    so later points mostly reuse earlier simulations.
 
     ``checkpoint`` makes the sweep resumable at two granularities:
     completed points are journaled whole (``points`` records under the
@@ -307,7 +254,7 @@ def sweep_p(gadget: Gadget,
         point_seed = None if seed is None else seed + index
         point_store = store.substore(f"point-{index:03d}") \
             if store is not None else None
-        result = gadget_monte_carlo(
+        result = run_monte_carlo(
             gadget, initial_state, evaluator, noise, trials,
             locations=locations, seed=point_seed, workers=workers,
             chunk_size=chunk_size, memoize=memoize, cache=cache,

@@ -10,7 +10,7 @@ benchmark harness reports next to the paper's analytic claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -25,9 +25,6 @@ class PowerLawFit:
     coefficient: float
     points_used: int
     residual: float
-
-    def predict(self, p: float) -> float:
-        return self.coefficient * p**self.exponent
 
 
 def fit_power_law(p_values: Sequence[float],
@@ -76,43 +73,3 @@ def fit_power_law(p_values: Sequence[float],
         points_used=len(xs),
         residual=residual_value,
     )
-
-
-def scaling_is_quadratic(fit: PowerLawFit, tolerance: float = 0.5) -> bool:
-    """Whether the fitted exponent is ~2 (the FT signature)."""
-    return abs(fit.exponent - 2.0) <= tolerance
-
-
-def scaling_is_linear(fit: PowerLawFit, tolerance: float = 0.5) -> bool:
-    """Whether the fitted exponent is ~1 (unprotected behaviour)."""
-    return abs(fit.exponent - 1.0) <= tolerance
-
-
-def format_series(p_values: Sequence[float], rates: Sequence[float],
-                  stderrs: Optional[Sequence[float]] = None,
-                  label: str = "",
-                  intervals: Optional[Sequence] = None) -> str:
-    """Human-readable table of a failure-rate series.
-
-    ``intervals`` adds certified confidence-interval columns (and
-    supersedes the ``stderr`` column).
-    """
-    if intervals is not None:
-        lines = [f"  {'p':>10s} {'failure rate':>14s} "
-                 f"{'ci low':>10s} {'ci high':>10s}"]
-        for index, (p, rate) in enumerate(zip(p_values, rates)):
-            interval = intervals[index]
-            lines.append(f"  {p:10.2e} {rate:14.6e} "
-                         f"{interval.lower:10.2e} "
-                         f"{interval.upper:10.2e}")
-        header = f"{label}\n" if label else ""
-        return header + "\n".join(lines)
-    lines = [f"  {'p':>10s} {'failure rate':>14s}"
-             + ("" if stderrs is None else f" {'stderr':>10s}")]
-    for index, (p, rate) in enumerate(zip(p_values, rates)):
-        row = f"  {p:10.2e} {rate:14.6e}"
-        if stderrs is not None:
-            row += f" {stderrs[index]:10.1e}"
-        lines.append(row)
-    header = f"{label}\n" if label else ""
-    return header + "\n".join(lines)

@@ -473,9 +473,6 @@ class AdaptiveSweepResult:
     total_trials: int
     stats: EngineStats = field(repr=False, default_factory=EngineStats)
 
-    def trials_by_point(self) -> List[int]:
-        return [result.trials for result in self.results]
-
 
 def _pick_adaptive_point(trials: List[int], failures: List[int],
                          batches: List[int],

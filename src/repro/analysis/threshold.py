@@ -74,24 +74,6 @@ class ThresholdReport:
             return None
         return 1.0 / self.malignant_pairs
 
-    def summary_row(self) -> str:
-        threshold = self.threshold_estimate
-        threshold_text = f"{threshold:.2e}" if threshold else "-"
-        return (
-            f"{self.gadget_name:40s} "
-            f"{self.location_counts['total']:6d} "
-            f"{self.single_fault_failures:6d} "
-            f"{self.malignant_pairs:8d} "
-            f"{threshold_text:>9s}"
-        )
-
-    @staticmethod
-    def header_row() -> str:
-        return (
-            f"{'gadget':40s} {'locs':>6s} {'1flt':>6s} "
-            f"{'mal.pairs':>8s} {'p_th':>9s}"
-        )
-
 
 def analyze_gadget(gadget: Gadget, code: CssCode,
                    count_pairs: bool = True) -> ThresholdReport:

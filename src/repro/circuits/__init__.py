@@ -16,7 +16,6 @@ Public surface:
 from repro.circuits import gates, library
 from repro.circuits.equivalence import (
     circuit_unitary,
-    circuits_equal_up_to_phase,
     embed_operator,
     global_phase_between,
     operators_equal_up_to_phase,
@@ -30,10 +29,9 @@ from repro.circuits.circuit import (
     MeasureOp,
     Operation,
     ResetOp,
-    concat,
 )
 from repro.circuits.clifford import conjugate_pauli, propagates_to_pauli
-from repro.circuits.gates import Gate, get_gate, sigma_z_power
+from repro.circuits.gates import Gate, sigma_z_power
 from repro.circuits.pauli import (
     PauliString,
     iter_single_qubit_paulis,
@@ -51,13 +49,10 @@ __all__ = [
     "PauliString",
     "ResetOp",
     "circuit_unitary",
-    "circuits_equal_up_to_phase",
-    "concat",
     "conjugate_pauli",
     "draw",
     "embed_operator",
     "gates",
-    "get_gate",
     "global_phase_between",
     "iter_single_qubit_paulis",
     "library",

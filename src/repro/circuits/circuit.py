@@ -29,10 +29,9 @@ a delay-line location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -247,12 +246,6 @@ class Circuit:
     def __iter__(self) -> Iterator[Operation]:
         return iter(self._ops)
 
-    def gate_ops(self) -> Iterator[GateOp]:
-        """Iterate over just the unitary operations."""
-        for op in self._ops:
-            if isinstance(op, GateOp):
-                yield op
-
     @property
     def has_measurements(self) -> bool:
         """True when any single-computer measurement or reset appears.
@@ -403,19 +396,3 @@ class Circuit:
             f"Circuit({label} qubits={self.num_qubits}, "
             f"clbits={self.num_clbits}, ops={len(self._ops)})"
         )
-
-
-def concat(*circuits: Circuit) -> Circuit:
-    """Concatenate circuits over the same register sizes in sequence."""
-    if not circuits:
-        raise CircuitError("concat needs at least one circuit")
-    num_qubits = max(c.num_qubits for c in circuits)
-    num_clbits = max(c.num_clbits for c in circuits)
-    result = Circuit(num_qubits, num_clbits, name=circuits[0].name)
-    for circuit in circuits:
-        result.compose(
-            circuit,
-            qubits=list(range(circuit.num_qubits)),
-            clbits=list(range(circuit.num_clbits)),
-        )
-    return result

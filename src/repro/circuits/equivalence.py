@@ -154,12 +154,3 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         unitary = embed_operator(op.gate.matrix, op.qubits,
                                  circuit.num_qubits) @ unitary
     return unitary
-
-
-def circuits_equal_up_to_phase(a: Circuit, b: Circuit,
-                               atol: float = _ATOL) -> bool:
-    """Whether two circuits implement the same unitary up to phase."""
-    if a.num_qubits != b.num_qubits:
-        return False
-    return operators_equal_up_to_phase(circuit_unitary(a),
-                                       circuit_unitary(b), atol)

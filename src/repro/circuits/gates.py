@@ -251,18 +251,6 @@ SIGMA_Z_QUARTER = T
 PAULI_GATES: Dict[str, Gate] = {"I": I, "X": X, "Y": Y, "Z": Z}
 
 
-def get_gate(name: str) -> Gate:
-    """Look up a built-in gate by name.
-
-    Raises:
-        GateError: if the name is unknown.
-    """
-    try:
-        return GATE_REGISTRY[name]
-    except KeyError:
-        raise GateError(f"unknown gate name {name!r}") from None
-
-
 def rz(theta: float) -> Gate:
     """Rotation about Z: diag(1, e^{i theta}) (phase convention used by
     the paper for sigma_z^{1/2^k} powers)."""
@@ -330,11 +318,3 @@ def sigma_z_power(exponent: float) -> Gate:
 def _angle_is_multiple(theta: float, unit: float) -> bool:
     ratio = theta / unit
     return abs(ratio - round(ratio)) < 1e-9
-
-
-def kron_all(*matrices: np.ndarray) -> np.ndarray:
-    """Kronecker product of the given matrices, left to right."""
-    result = np.array([[1.0]], dtype=np.complex128)
-    for matrix in matrices:
-        result = np.kron(result, matrix)
-    return result

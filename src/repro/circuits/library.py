@@ -66,17 +66,6 @@ def parity_circuit(num_sources: int) -> Circuit:
     return circuit
 
 
-def basis_state_circuit(bits: Sequence[int]) -> Circuit:
-    """Prepare |b_0 b_1 ... b_{n-1}> from |0...0> with X gates."""
-    circuit = Circuit(len(bits), name="basis")
-    for qubit, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise CircuitError(f"basis bit must be 0 or 1, got {bit}")
-        if bit:
-            circuit.add_gate(gates.X, qubit)
-    return circuit
-
-
 def bitwise_circuit(gate: "gates.Gate", qubits: Sequence[int],
                     num_qubits: int) -> Circuit:
     """Apply a single-qubit gate bitwise across the listed qubits.
@@ -115,24 +104,4 @@ def transversal_two_qubit(gate: "gates.Gate", controls: Sequence[int],
     circuit = Circuit(num_qubits, name=f"transversal_{gate.name}")
     for control, target in zip(controls, targets):
         circuit.add_gate(gate, control, target)
-    return circuit
-
-
-def majority_vote_circuit(num_inputs: int) -> Circuit:
-    """Reversible 3-input majority vote onto an output qubit.
-
-    For ``num_inputs == 3`` computes MAJ(a,b,c) into the last qubit
-    using Toffolis (a AND b) XOR (b AND c) XOR (a AND c).  Majority
-    votes over the repeated classical-ancilla bits are how the paper's
-    N gate and parity-bit constructions suppress single faults.
-    """
-    if num_inputs != 3:
-        raise CircuitError(
-            "reversible majority circuit implemented for 3 inputs; "
-            "larger votes are decoded classically via repetition codes"
-        )
-    circuit = Circuit(4, name="maj3")
-    circuit.add_gate(gates.TOFFOLI, 0, 1, 3)
-    circuit.add_gate(gates.TOFFOLI, 1, 2, 3)
-    circuit.add_gate(gates.TOFFOLI, 0, 2, 3)
     return circuit

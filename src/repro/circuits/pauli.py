@@ -16,7 +16,7 @@ tracked phase).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.exceptions import CircuitError
 
@@ -101,16 +101,6 @@ class PauliString:
         return sum(
             1 for x, z in zip(self.x_bits, self.z_bits) if x or z
         )
-
-    @property
-    def x_weight(self) -> int:
-        """Number of qubits with an X or Y factor (bit-error weight)."""
-        return sum(self.x_bits)
-
-    @property
-    def z_weight(self) -> int:
-        """Number of qubits with a Z or Y factor (phase-error weight)."""
-        return sum(self.z_bits)
 
     @property
     def is_identity(self) -> bool:

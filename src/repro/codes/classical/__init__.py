@@ -2,12 +2,11 @@
 
 from repro.codes.classical.hamming import HAMMING_PARITY_CHECK, HammingCode
 from repro.codes.classical.linear import LinearCode
-from repro.codes.classical.repetition import RepetitionCode, majority_vote
+from repro.codes.classical.repetition import RepetitionCode
 
 __all__ = [
     "HAMMING_PARITY_CHECK",
     "HammingCode",
     "LinearCode",
     "RepetitionCode",
-    "majority_vote",
 ]

@@ -10,7 +10,7 @@ syndrome check bits that protect the N1 circuit of Fig. 1.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,14 +63,3 @@ class HammingCode(LinearCode):
         """
         corrected = self.correct(word)
         return int(np.sum(corrected) % 2)
-
-    def syndrome_circuit_supports(self) -> List[List[int]]:
-        """Qubit index lists, one per parity check row.
-
-        Row r touches the data positions with a 1 in H[r]; these are
-        exactly the CNOT fan-ins of the syndrome block in Fig. 1.
-        """
-        return [
-            [int(q) for q in np.nonzero(row)[0]]
-            for row in HAMMING_PARITY_CHECK
-        ]

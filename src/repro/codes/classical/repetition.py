@@ -15,7 +15,7 @@ for the Steane code, before fanning the majority out to n bits.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,12 +74,3 @@ class RepetitionCode(LinearCode):
 
     def decode(self, word: Sequence[int]) -> np.ndarray:
         return np.array([self.majority(word)], dtype=np.uint8)
-
-
-def majority_vote(bits: Sequence[int]) -> int:
-    """Stand-alone strict majority of a bit sequence."""
-    bits = [int(b) & 1 for b in bits]
-    ones = sum(bits)
-    if 2 * ones == len(bits):
-        raise CodeError(f"majority undefined for {bits}")
-    return int(2 * ones > len(bits))

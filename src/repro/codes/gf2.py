@@ -128,8 +128,3 @@ def all_codewords(generator: np.ndarray) -> np.ndarray:
 def weight(vector: np.ndarray) -> int:
     """Hamming weight."""
     return int(np.sum(np.asarray(vector, dtype=np.uint8) % 2))
-
-
-def standard_form(matrix: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Row reduce and report pivots (alias of :func:`rref` for intent)."""
-    return rref(matrix)

@@ -4,12 +4,10 @@ from repro.codes.quantum.css import CssCode
 from repro.codes.quantum.stabilizer import (
     check_commuting_generators,
     in_stabilizer_group,
-    is_logical_operator,
-    stabilizer_projector,
     syndrome_of,
 )
-from repro.codes.quantum.steane import SteaneCode, steane_code
-from repro.codes.quantum.trivial import TrivialCode, trivial_code
+from repro.codes.quantum.steane import SteaneCode
+from repro.codes.quantum.trivial import TrivialCode
 
 __all__ = [
     "CssCode",
@@ -17,9 +15,5 @@ __all__ = [
     "TrivialCode",
     "check_commuting_generators",
     "in_stabilizer_group",
-    "is_logical_operator",
-    "stabilizer_projector",
-    "steane_code",
     "syndrome_of",
-    "trivial_code",
 ]

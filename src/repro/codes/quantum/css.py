@@ -134,9 +134,6 @@ class CssCode:
         """(|0>_L + |1>_L)/sqrt(2) — superposition over all of C."""
         return self.encode_amplitudes(1.0, 1.0)
 
-    def logical_minus(self) -> StateVector:
-        return self.encode_amplitudes(1.0, -1.0)
-
     def encode_amplitudes(self, alpha: complex, beta: complex) -> StateVector:
         """alpha |0>_L + beta |1>_L (normalised)."""
         zero = self.logical_zero().amplitudes
@@ -257,12 +254,6 @@ class CssCode:
         corrected = self.classical_code.correct(measured_bits)
         return int(np.dot(corrected.astype(np.int64),
                           self._logical_support.astype(np.int64)) % 2)
-
-    def logical_expectation(self, state: StateVector,
-                            block: Sequence[int]) -> float:
-        """<Z̄> of the block inside a larger register state."""
-        pauli = self.logical_z().embedded(state.num_qubits, list(block))
-        return float(state.expectation_pauli(pauli).real)
 
     # -- internals --------------------------------------------------------------
 

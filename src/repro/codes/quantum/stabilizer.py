@@ -9,7 +9,7 @@ correctable?" checks.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -56,29 +56,3 @@ def in_stabilizer_group(pauli: PauliString,
     target = np.array(list(pauli.x_bits) + list(pauli.z_bits),
                       dtype=np.uint8)
     return gf2.row_space_contains(rows, target)
-
-
-def is_logical_operator(pauli: PauliString,
-                        generators: Sequence[PauliString]) -> bool:
-    """In the normalizer (commutes with all) but not the stabilizer.
-
-    Such operators act non-trivially on the code space — they are
-    exactly the undetectable errors that flip logical information.
-    """
-    if any(not pauli.commutes_with(g) for g in generators):
-        return False
-    return not in_stabilizer_group(pauli, generators)
-
-
-def stabilizer_projector(generators: Sequence[PauliString],
-                         num_qubits: int) -> np.ndarray:
-    """Dense projector onto the code space (small n only)."""
-    dim = 2**num_qubits
-    projector = np.eye(dim, dtype=np.complex128)
-    for generator in generators:
-        if generator.num_qubits != num_qubits:
-            raise CodeError("generator size mismatch")
-        projector = projector @ (
-            (np.eye(dim) + generator.matrix()) / 2.0
-        )
-    return projector

@@ -9,7 +9,6 @@ codeword whose corrected parity is the logical value (Sec. 4.1).
 
 from __future__ import annotations
 
-from functools import lru_cache
 
 from repro.codes.classical.hamming import HammingCode
 from repro.codes.quantum.css import CssCode
@@ -25,9 +24,3 @@ class SteaneCode(CssCode):
     def hamming(self) -> HammingCode:
         """The underlying Hamming code (typed accessor)."""
         return self.classical_code  # type: ignore[return-value]
-
-
-@lru_cache(maxsize=1)
-def steane_code() -> SteaneCode:
-    """Shared SteaneCode instance (logical states are memoised work)."""
-    return SteaneCode()

@@ -12,7 +12,6 @@ ideal Toffoli unitary.
 
 from __future__ import annotations
 
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,9 +26,3 @@ class TrivialCode(CssCode):
         full_space = LinearCode(generator=np.array([[1]], dtype=np.uint8),
                                 name="full1")
         super().__init__(full_space, name="trivial")
-
-
-@lru_cache(maxsize=1)
-def trivial_code() -> TrivialCode:
-    """Shared TrivialCode instance."""
-    return TrivialCode()

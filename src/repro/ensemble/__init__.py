@@ -18,7 +18,6 @@ from repro.ensemble.machine import EnsembleMachine, EnsembleRun
 from repro.ensemble.readout import (
     EnsembleReadout,
     ReadoutSignal,
-    expectation_from_samples,
 )
 from repro.ensemble.strategies import (
     ClassicalEnsemble,
@@ -41,7 +40,6 @@ __all__ = [
     "compression_circuit",
     "cooling",
     "delay_measurements",
-    "expectation_from_samples",
     "majority_bias",
     "randomize_bad_results",
     "read_randomized_output",

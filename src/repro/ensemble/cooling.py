@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -127,25 +127,6 @@ class ClosedSystemCooler:
             final_bias=bias_after_rounds(self.raw_bias, rounds),
             rounds=rounds,
             qubits_consumed=3**rounds,
-        )
-
-    def rounds_for_target(self, target_bias: float,
-                          max_rounds: int = 64) -> int:
-        """Smallest round count reaching the target bias.
-
-        Raises:
-            ReproError: if the recursion cannot reach the target (it
-                converges to 1 only in the limit; very demanding
-                targets may exceed ``max_rounds``).
-        """
-        value = self.raw_bias
-        for rounds in range(max_rounds + 1):
-            if value >= target_bias:
-                return rounds
-            value = majority_bias(value)
-        raise ReproError(
-            f"target bias {target_bias} not reached within "
-            f"{max_rounds} rounds"
         )
 
 
@@ -251,8 +232,3 @@ def compression_density_matrix_bias(eps: Sequence[float]) -> float:
     state = DensityMatrix(3, rho)
     state.apply_circuit(compression_circuit())
     return state.expectation_z(0)
-
-
-def ensemble_legal() -> bool:
-    """The compression circuit is a legal ensemble program."""
-    return compression_circuit().is_ensemble_safe()

@@ -101,15 +101,3 @@ class EnsembleReadout:
             self.observe(e).infer_bit(confidence_sigmas)
             for e in expectations
         ]
-
-
-def expectation_from_samples(bits: Sequence[int]) -> float:
-    """<Z> of an explicit sample of per-computer outcomes.
-
-    Each computer contributes +1 for outcome 0 and -1 for outcome 1;
-    the ensemble signal is the mean.
-    """
-    bits = np.asarray(bits)
-    if bits.size == 0:
-        raise EnsembleViolationError("empty sample")
-    return float(np.mean(1.0 - 2.0 * (bits % 2)))

@@ -25,7 +25,6 @@ ensemble with one classical register per computer; all subsequent
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,21 +129,6 @@ class ClassicalEnsemble:
             )
         self.registers = registers
 
-    @classmethod
-    def from_sampler(cls, sampler: Callable[[np.random.Generator], Sequence[int]],
-                     num_computers: int,
-                     rng: Optional[np.random.Generator] = None
-                     ) -> "ClassicalEnsemble":
-        """Build an ensemble by sampling one register per computer.
-
-        The sampler models the per-computer outcome distribution of the
-        quantum algorithm (each molecule dephases into one outcome).
-        """
-        if rng is None:
-            rng = np.random.default_rng()
-        rows = [list(sampler(rng)) for _ in range(num_computers)]
-        return cls(np.array(rows, dtype=np.uint8))
-
     @property
     def num_computers(self) -> int:
         return int(self.registers.shape[0])
@@ -176,17 +160,6 @@ class ClassicalEnsemble:
             signal.infer_bit(confidence_sigmas)
             for signal in self.signals(readout)
         ]
-
-    def map_members(self, func: Callable[[np.ndarray], Sequence[int]]
-                    ) -> "ClassicalEnsemble":
-        """Apply a (reversible) classical function to every register.
-
-        This models incorporating post-measurement classical processing
-        into the quantum algorithm: each computer applies the same
-        circuit to its own data.
-        """
-        rows = [list(func(row.copy())) for row in self.registers]
-        return ClassicalEnsemble(np.array(rows, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

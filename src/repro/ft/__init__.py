@@ -37,7 +37,6 @@ from repro.ft.ideal_recovery import (
 from repro.ft.ngate import NGateBuilder, build_n_gadget
 from repro.ft.processor import LogicalProcessor
 from repro.ft.recovery import (
-    build_full_recovery,
     build_recovery_gadget,
     recovery_ancilla_state,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "and_state_spec",
     "apply_perfect_recovery",
     "baselines",
-    "build_full_recovery",
     "build_n_gadget",
     "build_recovery_gadget",
     "build_special_state_gadget",

@@ -25,12 +25,6 @@ from repro.circuits.circuit import Circuit
 from repro.exceptions import FaultToleranceError
 
 
-def xor_into(circuit: Circuit, sources: Sequence[int], target: int) -> None:
-    """target ^= XOR(sources) via CNOTs."""
-    for source in sources:
-        circuit.add_gate(gates.CNOT, source, target)
-
-
 def or_into(circuit: Circuit, sources: Sequence[int], target: int,
             scratch: int) -> None:
     """target ^= OR(sources) for up to three sources.
@@ -98,18 +92,3 @@ def and_blocks_into(circuit: Circuit, block_a: Sequence[int],
         raise FaultToleranceError("AND blocks must have equal size")
     for a, b, out in zip(block_a, block_b, block_out):
         circuit.add_gate(gates.TOFFOLI, a, b, out)
-
-
-def not_block(circuit: Circuit, block: Sequence[int]) -> None:
-    """Bitwise NOT of a classical block."""
-    for qubit in block:
-        circuit.add_gate(gates.X, qubit)
-
-
-def xor_blocks_into(circuit: Circuit, source: Sequence[int],
-                    target: Sequence[int]) -> None:
-    """Bitwise XOR of one classical block into another (CNOTs)."""
-    if len(source) != len(target):
-        raise FaultToleranceError("XOR blocks must have equal size")
-    for s, t in zip(source, target):
-        circuit.add_gate(gates.CNOT, s, t)

@@ -26,22 +26,17 @@ blocks are disentangled from the junk in the no-fault case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.circuits import Circuit, gates
-from repro.circuits.pauli import PauliString
+from repro.circuits import Circuit
 from repro.codes.quantum.css import CssCode
 from repro.exceptions import FaultToleranceError
 from repro.ft import transversal
 from repro.ft.gadget import Gadget
-from repro.ft.ngate import NGateBuilder
-from repro.ft.recovery import build_recovery_gadget, \
-    recovery_ancilla_state
+from repro.ft.recovery import build_recovery_gadget
 from repro.ft.special_states import (
     and_state_spec,
     build_special_state_gadget,
-    special_state_input,
     t_state_spec,
 )
 from repro.ft.t_gadget import build_t_gadget
@@ -119,12 +114,6 @@ class LogicalProcessor:
         self._apply_single(transversal.logical_s_circuit(self.code),
                            logical, "S")
 
-    def apply_s_dagger(self, logical: int) -> None:
-        self._apply_single(
-            transversal.logical_s_dagger_circuit(self.code),
-            logical, "S_DG",
-        )
-
     def _apply_single(self, circuit: Circuit, logical: int,
                       name: str) -> None:
         self._state.apply_circuit(circuit,
@@ -136,12 +125,6 @@ class LogicalProcessor:
         qubits = list(self.block(control)) + list(self.block(target))
         self._state.apply_circuit(circuit, qubits=qubits)
         self.gate_log.append(f"CNOT q{control} q{target}")
-
-    def apply_cz(self, first: int, second: int) -> None:
-        circuit = transversal.logical_cz_circuit(self.code)
-        qubits = list(self.block(first)) + list(self.block(second))
-        self._state.apply_circuit(circuit, qubits=qubits)
-        self.gate_log.append(f"CZ q{first} q{second}")
 
     # -- non-Clifford gadgets ---------------------------------------------------
 

@@ -205,12 +205,6 @@ def recovery_ancilla_state(code: CssCode, error_type: str) -> SparseState:
     return sparse_logical_state(code, {(0,): 1.0})
 
 
-def build_full_recovery(code: CssCode) -> List[Gadget]:
-    """Both recovery passes, to be applied in sequence (X then Z)."""
-    return [build_recovery_gadget(code, "X"),
-            build_recovery_gadget(code, "Z")]
-
-
 def run_recovery(state_block: SparseState, code: CssCode,
                  error_types: Sequence[str] = ("X", "Z"),
                  faults_per_gadget: Optional[Dict[str, list]] = None

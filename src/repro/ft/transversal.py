@@ -111,15 +111,6 @@ def logical_s_circuit(code: CssCode) -> Circuit:
     return circuit
 
 
-def logical_s_dagger_circuit(code: CssCode) -> Circuit:
-    """Logical S^dagger = diag(1, -i)_L."""
-    gate = gates.S_DG if bitwise_s_phase(code) == 1j else gates.S
-    circuit = Circuit(code.n, name="logical_S_DG")
-    for qubit in range(code.n):
-        circuit.add_gate(gate, qubit)
-    return circuit
-
-
 def controlled_s_physical_gate(code: CssCode) -> gates.Gate:
     """Physical two-qubit gate whose bitwise application from a
     classical control block realises a controlled logical S.

@@ -6,7 +6,6 @@ from repro.noise.locations import (
     FaultSpace,
     burst_locations,
     count_locations,
-    crosstalk_locations,
     enumerate_locations,
 )
 from repro.noise.model import (
@@ -48,7 +47,6 @@ __all__ = [
     "channel_names",
     "channel_spec",
     "count_locations",
-    "crosstalk_locations",
     "enumerate_locations",
     "register_channel",
     "run_with_coherent_noise",

@@ -317,48 +317,3 @@ def burst_locations(circuit: Circuit,
                        f"@op{after_op}",
             ))
     return locations
-
-
-def crosstalk_locations(circuit: Circuit,
-                        coupling: Optional[Dict[int, Sequence[int]]]
-                        = None) -> List[FaultLocation]:
-    """Spectator locations: one per (multi-qubit gate, neighbor qubit).
-
-    When a coupled gate (CNOT and friends) fires, qubits adjacent to
-    its operands can pick up errors from residual coupling even though
-    the iid model charges them nothing.  Each returned location sits on
-    one spectator qubit, anchored right after the gate that disturbs
-    it.
-
-    Args:
-        circuit: the circuit under analysis.
-        coupling: adjacency map ``qubit -> neighbors``; default is the
-            linear chain ``q-1, q+1`` (the paper's NMR setting is a
-            1-D spin chain).
-    """
-    def neighbors(qubit: int) -> List[int]:
-        if coupling is not None:
-            return [q for q in coupling.get(qubit, ())
-                    if 0 <= q < circuit.num_qubits]
-        return [q for q in (qubit - 1, qubit + 1)
-                if 0 <= q < circuit.num_qubits]
-
-    locations: List[FaultLocation] = []
-    for index, op in enumerate(circuit.operations):
-        if not isinstance(op, GateOp):
-            raise AnalysisError(
-                "crosstalk enumeration requires a measurement-free "
-                "circuit"
-            )
-        if len(op.qubits) < 2:
-            continue
-        spectators = sorted({
-            q for operand in op.qubits for q in neighbors(operand)
-        } - set(op.qubits))
-        for spectator in spectators:
-            locations.append(FaultLocation(
-                kind="crosstalk", qubits=(spectator,), after_op=index,
-                detail=f"crosstalk q{spectator}<-"
-                       f"{op.gate.name}@op{index}",
-            ))
-    return locations

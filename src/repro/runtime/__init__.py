@@ -37,7 +37,6 @@ from repro.runtime.chaos import (
     truncate_checkpoint_record,
 )
 from repro.runtime.checkpoint import (
-    DEFAULT_ROOT,
     CheckpointStore,
     as_store,
     deserialize_pattern,
@@ -54,7 +53,6 @@ from repro.runtime.supervisor import (
 
 __all__ = [
     "CheckpointStore",
-    "DEFAULT_ROOT",
     "Fault",
     "FaultPlan",
     "FallbackPolicy",

@@ -48,9 +48,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.circuits.pauli import PauliString
 from repro.exceptions import CheckpointError
 
-#: Default root for run directories (``.repro_runs/<run_id>/``).
-DEFAULT_ROOT = ".repro_runs"
-
 #: Journal format version; bumped on incompatible layout changes.
 JOURNAL_VERSION = 1
 
@@ -203,31 +200,9 @@ class CheckpointStore:
     def __init__(self, directory: str) -> None:
         self.directory = os.fspath(directory)
 
-    @classmethod
-    def open_run(cls, run_id: str,
-                 root: Optional[str] = None) -> "CheckpointStore":
-        """The conventional ``<root>/<run_id>`` layout."""
-        return cls(os.path.join(root or DEFAULT_ROOT, run_id))
-
     def substore(self, name: str) -> "CheckpointStore":
         """A nested store (e.g. one per sweep point)."""
         return CheckpointStore(os.path.join(self.directory, name))
-
-    def substores(self) -> List[str]:
-        """Names of the nested stores this one holds, sorted.
-
-        A directory counts as a substore when it exists at all — a
-        crash may have left it empty before its first record landed —
-        so resumable merge steps (the sweep coordinator) can
-        enumerate exactly the partial state a dead run left behind.
-        Lock files and quarantined records never appear here.
-        """
-        if not os.path.isdir(self.directory):
-            return []
-        return sorted(
-            name for name in os.listdir(self.directory)
-            if os.path.isdir(self._path(name))
-        )
 
     # -- lifecycle ---------------------------------------------------
 

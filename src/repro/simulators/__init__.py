@@ -25,12 +25,9 @@ from repro.simulators.batched import (
 from repro.simulators.channels import (
     KrausChannel,
     PauliChannel,
-    amplitude_damping,
     bit_flip,
-    bit_phase_flip,
     depolarizing,
     dephasing,
-    pauli_xz,
     phase_flip,
 )
 from repro.simulators.density_matrix import (
@@ -58,14 +55,11 @@ __all__ = [
     "SparseState",
     "StateVector",
     "StatevectorSimulator",
-    "amplitude_damping",
     "apply_circuit_with_fault_patterns",
     "bit_flip",
-    "bit_phase_flip",
     "dephasing",
     "depolarizing",
     "evaluate_fault_patterns_batched",
-    "pauli_xz",
     "phase_flip",
     "run_unitary",
 ]

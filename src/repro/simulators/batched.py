@@ -54,7 +54,7 @@ from repro.circuits.circuit import Circuit, GateOp
 from repro.circuits.gates import Gate
 from repro.circuits.pauli import PauliString
 from repro.exceptions import FaultToleranceError, SimulationError
-from repro.simulators.sparse import SparseState, _columns_for
+from repro.simulators.sparse import SparseState
 
 _WORD = 64
 
@@ -240,9 +240,6 @@ class BatchedState:
         )
         result._amplitudes = self._state._amplitudes[selected].copy()
         return result
-
-    def extract_all(self) -> List[SparseState]:
-        return [self.extract_lane(lane) for lane in range(self.batch)]
 
     def __repr__(self) -> str:
         return (

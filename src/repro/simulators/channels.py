@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -54,14 +54,6 @@ class KrausChannel:
                 "completeness relation"
             )
         object.__setattr__(self, "operators", tuple(frozen))
-
-    def apply_to_density(self, rho: np.ndarray,
-                         full_operators: Sequence[np.ndarray]) -> np.ndarray:
-        """rho -> sum_k K_k rho K_k^dagger using pre-embedded operators."""
-        result = np.zeros_like(rho)
-        for op in full_operators:
-            result += op @ rho @ op.conj().T
-        return result
 
 
 @dataclass(frozen=True)
@@ -110,10 +102,6 @@ class PauliChannel:
                 return label
         return None
 
-    def enumerate_faults(self) -> List[Tuple[float, str]]:
-        """All non-identity (probability, label) terms."""
-        return [term for term in self.terms if term[1].strip("I")]
-
     def to_kraus(self) -> KrausChannel:
         """Exact Kraus form of the stochastic Pauli channel."""
         operators: List[np.ndarray] = []
@@ -155,24 +143,6 @@ def phase_flip(p: float) -> PauliChannel:
     """Z with probability p — harmless on the paper's classical ancilla."""
     _check_probability(p)
     return PauliChannel(f"phase_flip({p})", 1, ((p, "Z"),))
-
-
-def bit_phase_flip(p: float) -> PauliChannel:
-    """Y with probability p."""
-    _check_probability(p)
-    return PauliChannel(f"bit_phase_flip({p})", 1, ((p, "Y"),))
-
-
-def pauli_xz(px: float, pz: float) -> PauliChannel:
-    """Independent-style channel applying X w.p. px and Z w.p. pz
-    (single-draw approximation: X, Z or Y = both)."""
-    _check_probability(px)
-    _check_probability(pz)
-    p_y = px * pz
-    return PauliChannel(
-        f"pauli_xz({px},{pz})", 1,
-        ((px * (1 - pz), "X"), (pz * (1 - px), "Z"), (p_y, "Y")),
-    )
 
 
 def dephasing(p: float) -> KrausChannel:
@@ -231,14 +201,6 @@ def twirled_over_rotation(axis: str, theta: float) -> PauliChannel:
         f"twirled_over_rotation({axis},{theta})", 1,
         ((probability, axis),),
     )
-
-
-def amplitude_damping(gamma: float) -> KrausChannel:
-    """Energy relaxation with decay probability gamma."""
-    _check_probability(gamma)
-    k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=np.complex128)
-    k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=np.complex128)
-    return KrausChannel(f"amplitude_damping({gamma})", 1, (k0, k1))
 
 
 def _nonidentity_labels(num_qubits: int) -> List[str]:

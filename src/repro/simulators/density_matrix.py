@@ -15,7 +15,7 @@ Cost is O(4^n), so it is reserved for n <= ~10.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -58,11 +58,6 @@ class DensityMatrix:
         amplitudes = state.amplitudes
         return cls(state.num_qubits, np.outer(amplitudes,
                                               amplitudes.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
-        dim = 2**num_qubits
-        return cls(num_qubits, np.eye(dim, dtype=np.complex128) / dim)
 
     @property
     def matrix(self) -> np.ndarray:

@@ -19,8 +19,8 @@ the derived thresholds are lower bounds — the safe direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Sequence, Set
 
 from repro.circuits.circuit import Circuit, GateOp
 from repro.circuits.clifford import conjugate_pauli
@@ -41,11 +41,6 @@ class PropagatedFault:
 
     pauli: PauliString
     wild_qubits: FrozenSet[int] = frozenset()
-
-    @property
-    def is_trivial(self) -> bool:
-        """No residual error at all."""
-        return self.pauli.is_identity and not self.wild_qubits
 
     def x_support(self) -> Set[int]:
         """Qubits possibly carrying a bit error (wild counts as yes)."""
@@ -97,10 +92,6 @@ class PauliPropagator:
     def num_qubits(self) -> int:
         return self._num_qubits
 
-    @property
-    def num_ops(self) -> int:
-        return len(self._gate_ops)
-
     def propagate(self, fault: PauliString,
                   after_op: int = -1) -> PropagatedFault:
         """Push a fault occurring just after op index ``after_op``.
@@ -135,19 +126,6 @@ class PauliPropagator:
                 continue
             pauli = conjugated
         return PropagatedFault(pauli=pauli, wild_qubits=frozenset(wild))
-
-    def propagate_many(self, faults: Sequence[Tuple[PauliString, int]]
-                       ) -> PropagatedFault:
-        """Propagate several (fault, after_op) events and combine them.
-
-        Multi-fault combination by Pauli multiplication is exact for
-        Clifford circuits; with wild qubits it stays a sound
-        over-approximation.
-        """
-        result = PropagatedFault(PauliString.identity(self._num_qubits))
-        for fault, after_op in faults:
-            result = result.combine(self.propagate(fault, after_op))
-        return result
 
 
 def _clear_qubits(pauli: PauliString, qubits: Sequence[int]) -> PauliString:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -234,20 +234,6 @@ class StateVector:
         self._data = np.stack(parts, axis=qubit).reshape(-1)
         return float(norm**2)
 
-    def sample_counts(self, shots: int,
-                      rng: Optional[np.random.Generator] = None
-                      ) -> Dict[str, int]:
-        """Sample complete basis-state bitstrings without collapse."""
-        if rng is None:
-            rng = np.random.default_rng()
-        probs = self.probabilities()
-        outcomes = rng.choice(len(probs), size=shots, p=probs)
-        counts: Dict[str, int] = {}
-        for outcome in outcomes:
-            key = format(int(outcome), f"0{self.num_qubits}b")
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     # -- register management ------------------------------------------------
 
     def allocate(self, count: int = 1) -> List[int]:
@@ -319,13 +305,6 @@ class SimulationResult:
 
     state: StateVector
     classical_bits: List[int] = field(default_factory=list)
-
-    def classical_value(self, bits: Sequence[int]) -> int:
-        """Little-endian integer value of the listed classical bits."""
-        value = 0
-        for position, bit_index in enumerate(bits):
-            value |= (self.classical_bits[bit_index] & 1) << position
-        return value
 
 
 class StatevectorSimulator:

@@ -39,10 +39,6 @@ class ShrinkResult:
     original_ops: int
     checks: int
 
-    @property
-    def final_ops(self) -> int:
-        return len(self.circuit)
-
 
 def _rebuild(template: Circuit, ops: Sequence[Operation],
              num_qubits: int = -1) -> Circuit:

@@ -18,10 +18,10 @@ from repro.analysis import (
     FaultPatternCache,
     canonical_pattern,
     evaluate_fault_pattern,
-    exhaustive_single_faults_sparse,
-    gadget_monte_carlo,
     n_gadget_evaluator,
-    sample_malignant_pairs,
+    run_exhaustive,
+    run_malignant_pairs,
+    run_monte_carlo,
     sampled_threshold_report,
     sweep_p,
 )
@@ -58,12 +58,12 @@ class TestSerialParallelEquivalence:
                                                       workers):
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.2)
-        baseline = gadget_monte_carlo(gadget, initial, evaluator,
-                                      noise, trials=2000, seed=42,
-                                      workers=1)
-        result = gadget_monte_carlo(gadget, initial, evaluator, noise,
-                                    trials=2000, seed=42,
-                                    workers=workers)
+        baseline = run_monte_carlo(gadget, initial, evaluator,
+                                   noise, trials=2000, seed=42,
+                                   workers=1)
+        result = run_monte_carlo(gadget, initial, evaluator, noise,
+                                 trials=2000, seed=42,
+                                 workers=workers)
         assert result == baseline
         assert result.failures == baseline.failures
         assert result.fault_count_histogram == \
@@ -75,22 +75,22 @@ class TestSerialParallelEquivalence:
             self, steane_ngate):
         gadget, initial, evaluator = steane_ngate
         noise = NoiseModel.uniform(1e-2)
-        serial = gadget_monte_carlo(gadget, initial, evaluator, noise,
-                                    trials=120, seed=7, workers=1)
-        parallel = gadget_monte_carlo(gadget, initial, evaluator,
-                                      noise, trials=120, seed=7,
-                                      workers=4)
+        serial = run_monte_carlo(gadget, initial, evaluator, noise,
+                                 trials=120, seed=7, workers=1)
+        parallel = run_monte_carlo(gadget, initial, evaluator,
+                                   noise, trials=120, seed=7,
+                                   workers=4)
         assert parallel == serial
 
     def test_memoization_does_not_change_results(self, tiny):
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.3)
-        memoized = gadget_monte_carlo(gadget, initial, evaluator,
-                                      noise, trials=1500, seed=8,
-                                      workers=1, memoize=True)
-        fresh = gadget_monte_carlo(gadget, initial, evaluator, noise,
-                                   trials=1500, seed=8, workers=1,
-                                   memoize=False)
+        memoized = run_monte_carlo(gadget, initial, evaluator,
+                                   noise, trials=1500, seed=8,
+                                   workers=1, memoize=True)
+        fresh = run_monte_carlo(gadget, initial, evaluator, noise,
+                                trials=1500, seed=8, workers=1,
+                                memoize=False)
         assert memoized == fresh
         assert memoized.engine_stats.cache_hits > 0
         assert fresh.engine_stats.cache_hits == 0
@@ -99,12 +99,12 @@ class TestSerialParallelEquivalence:
     def test_malignant_pairs_bit_identical_across_workers(self, tiny,
                                                           workers):
         gadget, initial, evaluator = tiny
-        baseline = sample_malignant_pairs(gadget, initial, evaluator,
-                                          samples=600, seed=9,
-                                          workers=1)
-        result = sample_malignant_pairs(gadget, initial, evaluator,
-                                        samples=600, seed=9,
-                                        workers=workers)
+        baseline = run_malignant_pairs(gadget, initial, evaluator,
+                                       samples=600, seed=9,
+                                       workers=1)
+        result = run_malignant_pairs(gadget, initial, evaluator,
+                                     samples=600, seed=9,
+                                     workers=workers)
         assert result == baseline
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -121,9 +121,8 @@ class TestSerialParallelEquivalence:
             if not evaluate_fault_pattern(gadget, initial, evaluator,
                                           [(pauli, location.after_op)])
         ]
-        engine = exhaustive_single_faults_sparse(gadget, initial,
-                                                 evaluator,
-                                                 workers=workers)
+        engine = run_exhaustive(gadget, initial, evaluator,
+                                workers=workers).failures
         assert engine == serial
 
     def test_sweep_bit_identical_across_workers(self, tiny):
@@ -143,9 +142,9 @@ class TestCacheCorrectness:
         cache-free simulation of the same canonical pattern."""
         gadget, initial, evaluator = tiny
         cache = FaultPatternCache()
-        gadget_monte_carlo(gadget, initial, evaluator,
-                           NoiseModel.uniform(0.35), trials=800,
-                           seed=13, workers=1, cache=cache)
+        run_monte_carlo(gadget, initial, evaluator,
+                        NoiseModel.uniform(0.35), trials=800,
+                        seed=13, workers=1, cache=cache)
         assert len(cache) > 5
         for pattern, verdict in cache.items():
             assert evaluate_fault_pattern(gadget, initial, evaluator,
@@ -181,12 +180,12 @@ class TestCacheCorrectness:
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.25)
         cache = FaultPatternCache()
-        first = gadget_monte_carlo(gadget, initial, evaluator, noise,
-                                   trials=600, seed=21, workers=1,
-                                   cache=cache)
-        second = gadget_monte_carlo(gadget, initial, evaluator, noise,
-                                    trials=600, seed=21, workers=1,
-                                    cache=cache)
+        first = run_monte_carlo(gadget, initial, evaluator, noise,
+                                trials=600, seed=21, workers=1,
+                                cache=cache)
+        second = run_monte_carlo(gadget, initial, evaluator, noise,
+                                 trials=600, seed=21, workers=1,
+                                 cache=cache)
         assert second == first
         assert second.engine_stats.evaluations == 0
         assert second.engine_stats.cache_hit_rate == 1.0
@@ -210,9 +209,9 @@ class TestSeedStability:
         """Pinned counts for a fixed (seed, trials, chunk_size): any
         drift in the chunked SeedSequence scheme breaks this."""
         gadget, initial, evaluator = tiny
-        result = gadget_monte_carlo(gadget, initial, evaluator,
-                                    NoiseModel.uniform(0.25),
-                                    trials=1000, seed=2024, workers=1)
+        result = run_monte_carlo(gadget, initial, evaluator,
+                                 NoiseModel.uniform(0.25),
+                                 trials=1000, seed=2024, workers=1)
         assert result.failures == 328
         assert result.failures_by_fault_count == {1: 272, 2: 56}
         assert result.fault_count_histogram == {0: 548, 1: 374, 2: 78}
@@ -220,18 +219,18 @@ class TestSeedStability:
     def test_same_seed_reproduces_exactly(self, tiny):
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.25)
-        runs = [gadget_monte_carlo(gadget, initial, evaluator, noise,
-                                   trials=1000, seed=1, workers=2)
+        runs = [run_monte_carlo(gadget, initial, evaluator, noise,
+                                trials=1000, seed=1, workers=2)
                 for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_distinct_seeds_differ(self, tiny):
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.25)
-        a = gadget_monte_carlo(gadget, initial, evaluator, noise,
-                               trials=1000, seed=1, workers=1)
-        b = gadget_monte_carlo(gadget, initial, evaluator, noise,
-                               trials=1000, seed=2, workers=1)
+        a = run_monte_carlo(gadget, initial, evaluator, noise,
+                            trials=1000, seed=1, workers=1)
+        b = run_monte_carlo(gadget, initial, evaluator, noise,
+                            trials=1000, seed=2, workers=1)
         assert a != b
 
     def test_sweep_seed_determinism(self, tiny):
@@ -260,10 +259,10 @@ class TestSeedStability:
 class TestEngineInstrumentation:
     def test_stats_accounting_is_consistent(self, tiny):
         gadget, initial, evaluator = tiny
-        result = gadget_monte_carlo(gadget, initial, evaluator,
-                                    NoiseModel.uniform(0.3),
-                                    trials=1000, seed=4, workers=2,
-                                    chunk_size=128)
+        result = run_monte_carlo(gadget, initial, evaluator,
+                                 NoiseModel.uniform(0.3),
+                                 trials=1000, seed=4, workers=2,
+                                 chunk_size=128)
         stats = result.engine_stats
         nonempty = sum(count for faults, count in
                        result.fault_count_histogram.items() if faults)
@@ -281,10 +280,10 @@ class TestEngineInstrumentation:
     def test_progress_callback_sees_both_phases(self, tiny):
         gadget, initial, evaluator = tiny
         events = []
-        gadget_monte_carlo(gadget, initial, evaluator,
-                           NoiseModel.uniform(0.3), trials=500,
-                           seed=5, workers=1, chunk_size=100,
-                           progress=events.append)
+        run_monte_carlo(gadget, initial, evaluator,
+                        NoiseModel.uniform(0.3), trials=500,
+                        seed=5, workers=1, chunk_size=100,
+                        progress=events.append)
         phases = {event.phase for event in events}
         assert phases == {"sample", "evaluate"}
         samples = [e for e in events if e.phase == "sample"]
@@ -297,9 +296,9 @@ class TestEngineInstrumentation:
         """The engine is the only sampler, so a call without engine
         options is instrumented like any other."""
         gadget, initial, evaluator = tiny
-        result = gadget_monte_carlo(gadget, initial, evaluator,
-                                    NoiseModel.uniform(0.2),
-                                    trials=50, seed=1)
+        result = run_monte_carlo(gadget, initial, evaluator,
+                                 NoiseModel.uniform(0.2),
+                                 trials=50, seed=1)
         assert result.engine_stats is not None
         assert result.engine_stats.trials == 50
         assert result.engine_stats.workers == 1
@@ -309,17 +308,17 @@ class TestEngineValidation:
     def test_negative_trials_rejected(self, tiny):
         gadget, initial, evaluator = tiny
         with pytest.raises(AnalysisError):
-            gadget_monte_carlo(gadget, initial, evaluator,
-                               NoiseModel.uniform(0.1), trials=-1,
-                               workers=1)
+            run_monte_carlo(gadget, initial, evaluator,
+                            NoiseModel.uniform(0.1), trials=-1,
+                            workers=1)
 
     def test_pair_sampling_needs_two_locations(self, tiny):
         gadget, initial, evaluator = tiny
         locations = gadget.fault_locations()[:1]
         with pytest.raises(AnalysisError):
-            sample_malignant_pairs(gadget, initial, evaluator,
-                                   samples=10, seed=0,
-                                   locations=locations, workers=1)
+            run_malignant_pairs(gadget, initial, evaluator,
+                                samples=10, seed=0,
+                                locations=locations, workers=1)
 
 
 class TestSampledThresholdReport:
@@ -328,10 +327,9 @@ class TestSampledThresholdReport:
         report = sampled_threshold_report(gadget, initial, evaluator,
                                           samples=200, seed=7,
                                           workers=2)
-        failures = exhaustive_single_faults_sparse(gadget, initial,
-                                                   evaluator)
-        pair = sample_malignant_pairs(gadget, initial, evaluator,
-                                      samples=200, seed=7, workers=1)
+        failures = run_exhaustive(gadget, initial, evaluator).failures
+        pair = run_malignant_pairs(gadget, initial, evaluator,
+                                   samples=200, seed=7, workers=1)
         assert report.single_fault_failures == len(failures)
         assert report.malignant_pairs == \
             int(round(pair.estimated_malignant_pairs))

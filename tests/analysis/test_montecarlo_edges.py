@@ -13,10 +13,10 @@ import pytest
 from repro.analysis import (
     GadgetMonteCarloResult,
     MalignantPairSample,
-    gadget_monte_carlo,
     interval_stderr,
     n_gadget_evaluator,
-    sample_malignant_pairs,
+    run_malignant_pairs,
+    run_monte_carlo,
 )
 from repro.analysis.stats import normal_quantile
 from repro.ft import build_n_gadget, sparse_coset_state
@@ -37,10 +37,10 @@ class TestMonteCarloResultEdges:
     def test_zero_trials(self, tiny):
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.5)
-        serial = gadget_monte_carlo(gadget, initial, evaluator, noise,
-                                    trials=0, seed=1)
-        pooled = gadget_monte_carlo(gadget, initial, evaluator, noise,
-                                    trials=0, seed=1, workers=2)
+        serial = run_monte_carlo(gadget, initial, evaluator, noise,
+                                 trials=0, seed=1)
+        pooled = run_monte_carlo(gadget, initial, evaluator, noise,
+                                 trials=0, seed=1, workers=2)
         for result in (serial, pooled):
             assert result.trials == 0
             assert result.failures == 0
@@ -55,9 +55,9 @@ class TestMonteCarloResultEdges:
         fails every trial."""
         gadget, initial, _ = tiny
         noise = NoiseModel.uniform(1.0)
-        result = gadget_monte_carlo(gadget, initial, lambda s: False,
-                                    noise, trials=40, seed=2,
-                                    **options)
+        result = run_monte_carlo(gadget, initial, lambda s: False,
+                                 noise, trials=40, seed=2,
+                                 **options)
         assert result.failures == 40
         assert result.failure_rate == 1.0
         assert sum(result.failures_by_fault_count.values()) == 40
@@ -67,9 +67,9 @@ class TestMonteCarloResultEdges:
     def test_no_failure_run(self, tiny, options):
         gadget, initial, _ = tiny
         noise = NoiseModel.uniform(0.5)
-        result = gadget_monte_carlo(gadget, initial, lambda s: True,
-                                    noise, trials=60, seed=3,
-                                    **options)
+        result = run_monte_carlo(gadget, initial, lambda s: True,
+                                 noise, trials=60, seed=3,
+                                 **options)
         assert result.failures == 0
         assert result.failure_rate == 0.0
         assert result.failures_by_fault_count == {}
@@ -120,31 +120,6 @@ class TestResultIntervals:
         assert interval.lower == 0.0
         assert 0.0 < interval.upper < 0.01
 
-    def test_upper_bound_tracks_rule_of_three(self):
-        from repro.analysis import rule_of_three_upper
-
-        result = GadgetMonteCarloResult(
-            p=0.01, trials=1000, failures=0,
-            failures_by_fault_count={}, fault_count_histogram={},
-        )
-        bound = result.failure_rate_upper_bound()
-        # One-sided CP at 0 failures IS the rule of three.
-        assert bound == pytest.approx(rule_of_three_upper(1000),
-                                      rel=1e-9)
-        assert bound >= result.failure_rate
-
-    def test_upper_bound_edges(self):
-        empty = GadgetMonteCarloResult(
-            p=0.1, trials=0, failures=0,
-            failures_by_fault_count={}, fault_count_histogram={},
-        )
-        assert empty.failure_rate_upper_bound() == 1.0
-        full = GadgetMonteCarloResult(
-            p=0.1, trials=50, failures=50,
-            failures_by_fault_count={}, fault_count_histogram={},
-        )
-        assert full.failure_rate_upper_bound() == 1.0
-
     def test_stderr_alias_matches_interval_stderr(self):
         """interval_stderr (what the removed ``.stderr`` alias
         returned) is the result's Wilson half-width over z, so a
@@ -165,22 +140,6 @@ class TestPairSampleIntervals:
         interval = sample.interval()
         assert interval.contains(0.05)
         assert interval.trials == 500
-
-    def test_threshold_interval_brackets_estimate(self):
-        sample = MalignantPairSample(samples=500, malignant=25,
-                                     num_locations=20)
-        lower, upper = sample.threshold_interval()
-        assert lower is not None and upper is not None
-        assert lower < sample.threshold_estimate < upper
-
-    def test_threshold_interval_zero_malignant(self):
-        # Fraction interval reaches 0: a safe threshold *floor* exists
-        # (from the fraction's upper bound) but no finite ceiling.
-        sample = MalignantPairSample(samples=500, malignant=0,
-                                     num_locations=20)
-        lower, upper = sample.threshold_interval()
-        assert lower is not None and lower > 0.0
-        assert upper is None
 
 
 class TestMalignantPairSampleEdges:
@@ -208,8 +167,8 @@ class TestMalignantPairSampleEdges:
     @pytest.mark.parametrize("options", [{}, {"workers": 2}])
     def test_zero_samples_run(self, tiny, options):
         gadget, initial, evaluator = tiny
-        sample = sample_malignant_pairs(gadget, initial, evaluator,
-                                        samples=0, seed=4, **options)
+        sample = run_malignant_pairs(gadget, initial, evaluator,
+                                     samples=0, seed=4, **options)
         assert sample.samples == 0
         assert sample.malignant == 0
         assert sample.threshold_estimate is None
@@ -217,18 +176,18 @@ class TestMalignantPairSampleEdges:
     @pytest.mark.parametrize("options", [{}, {"workers": 2}])
     def test_never_malignant_evaluator(self, tiny, options):
         gadget, initial, _ = tiny
-        sample = sample_malignant_pairs(gadget, initial,
-                                        lambda s: True, samples=50,
-                                        seed=5, **options)
+        sample = run_malignant_pairs(gadget, initial,
+                                     lambda s: True, samples=50,
+                                     seed=5, **options)
         assert sample.malignant == 0
         assert sample.threshold_estimate is None
 
     @pytest.mark.parametrize("options", [{}, {"workers": 2}])
     def test_always_malignant_evaluator(self, tiny, options):
         gadget, initial, _ = tiny
-        sample = sample_malignant_pairs(gadget, initial,
-                                        lambda s: False, samples=50,
-                                        seed=6, **options)
+        sample = run_malignant_pairs(gadget, initial,
+                                     lambda s: False, samples=50,
+                                     seed=6, **options)
         assert sample.malignant == 50
         assert sample.malignant_fraction == 1.0
         assert sample.threshold_estimate is not None

@@ -11,7 +11,7 @@ worker count.
 import pytest
 
 from repro.analysis import n_gadget_evaluator
-from repro.analysis.montecarlo import gadget_monte_carlo
+from repro.analysis.montecarlo import run_monte_carlo
 from repro.analysis.sequential import (
     _pick_adaptive_point,
     adaptive_sweep_p,
@@ -72,7 +72,7 @@ class TestSequentialMonteCarlo:
             gadget, initial, evaluator, noise,
             p0=0.01, p1=0.05, max_trials=8000, seed=99,
             batch_size=128)
-        fixed = gadget_monte_carlo(
+        fixed = run_monte_carlo(
             gadget, initial, evaluator, noise,
             trials=outcome.result.trials, seed=99, chunk_size=128)
         assert outcome.result.failures == fixed.failures
@@ -216,7 +216,8 @@ class TestAdaptiveSweep:
         assert sum(sweep.allocation) == 12
         assert sweep.total_trials == 12 * 128
         assert all(count >= 1 for count in sweep.allocation)
-        assert sweep.trials_by_point() == [128, 3 * 128, 8 * 128]
+        assert [result.trials for result in sweep.results] == \
+            [128, 3 * 128, 8 * 128]
         for result, interval in zip(sweep.results, sweep.intervals):
             assert interval.failures == result.failures
             assert interval.trials == result.trials
@@ -240,7 +241,7 @@ class TestAdaptiveSweep:
             gadget, initial, evaluator, [0.01, 0.05, 0.2],
             total_trials=12 * 128, seed=5, batch_size=128)
         for index, result in enumerate(sweep.results):
-            fixed = gadget_monte_carlo(
+            fixed = run_monte_carlo(
                 gadget, initial, evaluator,
                 NoiseModel.uniform(sweep.results[index].p),
                 trials=result.trials, seed=5 + index, chunk_size=128)

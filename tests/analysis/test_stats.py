@@ -139,6 +139,13 @@ class TestRuleOfThree:
             bound = rule_of_three_upper(n, 0.95)
             assert abs((1.0 - bound) ** n - 0.05) < 1e-12
 
+    def test_is_one_sided_clopper_pearson_at_zero(self):
+        # The upper end of a two-sided 90% CP interval at 0 failures
+        # is the one-sided 95% bound: the rule of three.
+        bound = clopper_pearson_interval(0, 1000, 0.90).upper
+        assert bound == pytest.approx(rule_of_three_upper(1000),
+                                      rel=1e-9)
+
     def test_validation(self):
         with pytest.raises(AnalysisError):
             rule_of_three_upper(0)

@@ -9,9 +9,7 @@ import pytest
 from repro.circuits import gates
 from repro.circuits.gates import (
     Gate,
-    get_gate,
     global_phase,
-    kron_all,
     matrices_equal_up_to_phase,
     rx,
     ry,
@@ -133,13 +131,6 @@ class TestControlled:
 
 
 class TestRegistry:
-    def test_lookup(self):
-        assert get_gate("CNOT") is gates.CNOT
-
-    def test_unknown_name(self):
-        with pytest.raises(GateError):
-            get_gate("WARP")
-
     def test_registry_complete(self):
         for name, gate in gates.GATE_REGISTRY.items():
             assert gate.name == name
@@ -180,10 +171,6 @@ class TestParametricGates:
 
 
 class TestHelpers:
-    def test_kron_all(self):
-        result = kron_all(gates.X.matrix, gates.Z.matrix)
-        assert np.allclose(result, np.kron(gates.X.matrix, gates.Z.matrix))
-
     def test_matrices_equal_up_to_phase(self):
         assert matrices_equal_up_to_phase(
             1j * gates.H.matrix, gates.H.matrix

@@ -44,16 +44,6 @@ class TestFanoutAndParity:
             library.parity_circuit(0)
 
 
-class TestBasisState:
-    def test_basis_state(self):
-        state = run_unitary(library.basis_state_circuit([1, 0, 1]))
-        assert abs(state.amplitude([1, 0, 1]) - 1.0) < 1e-10
-
-    def test_invalid_bit(self):
-        with pytest.raises(CircuitError):
-            library.basis_state_circuit([2])
-
-
 class TestBitwiseHelpers:
     def test_bitwise_circuit(self):
         circuit = library.bitwise_circuit(gates.X, [0, 2], 3)
@@ -79,22 +69,6 @@ class TestBitwiseHelpers:
     def test_transversal_rejects_size_mismatch(self):
         with pytest.raises(CircuitError):
             library.transversal_two_qubit(gates.CNOT, [0], [1, 2], 3)
-
-
-class TestMajority:
-    @pytest.mark.parametrize("bits,expected", [
-        ([0, 0, 0], 0), ([1, 0, 0], 0), ([1, 1, 0], 1), ([1, 1, 1], 1),
-        ([0, 1, 1], 1), ([0, 0, 1], 0),
-    ])
-    def test_majority_truth_table(self, bits, expected):
-        circuit = library.majority_vote_circuit(3)
-        state = StateVector.from_basis_state(bits + [0])
-        state.apply_circuit(circuit)
-        assert abs(state.amplitude(bits + [expected]) - 1.0) < 1e-10
-
-    def test_only_three_inputs(self):
-        with pytest.raises(CircuitError):
-            library.majority_vote_circuit(5)
 
 
 class TestVisualize:

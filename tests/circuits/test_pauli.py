@@ -39,8 +39,6 @@ class TestWeights:
     def test_weights(self):
         pauli = PauliString.from_label("XYZI")
         assert pauli.weight == 3
-        assert pauli.x_weight == 2  # X and Y carry bit errors
-        assert pauli.z_weight == 2  # Z and Y carry phase errors
 
     def test_support(self):
         assert PauliString.from_label("IXIZ").support() == (1, 3)

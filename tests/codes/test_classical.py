@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes import HammingCode, LinearCode, RepetitionCode
-from repro.codes.classical import majority_vote
 from repro.exceptions import CodeError, DecodingFailure
 
 
@@ -86,11 +85,6 @@ class TestRepetitionCode:
         word[positions] ^= 1
         assert code.decode(word)[0] == 1
 
-    def test_standalone_majority_vote(self):
-        assert majority_vote([1, 0, 1]) == 1
-        with pytest.raises(CodeError):
-            majority_vote([1, 0])
-
 
 class TestHammingCode:
     def test_parameters(self):
@@ -127,11 +121,6 @@ class TestHammingCode:
         corrupted[4] ^= 1
         assert code.corrected_parity(corrupted) == 1
         assert code.corrected_parity(np.zeros(7, dtype=np.uint8)) == 0
-
-    def test_syndrome_circuit_supports(self):
-        supports = HammingCode().syndrome_circuit_supports()
-        assert len(supports) == 3
-        assert all(len(s) == 4 for s in supports)
 
     def test_two_errors_miscorrect(self):
         """d=3: two errors decode to the wrong codeword, silently."""

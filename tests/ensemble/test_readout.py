@@ -6,7 +6,6 @@ import pytest
 from repro.ensemble import (
     EnsembleReadout,
     ReadoutSignal,
-    expectation_from_samples,
 )
 from repro.exceptions import EnsembleViolationError
 
@@ -127,15 +126,3 @@ class TestFiniteEnsembleDegradation:
         relaxed = sum(s.infer_bit(confidence_sigmas=2.0) is not None
                       for s in signals)
         assert relaxed > strict
-
-
-class TestExpectationFromSamples:
-    def test_mixed_samples(self):
-        assert abs(expectation_from_samples([0, 1, 0, 1])) < 1e-12
-
-    def test_all_zero(self):
-        assert expectation_from_samples([0, 0]) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EnsembleViolationError):
-            expectation_from_samples([])

@@ -92,21 +92,6 @@ class TestClassicalEnsemble:
         assert abs(ensemble.expectation(0) - 1.0) < 1e-12
         assert abs(ensemble.expectation(1)) < 1e-12
 
-    def test_from_sampler(self):
-        ensemble = ClassicalEnsemble.from_sampler(
-            lambda rng: [1, rng.integers(0, 2)],
-            num_computers=256,
-            rng=np.random.default_rng(0),
-        )
-        assert ensemble.num_computers == 256
-        assert abs(ensemble.expectation(0) + 1.0) < 1e-12
-
-    def test_map_members(self):
-        ensemble = ClassicalEnsemble(np.array([[0, 1], [1, 0]]))
-        flipped = ensemble.map_members(lambda row: 1 - row)
-        assert np.array_equal(flipped.registers,
-                              np.array([[1, 0], [0, 1]]))
-
     def test_read_bits(self):
         rows = np.zeros((4096, 2), dtype=np.uint8)
         rows[:, 1] = 1

@@ -20,15 +20,6 @@ def run_on_bits(circuit: Circuit, bits):
             for q in range(circuit.num_qubits)]
 
 
-class TestXorInto:
-    def test_truth_table(self):
-        circuit = Circuit(3)
-        classical_logic.xor_into(circuit, [0, 1], 2)
-        for a, b in itertools.product((0, 1), repeat=2):
-            out = run_on_bits(circuit, [a, b, 0])
-            assert out[2] == a ^ b
-
-
 class TestOrInto:
     @pytest.mark.parametrize("num_sources", [1, 2, 3])
     def test_truth_table(self, num_sources):
@@ -87,14 +78,3 @@ class TestBlockOps:
         circuit = Circuit(5)
         with pytest.raises(FaultToleranceError):
             classical_logic.and_blocks_into(circuit, [0, 1], [2], [3, 4])
-
-    def test_xor_blocks(self):
-        circuit = Circuit(4)
-        classical_logic.xor_blocks_into(circuit, [0, 1], [2, 3])
-        out = run_on_bits(circuit, [1, 0, 1, 1])
-        assert out[2:] == [0, 1]
-
-    def test_not_block(self):
-        circuit = Circuit(2)
-        classical_logic.not_block(circuit, [0, 1])
-        assert run_on_bits(circuit, [1, 0]) == [0, 1]

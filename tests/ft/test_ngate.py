@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    exhaustive_single_faults_sparse,
     n_gadget_evaluator,
+    run_exhaustive,
 )
 from repro.exceptions import FaultToleranceError
 from repro.ft import build_n_gadget, sparse_coset_state
@@ -112,8 +112,7 @@ class TestFaultTolerance:
             {"quantum": sparse_coset_state(steane, bit)}
         )
         evaluator = n_gadget_evaluator(gadget, steane, bit)
-        failures = exhaustive_single_faults_sparse(gadget, initial,
-                                                   evaluator)
+        failures = run_exhaustive(gadget, initial, evaluator).failures
         assert failures == [], (
             f"{len(failures)} single faults break the {variant} N "
             f"gadget; first: {failures[0]}"

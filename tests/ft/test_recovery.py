@@ -91,14 +91,6 @@ class TestGadgetProperties:
             assert_fault_tolerant_structure(gadget)
             assert gadget.circuit.is_ensemble_safe()
 
-    def test_full_recovery_builder(self, steane):
-        from repro.ft import build_full_recovery
-
-        gadgets = build_full_recovery(steane)
-        assert [g.name for g in gadgets] == [
-            "recovery_X[steane]", "recovery_Z[steane]"
-        ]
-
 
 class TestNoMeasurementNeeded:
     def test_recovery_runs_on_ensemble_machine(self, steane):
@@ -115,8 +107,8 @@ class TestNoMeasurementNeeded:
         """A fault inside the recovery gadget leaves the data block
         within one correction of the ideal state."""
         from repro.analysis import (
-            exhaustive_single_faults_sparse,
             recovered_overlap_evaluator,
+            run_exhaustive,
         )
 
         gadget = build_recovery_gadget(steane, "X")
@@ -127,8 +119,7 @@ class TestNoMeasurementNeeded:
         })
         evaluator = recovered_overlap_evaluator(gadget, steane,
                                                 ["data"], data)
-        failures = exhaustive_single_faults_sparse(gadget, initial,
-                                                   evaluator)
+        failures = run_exhaustive(gadget, initial, evaluator).failures
         assert failures == [], (
             f"{len(failures)} single faults break X recovery; "
             f"first: {failures[0]}"

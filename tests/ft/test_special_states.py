@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import exhaustive_single_faults_sparse
+from repro.analysis import run_exhaustive
 from repro.exceptions import FaultToleranceError
 from repro.ft import (
     and_state_spec,
@@ -171,9 +171,9 @@ class TestFaultTolerance:
             if in_scope(loc)
         ]
         assert len(locations) > 30  # the scope is not vacuous
-        failures = exhaustive_single_faults_sparse(
+        failures = run_exhaustive(
             gadget, initial, evaluator, locations=locations
-        )
+        ).failures
         assert failures == [], (
             f"{len(failures)} parity-stage faults break t-state prep; "
             f"first: {failures[0]}"

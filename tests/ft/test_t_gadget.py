@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    exhaustive_single_faults_sparse,
     recovered_overlap_evaluator,
+    run_exhaustive,
 )
 from repro.ft import (
     build_t_gadget,
@@ -121,8 +121,7 @@ class TestFaultTolerance:
             gadget, steane, ["data"],
             expected_t_output(steane, alpha, beta),
         )
-        failures = exhaustive_single_faults_sparse(gadget, initial,
-                                                   evaluator)
+        failures = run_exhaustive(gadget, initial, evaluator).failures
         assert failures == [], (
             f"{len(failures)} single faults break the T gadget; "
             f"first: {failures[0]}"

@@ -171,42 +171,6 @@ class TestBurstLocations:
             "input": 0, "gate": 0, "delay": 0, "burst": 2, "total": 2}
 
 
-class TestCrosstalkLocations:
-    def test_linear_chain_spectators(self):
-        from repro.noise import crosstalk_locations
-
-        circuit = Circuit(4)
-        circuit.add_gate(gates.CNOT, 1, 2)
-        locations = crosstalk_locations(circuit)
-        assert [loc.qubits for loc in locations] == [(0,), (3,)]
-        assert all(loc.kind == "crosstalk" for loc in locations)
-        assert all(loc.after_op == 0 for loc in locations)
-
-    def test_single_qubit_gates_have_no_spectators(self):
-        from repro.noise import crosstalk_locations
-
-        circuit = Circuit(3)
-        circuit.add_gate(gates.H, 1)
-        assert crosstalk_locations(circuit) == []
-
-    def test_custom_coupling(self):
-        from repro.noise import crosstalk_locations
-
-        circuit = Circuit(4)
-        circuit.add_gate(gates.CNOT, 0, 1)
-        locations = crosstalk_locations(circuit,
-                                        coupling={0: (3,), 1: ()})
-        assert [loc.qubits for loc in locations] == [(3,)]
-
-    def test_edge_clipping(self):
-        from repro.noise import crosstalk_locations
-
-        circuit = Circuit(2)
-        circuit.add_gate(gates.CNOT, 0, 1)
-        # Chain neighbors -1 and 2 fall off the register: no spectators.
-        assert crosstalk_locations(circuit) == []
-
-
 def bare_gadget(circuit: Circuit) -> Gadget:
     register = Register("q", tuple(range(circuit.num_qubits)))
     return Gadget(name="bare", circuit=circuit, registers={"q": register})
@@ -256,7 +220,9 @@ class TestExhaustiveMultiQubitLocations:
         assert "ZZ" not in failing_labels
 
     def test_exhaustive_over_crosstalk_and_delay_locations(self):
-        from repro.noise import crosstalk_locations, enumerate_locations
+        import numpy as np
+
+        from repro.noise import CrosstalkModel
 
         circuit = Circuit(3)
         circuit.add_gate(gates.X, 1)        # q1 busy at moment 0
@@ -265,7 +231,14 @@ class TestExhaustiveMultiQubitLocations:
         circuit.add_gate(gates.CNOT, 0, 1)
         delays = [loc for loc in enumerate_locations(circuit)
                   if loc.kind == "delay"]
-        spectators = crosstalk_locations(circuit)
+        # p_spectator=1: the CNOT's one chain neighbour (q2) is struck.
+        spectators = [
+            fault.location for fault in CrosstalkModel(
+                0.0, p_spectator=1.0).sample_faults(
+                    circuit, np.random.default_rng(0))
+        ]
+        assert [loc.qubits for loc in spectators] == [(2,)]
+        assert all(loc.kind == "crosstalk" for loc in spectators)
         assert delays and spectators
         mixed = delays + spectators
         attempts = []

@@ -54,10 +54,6 @@ class TestStoreLifecycle:
         store.clear()
         assert not store.exists()
 
-    def test_open_run_layout(self, tmp_path):
-        store = CheckpointStore.open_run("abc", root=str(tmp_path))
-        assert store.directory == os.path.join(str(tmp_path), "abc")
-
     def test_as_store_coercions(self, tmp_path):
         assert as_store(None) is None
         store = CheckpointStore(str(tmp_path))

@@ -137,12 +137,13 @@ class TestBatchedState:
         with pytest.raises(SimulationError):
             BatchedState(SparseState(190), 8)
 
-    def test_extract_all_round_trips_initial_state(self):
+    def test_every_lane_round_trips_initial_state(self):
         initial = SparseState(3)
         initial.apply_gate(gates.H, [0])
         initial.apply_gate(gates.CNOT, [0, 2])
         stacked = BatchedState(initial, 3)
-        for lane_state in stacked.extract_all():
+        for lane in range(3):
+            lane_state = stacked.extract_lane(lane)
             _assert_bit_identical(lane_state, initial)
 
     @pytest.mark.parametrize("family", ["clifford", "clifford_t"])

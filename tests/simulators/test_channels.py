@@ -7,12 +7,9 @@ from repro.exceptions import SimulationError
 from repro.simulators import (
     KrausChannel,
     PauliChannel,
-    amplitude_damping,
     bit_flip,
-    bit_phase_flip,
     depolarizing,
     dephasing,
-    pauli_xz,
     phase_flip,
 )
 
@@ -25,9 +22,6 @@ class TestPauliChannels:
 
     def test_phase_flip(self):
         assert phase_flip(0.2).terms == ((0.2, "Z"),)
-
-    def test_bit_phase_flip(self):
-        assert bit_phase_flip(0.3).terms == ((0.3, "Y"),)
 
     def test_depolarizing_single(self):
         channel = depolarizing(0.3)
@@ -53,22 +47,12 @@ class TestPauliChannels:
         with pytest.raises(SimulationError):
             PauliChannel("bad", 2, ((0.1, "X"),))
 
-    def test_pauli_xz_includes_y(self):
-        channel = pauli_xz(0.1, 0.2)
-        labels = {label: p for p, label in channel.terms}
-        assert abs(labels["Y"] - 0.02) < 1e-12
-
     def test_sampling_statistics(self):
         channel = depolarizing(0.5)
         rng = np.random.default_rng(0)
         draws = [channel.sample(rng) for _ in range(4000)]
         none_fraction = sum(1 for d in draws if d is None) / 4000
         assert abs(none_fraction - 0.5) < 0.04
-
-    def test_enumerate_faults_skips_identity(self):
-        channel = depolarizing(0.3)
-        faults = channel.enumerate_faults()
-        assert all(label.strip("I") for _, label in faults)
 
 
 class TestKrausConversion:
@@ -81,11 +65,6 @@ class TestKrausConversion:
     def test_kraus_completeness_enforced(self):
         with pytest.raises(SimulationError):
             KrausChannel("bad", 1, (np.eye(2) * 0.5,))
-
-    def test_amplitude_damping(self):
-        channel = amplitude_damping(0.3)
-        total = sum(op.conj().T @ op for op in channel.operators)
-        assert np.allclose(total, np.eye(2))
 
     def test_dephasing_operators(self):
         channel = dephasing(0.4)

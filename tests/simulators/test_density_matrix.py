@@ -31,10 +31,6 @@ class TestConstruction:
         with pytest.raises(SimulationError):
             DensityMatrix(1, np.eye(2))
 
-    def test_maximally_mixed(self):
-        rho = DensityMatrix.maximally_mixed(2)
-        assert abs(rho.purity() - 0.25) < 1e-12
-
 
 class TestEvolution:
     def test_gate_application_matches_pure(self):

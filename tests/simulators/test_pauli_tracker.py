@@ -108,21 +108,6 @@ class TestWildBehaviour:
         assert result.z_support() == {0}
 
 
-class TestMultiFault:
-    def test_combined_faults_multiply(self):
-        circuit = clifford_circuit()
-        propagator = PauliPropagator(circuit)
-        fault = PauliString.single(3, 1, "X")
-        combined = propagator.propagate_many([(fault, 0), (fault, 0)])
-        assert combined.pauli.is_identity
-
-    def test_trivial_flag(self):
-        circuit = clifford_circuit()
-        propagator = PauliPropagator(circuit)
-        combined = propagator.propagate_many([])
-        assert combined.is_trivial
-
-
 class TestValidation:
     def test_rejects_measurements(self):
         circuit = Circuit(1, 1).measure(0, 0)

@@ -11,7 +11,6 @@ from repro.circuits import (
 )
 from repro.exceptions import SimulationError
 from repro.simulators import (
-    SimulationResult,
     StatevectorSimulator,
     StateVector,
     run_unitary,
@@ -118,14 +117,6 @@ class TestReadout:
         assert abs(state.expectation_pauli(
             PauliString.from_label("ZZ")).real - 1.0) < 1e-9
 
-    def test_sample_counts(self):
-        state = StateVector(1)
-        state.apply_gate(gates.H, [0])
-        counts = state.sample_counts(
-            2000, rng=np.random.default_rng(1)
-        )
-        assert abs(counts["0"] / 2000 - 0.5) < 0.05
-
 
 class TestMeasurement:
     def test_measurement_statistics(self):
@@ -223,10 +214,6 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             StatevectorSimulator().run(circuit,
                                        initial_state=StateVector(1))
-
-    def test_classical_value_little_endian(self):
-        result = SimulationResult(StateVector(1), [1, 0, 1])
-        assert result.classical_value([0, 1, 2]) == 0b101
 
     def test_run_unitary_rejects_measurement(self):
         circuit = Circuit(1, 1).measure(0, 0)

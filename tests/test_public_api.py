@@ -1,9 +1,14 @@
-"""Public-API integrity checks: every exported name resolves, the
-package metadata is consistent, and the examples at least compile."""
+"""Public-API integrity checks: every exported name resolves, every
+public definition has a caller, the package metadata is consistent,
+and the examples at least compile."""
 
+import ast
+import collections
+import functools
 import importlib
 import pathlib
 import py_compile
+import re
 
 import pytest
 
@@ -92,3 +97,115 @@ class TestDocumentationPresence:
         for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
             path = root / name
             assert path.exists() and path.stat().st_size > 1000, name
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Where a caller may live.  Tests are not callers: code whose only
+#: user is its own test is dead weight.
+CALLER_DIRS = ("src", "benchmarks", "examples", "perfbench", "scripts")
+
+#: Public top-level names in ``src/`` that nothing in CALLER_DIRS
+#: uses, each kept for one reason: (a) a test uses it to damage state
+#: or inject a bug, (b) a test uses it as the check or reference for
+#: a paper claim or for another code path, (c) test infrastructure CI
+#: depends on.
+KEPT_WITHOUT_CALLER = {
+    "truncate_queue_journal":
+        "(a) tears the queue journal's tail for the replay tests",
+    "garble_cache_entry":
+        "(a) corrupts a result-cache entry the cache must reject",
+    "BrokenSCancelPass":
+        "(a) a wrong optimizer pass the certifier must catch",
+    "reverse_cnot":
+        "(a) a CNOT-direction bug the differential oracle must shrink",
+    "assert_fault_tolerant_structure":
+        "(b) the Sec. 4 transversality check on every gadget",
+    "classical_control_only":
+        "(b) the Sec. 4 check that the classical ancilla only controls",
+    "MeasuredTGate":
+        "(b) the measured Fig. 3 T gate an ensemble machine rejects",
+    "exact_coverage":
+        "(b) proves the Clopper-Pearson interval is never "
+        "anti-conservative",
+    "fully_quantum_teleportation_circuit":
+        "(b) the fully-quantum teleportation an ensemble machine runs",
+    "run_recovery":
+        "(b) the Sec. 5 measurement-free recovery the oracle checks",
+    "write_artifact":
+        "(c) writes the conftest fuzz reporter's reproducer files",
+    "format_failure":
+        "(c) formats the conftest fuzz reporter's failure block",
+    "random_noise_model":
+        "(c) seeded noise-model generator of the batched-equivalence "
+        "fuzz",
+}
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+@functools.lru_cache(maxsize=None)
+def _public_definitions():
+    """(name, path, first line, last line) of every public top-level
+    ``def``/``class`` in ``src/`` outside package ``__init__.py``."""
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("_")):
+                first = min([node.lineno] + [decorator.lineno for decorator
+                                             in node.decorator_list])
+                found.append((node.name, path, first, node.end_lineno))
+    return tuple(found)
+
+
+@functools.lru_cache(maxsize=None)
+def _uncalled():
+    """Public names never mentioned in CALLER_DIRS outside their own
+    definition.  Any identifier token counts as a mention (a call, an
+    import, a docstring reference, a name perfbench patches by
+    string); package ``__init__.py`` re-exports do not."""
+    lines = {}
+    mentions = collections.Counter()
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            lines[path] = path.read_text().splitlines()
+            for line in lines[path]:
+                mentions.update(_WORD.findall(line))
+    uncalled = {}
+    for name, path, first, last in _public_definitions():
+        own = sum(_WORD.findall(line).count(name)
+                  for line in lines[path][first - 1:last])
+        if mentions[name] == own:
+            uncalled[name] = f"{path.relative_to(ROOT)}:{first}"
+    return uncalled
+
+
+class TestEveryPublicNameHasACaller:
+    def test_every_public_name_has_a_caller(self):
+        dead = {name: where for name, where in _uncalled().items()
+                if name not in KEPT_WITHOUT_CALLER}
+        assert not dead, (
+            "public definitions with no caller outside tests (remove "
+            "them, or keep one in KEPT_WITHOUT_CALLER with its "
+            f"reason): {dead}"
+        )
+
+    def test_kept_names_still_exist(self):
+        defined = {name for name, *_ in _public_definitions()}
+        gone = sorted(set(KEPT_WITHOUT_CALLER) - defined)
+        assert not gone, f"drop from KEPT_WITHOUT_CALLER: {gone}"
+
+    def test_kept_names_still_have_no_caller(self):
+        defined = {name for name, *_ in _public_definitions()}
+        called = sorted((set(KEPT_WITHOUT_CALLER) & defined)
+                        - set(_uncalled()))
+        assert not called, (
+            f"these now have a caller; drop them from "
+            f"KEPT_WITHOUT_CALLER: {called}"
+        )

@@ -26,7 +26,6 @@ from repro.ft.transversal import (
     logical_cz_circuit,
     logical_h_circuit,
     logical_s_circuit,
-    logical_s_dagger_circuit,
     logical_x_circuit,
     logical_z_circuit,
 )
@@ -112,7 +111,6 @@ class TestCodespacePreservation:
         "Z": logical_z_circuit,
         "H": logical_h_circuit,
         "S": logical_s_circuit,
-        "S_DG": logical_s_dagger_circuit,
         "CNOT": logical_cnot_circuit,
         "CZ": logical_cz_circuit,
     }

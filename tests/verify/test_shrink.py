@@ -122,7 +122,7 @@ class TestShrinkCircuit:
 
     def test_shrinks_to_single_needle_operation(self):
         result = shrink_circuit(self._circuit_with_noise(), self._has_s)
-        assert result.final_ops == 1
+        assert len(result.circuit) == 1
         assert result.original_ops == 11
         assert self._has_s(result.circuit)
 
@@ -145,7 +145,7 @@ class TestShrinkCircuit:
             return self._has_s(candidate)
 
         result = shrink_circuit(circuit, brittle)
-        assert result.final_ops == 2  # cannot go below the crash line
+        assert len(result.circuit) == 2  # cannot go below the crash line
         assert self._has_s(result.circuit)
 
     def test_respects_check_budget(self):

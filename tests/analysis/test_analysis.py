@@ -45,6 +45,11 @@ class TestScalingFits:
         with pytest.raises(AnalysisError):
             fit_power_law([-1e-3, 1e-2], [1e-3, 1e-2])
 
+    def test_predict(self):
+        # The fitted law extrapolates to a p outside the data.
+        fit = fit_power_law([1e-2, 1e-1], [1e-4, 1e-2])
+        assert abs(fit.coefficient * 1e-3**fit.exponent - 1e-6) < 1e-9
+
 
 class TestSymbolicAnalyzer:
     def test_location_enumeration_scopes_inputs(self, steane):

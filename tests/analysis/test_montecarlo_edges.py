@@ -120,6 +120,30 @@ class TestResultIntervals:
         assert interval.lower == 0.0
         assert 0.0 < interval.upper < 0.01
 
+    def test_upper_bound_tracks_rule_of_three(self):
+        from repro.analysis import rule_of_three_upper
+
+        result = GadgetMonteCarloResult(
+            p=0.01, trials=1000, failures=0,
+            failures_by_fault_count={}, fault_count_histogram={},
+        )
+        # The upper end of the two-sided 90% CP interval is the
+        # one-sided 95% bound; at 0 failures it IS the rule of three.
+        bound = result.interval(0.90, "clopper-pearson").upper
+        assert bound == pytest.approx(rule_of_three_upper(1000),
+                                      rel=1e-9)
+        assert bound >= result.failure_rate
+
+    def test_upper_bound_edges(self):
+        full = GadgetMonteCarloResult(
+            p=0.1, trials=50, failures=50,
+            failures_by_fault_count={}, fault_count_histogram={},
+        )
+        for method in ("wilson", "clopper-pearson", "jeffreys"):
+            interval = full.interval(method=method)
+            assert interval.upper == pytest.approx(1.0)
+            assert interval.lower < 1.0
+
     def test_stderr_alias_matches_interval_stderr(self):
         """interval_stderr (what the removed ``.stderr`` alias
         returned) is the result's Wilson half-width over z, so a
@@ -140,6 +164,30 @@ class TestPairSampleIntervals:
         interval = sample.interval()
         assert interval.contains(0.05)
         assert interval.trials == 500
+
+    def test_threshold_interval_brackets_estimate(self):
+        # p_th ~ 1/M is monotone decreasing in the malignant fraction,
+        # so the fraction interval's ends bracket the threshold
+        # estimate from the other side.
+        sample = MalignantPairSample(samples=500, malignant=25,
+                                     num_locations=20)
+        fraction = sample.interval(method="clopper-pearson")
+        pairs = sample.location_pairs
+        lower = 1.0 / (fraction.upper * pairs)
+        upper = 1.0 / (fraction.lower * pairs)
+        assert lower < sample.threshold_estimate < upper
+
+    def test_threshold_interval_zero_malignant(self):
+        # The fraction interval reaches 0: a safe threshold floor
+        # exists (from the fraction's upper bound) but no finite
+        # point estimate or ceiling.
+        sample = MalignantPairSample(samples=500, malignant=0,
+                                     num_locations=20)
+        fraction = sample.interval(method="clopper-pearson")
+        assert fraction.lower == 0.0
+        assert fraction.upper > 0.0
+        assert 1.0 / (fraction.upper * sample.location_pairs) > 0.0
+        assert sample.threshold_estimate is None
 
 
 class TestMalignantPairSampleEdges:

@@ -49,11 +49,12 @@ class TestConstruction:
         circuit = Circuit(1).add_gate(gates.H, 0).add_gate(gates.X, 0)
         assert len(circuit) == 2
 
-    def test_iteration(self):
+    def test_iteration_and_gate_ops(self):
         circuit = Circuit(1, 1)
         circuit.add_gate(gates.H, 0)
         circuit.measure(0, 0)
         assert len(list(circuit)) == 2
+        assert sum(isinstance(op, GateOp) for op in circuit) == 1
 
 
 class TestClassicalCondition:
@@ -120,6 +121,16 @@ class TestComposition:
         host = Circuit(4)
         host.extend(bell(), qubit_offset=1)
         assert host.operations[1].qubits == (1, 2)
+
+    def test_concat(self):
+        joined = bell().copy().extend(bell())
+        assert len(joined) == 4
+        assert joined.num_qubits == 2
+        # Running the joined circuit = running each part in turn.
+        expected = run_unitary(bell())
+        expected.apply_circuit(bell())
+        assert np.allclose(run_unitary(joined).amplitudes,
+                           expected.amplitudes)
 
     def test_remapped(self):
         circuit = bell().remapped({0: 1, 1: 0}, num_qubits=2)

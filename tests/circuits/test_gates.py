@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuits import gates
+from repro.circuits import Circuit, PauliString, gates
 from repro.circuits.gates import (
     Gate,
     global_phase,
@@ -16,7 +16,7 @@ from repro.circuits.gates import (
     rz,
     sigma_z_power,
 )
-from repro.exceptions import GateError
+from repro.exceptions import GateError, VerificationError
 
 
 class TestGateConstruction:
@@ -131,6 +131,22 @@ class TestControlled:
 
 
 class TestRegistry:
+    def test_lookup(self):
+        # A dumped reproducer resolves gate names back to the
+        # registered gate objects.
+        from repro.verify import dump_circuit, parse_dump
+
+        circuit = Circuit(2).add_gate(gates.H, 0).add_gate(gates.CNOT, 0, 1)
+        parsed = parse_dump(dump_circuit(circuit))
+        assert [op.gate for op in parsed] == [gates.H, gates.CNOT]
+        assert parsed.operations[1].gate is gates.GATE_REGISTRY["CNOT"]
+
+    def test_unknown_name(self):
+        from repro.verify import parse_dump
+
+        with pytest.raises(VerificationError):
+            parse_dump("circuit demo\nqubits 1\nclbits 0\ngate WARP 0")
+
     def test_registry_complete(self):
         for name, gate in gates.GATE_REGISTRY.items():
             assert gate.name == name
@@ -171,6 +187,11 @@ class TestParametricGates:
 
 
 class TestHelpers:
+    def test_kron_all(self):
+        # Qubit 0 is the leftmost tensor factor.
+        result = PauliString.from_label("XZ").matrix()
+        assert np.allclose(result, np.kron(gates.X.matrix, gates.Z.matrix))
+
     def test_matrices_equal_up_to_phase(self):
         assert matrices_equal_up_to_phase(
             1j * gates.H.matrix, gates.H.matrix

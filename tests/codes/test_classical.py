@@ -1,12 +1,15 @@
 """Tests for the classical codes (linear, repetition, Hamming)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes import HammingCode, LinearCode, RepetitionCode
-from repro.exceptions import CodeError, DecodingFailure
+from repro.exceptions import CodeError, DecodingFailure, FaultToleranceError
+from repro.ft.ngate import classical_majority_value
 
 
 class TestLinearCode:
@@ -69,6 +72,15 @@ class TestRepetitionCode:
         with pytest.raises(CodeError):
             code.majority([1, 1, 0, 0])
 
+    def test_standalone_majority_vote(self):
+        # The N gate's decoder of the classical ancilla agrees with
+        # the repetition code's majority on every 3-bit word.
+        code = RepetitionCode(3)
+        for bits in itertools.product((0, 1), repeat=3):
+            assert classical_majority_value(bits) == code.majority(bits)
+        with pytest.raises(FaultToleranceError):
+            classical_majority_value([1, 0])
+
     def test_correct_and_decode(self):
         code = RepetitionCode(5)
         corrupted = [1, 1, 0, 1, 1]
@@ -111,6 +123,15 @@ class TestHammingCode:
         corrupted = word.copy()
         corrupted[position] ^= 1
         assert np.array_equal(code.correct(corrupted), word)
+
+    def test_syndrome_circuit_supports(self):
+        # Three checks, each reading four bits: together they name
+        # every position (the error_position syndrome) exactly once.
+        checks = HammingCode().parity_check
+        assert checks.shape == (3, 7)
+        assert all(int(row.sum()) == 4 for row in checks)
+        columns = {tuple(column) for column in checks.T}
+        assert len(columns) == 7 and (0, 0, 0) not in columns
 
     def test_corrected_parity_readout(self):
         """The Steane logical readout rule (paper Sec. 4.1)."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.circuits import PauliString, gates, iter_single_qubit_paulis
 from repro.codes import SteaneCode, TrivialCode
 from repro.codes.quantum import (
+    check_commuting_generators,
     in_stabilizer_group,
     syndrome_of,
 )
@@ -26,6 +27,20 @@ class TestSteaneParameters:
         for i, a in enumerate(generators):
             for b in generators[i + 1:]:
                 assert a.commutes_with(b)
+
+    def test_generator_commutation_checked(self, steane):
+        check_commuting_generators(steane.stabilizer_generators())
+        with pytest.raises(CodeError):
+            check_commuting_generators([PauliString.from_label("XI"),
+                                        PauliString.from_label("ZZ")])
+
+    def test_logical_support(self, steane):
+        # X̄ = X^u and Z̄ = Z^u anticommute exactly when |u| is odd.
+        support = steane.logical_support
+        assert int(support.sum()) % 2 == 1
+        assert steane.logical_x().support() == \
+            tuple(int(q) for q in np.flatnonzero(support))
+        assert steane.logical_z().support() == steane.logical_x().support()
 
     def test_logicals_anticommute(self, steane):
         assert not steane.logical_x().commutes_with(steane.logical_z())
@@ -53,6 +68,18 @@ class TestLogicalStates:
             moved = zero.copy()
             moved.apply_pauli(generator)
             assert zero.fidelity(moved) > 1 - 1e-12
+
+    def test_projector_rank(self, steane):
+        # prod_g (I + g)/2 projects onto a 2^(7-6) = 2-dimensional code
+        # space that holds both logical basis states.
+        projector = np.eye(2**7, dtype=np.complex128)
+        for generator in steane.stabilizer_generators():
+            projector = projector @ ((np.eye(2**7) + generator.matrix())
+                                     / 2.0)
+        assert abs(np.trace(projector).real - 2.0) < 1e-8
+        for state in (steane.logical_zero(), steane.logical_one()):
+            assert np.allclose(projector @ state.amplitudes,
+                               state.amplitudes)
 
     def test_logical_x_maps_zero_to_one(self, steane):
         state = steane.logical_zero()
@@ -133,6 +160,24 @@ class TestSyndromesAndCorrection:
         error = PauliString.from_label("XIIZIII")
         assert steane.is_correctable(error)
 
+    def test_logical_operator_detection(self, steane):
+        # A logical operator is undetectable (commutes with every
+        # generator) yet acts on the code space (not a stabilizer).
+        generators = steane.stabilizer_generators()
+        assert not any(steane.x_error_syndrome(steane.logical_x()))
+        assert not any(steane.z_error_syndrome(steane.logical_z()))
+        assert not in_stabilizer_group(steane.logical_x(), generators)
+        assert in_stabilizer_group(generators[0], generators)
+
+    def test_z_error_syndrome_distinguishes_positions(self, steane):
+        syndromes = {
+            steane.z_error_syndrome(PauliString.single(7, qubit, "Z"))
+            for qubit in range(7)
+        }
+        assert len(syndromes) == 7
+        assert steane.z_error_syndrome(
+            PauliString.single(7, 0, "X")) == (0, 0, 0)
+
     def test_syndrome_of_helper(self, steane):
         error = PauliString.single(7, 2, "X")
         syndrome = syndrome_of(error, steane.z_stabilizer_generators())
@@ -148,6 +193,19 @@ class TestLogicalReadout:
             else np.zeros(7, dtype=np.uint8)
         base[position] ^= 1
         assert steane.logical_readout(base) == int(logical)
+
+    def test_logical_expectation(self, steane):
+        logical_z = steane.logical_z()
+        assert abs(steane.logical_zero().expectation_pauli(logical_z)
+                   - 1.0) < 1e-9
+        assert abs(steane.logical_one().expectation_pauli(logical_z)
+                   + 1.0) < 1e-9
+        # Embedded as the second block of a two-block register.
+        register = StateVector.from_amplitudes(np.kron(
+            steane.logical_zero().amplitudes,
+            steane.logical_one().amplitudes))
+        embedded = logical_z.embedded(14, range(7, 14))
+        assert abs(register.expectation_pauli(embedded) + 1.0) < 1e-9
 
 
 class TestTrivialCode:

@@ -90,6 +90,19 @@ class TestClosedSystemCooler:
         with pytest.raises(ReproError):
             ClosedSystemCooler(0.0)
 
+    def test_rounds_for_target(self):
+        # Each round strictly raises the bias; from 0.2 the fifth round
+        # is the first to pass 0.9.
+        biases = [bias_after_rounds(0.2, r) for r in range(8)]
+        assert all(a < b for a, b in zip(biases, biases[1:]))
+        assert biases[4] < 0.9 <= biases[5]
+        assert ClosedSystemCooler(0.2).cool(5).final_bias == biases[5]
+
+    def test_unreachable_target(self):
+        # A pure ancilla is only the limit: no finite round count
+        # reaches bias 1.
+        assert all(bias_after_rounds(0.2, r) < 1.0 for r in range(9))
+
     def test_respects_shannon_bound(self):
         """Closed-system cooling cannot beat the entropy bound."""
         cooler = ClosedSystemCooler(0.05)

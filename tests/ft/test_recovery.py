@@ -83,6 +83,14 @@ class TestGadgetProperties:
         assert plus.num_terms == 16   # |+>_L: all 16 codewords
         assert zero.num_terms == 8    # |0>_L: the dual coset
 
+    def test_full_recovery_builder(self, steane):
+        # A full recovery is the X gadget then the Z gadget.
+        gadgets = [build_recovery_gadget(steane, error_type)
+                   for error_type in ("X", "Z")]
+        assert [g.name for g in gadgets] == [
+            "recovery_X[steane]", "recovery_Z[steane]"
+        ]
+
     def test_structure(self, steane):
         from repro.ft.conditions import assert_fault_tolerant_structure
 

@@ -44,6 +44,14 @@ class TestSingleBlockLogicals:
         state.apply_circuit(transversal.logical_s_circuit(code))
         assert state.fidelity(encode(code, 1, 1j)) > 1 - 1e-10
 
+    @pytest.mark.parametrize("fixture", ["steane", "trivial"])
+    def test_logical_s_dagger(self, fixture, request):
+        # The inverse of the fixed-up S circuit is a logical S^dagger.
+        code = request.getfixturevalue(fixture)
+        state = encode(code, 1, 1)
+        state.apply_circuit(transversal.logical_s_circuit(code).inverse())
+        assert state.fidelity(encode(code, 1, -1j)) > 1 - 1e-10
+
     def test_bitwise_s_phase_values(self, steane, trivial):
         assert transversal.bitwise_s_phase(steane) == -1j
         assert transversal.bitwise_s_phase(trivial) == 1j

@@ -1,12 +1,18 @@
 """Tests for fault-location enumeration."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.engine import run_exhaustive
 from repro.circuits import Circuit, PauliString, gates
 from repro.exceptions import AnalysisError
 from repro.ft.gadget import Gadget, Register
-from repro.noise import FaultSpace, count_locations, enumerate_locations
+from repro.noise import (
+    CrosstalkModel,
+    FaultSpace,
+    count_locations,
+    enumerate_locations,
+)
 from repro.noise.injection import run_with_faults
 from repro.simulators import StateVector
 from repro.simulators.sparse import SparseState
@@ -171,6 +177,46 @@ class TestBurstLocations:
             "input": 0, "gate": 0, "delay": 0, "burst": 2, "total": 2}
 
 
+class TestCrosstalkLocations:
+    """Spectator locations come from CrosstalkModel alone; with
+    p_spectator = 1 every coupled gate strikes one of its spectators."""
+
+    @staticmethod
+    def spectators(circuit, seed=0, **options):
+        model = CrosstalkModel(0.0, p_spectator=1.0, **options)
+        return [fault.location for fault in
+                model.sample_faults(circuit, np.random.default_rng(seed))]
+
+    def test_linear_chain_spectators(self):
+        circuit = Circuit(4)
+        circuit.add_gate(gates.CNOT, 1, 2)
+        seen = set()
+        for seed in range(32):
+            locations = self.spectators(circuit, seed)
+            assert len(locations) == 1
+            assert locations[0].kind == "crosstalk"
+            assert locations[0].after_op == 0
+            seen.add(locations[0].qubits)
+        assert seen == {(0,), (3,)}
+
+    def test_single_qubit_gates_have_no_spectators(self):
+        circuit = Circuit(3)
+        circuit.add_gate(gates.H, 1)
+        assert self.spectators(circuit) == []
+
+    def test_custom_coupling(self):
+        circuit = Circuit(4)
+        circuit.add_gate(gates.CNOT, 0, 1)
+        locations = self.spectators(circuit, coupling={0: (3,), 1: ()})
+        assert [loc.qubits for loc in locations] == [(3,)]
+
+    def test_edge_clipping(self):
+        circuit = Circuit(2)
+        circuit.add_gate(gates.CNOT, 0, 1)
+        # Chain neighbors -1 and 2 fall off the register: no spectators.
+        assert self.spectators(circuit) == []
+
+
 def bare_gadget(circuit: Circuit) -> Gadget:
     register = Register("q", tuple(range(circuit.num_qubits)))
     return Gadget(name="bare", circuit=circuit, registers={"q": register})
@@ -220,10 +266,6 @@ class TestExhaustiveMultiQubitLocations:
         assert "ZZ" not in failing_labels
 
     def test_exhaustive_over_crosstalk_and_delay_locations(self):
-        import numpy as np
-
-        from repro.noise import CrosstalkModel
-
         circuit = Circuit(3)
         circuit.add_gate(gates.X, 1)        # q1 busy at moment 0
         circuit.add_gate(gates.X, 0)
@@ -231,12 +273,8 @@ class TestExhaustiveMultiQubitLocations:
         circuit.add_gate(gates.CNOT, 0, 1)
         delays = [loc for loc in enumerate_locations(circuit)
                   if loc.kind == "delay"]
-        # p_spectator=1: the CNOT's one chain neighbour (q2) is struck.
-        spectators = [
-            fault.location for fault in CrosstalkModel(
-                0.0, p_spectator=1.0).sample_faults(
-                    circuit, np.random.default_rng(0))
-        ]
+        # The CNOT's one chain neighbour (q2) is its spectator.
+        spectators = TestCrosstalkLocations.spectators(circuit)
         assert [loc.qubits for loc in spectators] == [(2,)]
         assert all(loc.kind == "crosstalk" for loc in spectators)
         assert delays and spectators

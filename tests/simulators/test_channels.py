@@ -1,8 +1,11 @@
 """Tests for the noise-channel definitions."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.circuits import PauliString
 from repro.exceptions import SimulationError
 from repro.simulators import (
     KrausChannel,
@@ -12,6 +15,7 @@ from repro.simulators import (
     dephasing,
     phase_flip,
 )
+from repro.simulators.channels import over_rotation, twirled_over_rotation
 
 
 class TestPauliChannels:
@@ -32,6 +36,13 @@ class TestPauliChannels:
     def test_depolarizing_two_qubit(self):
         channel = depolarizing(0.15, num_qubits=2)
         assert len(channel.terms) == 15
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_enumerate_faults_skips_identity(self, num_qubits):
+        labels = [label for _, label in
+                  depolarizing(0.3, num_qubits).terms]
+        assert all(label.strip("I") for label in labels)
+        assert len(set(labels)) == 4**num_qubits - 1
 
     def test_probability_validation(self):
         with pytest.raises(SimulationError):
@@ -69,3 +80,29 @@ class TestKrausConversion:
     def test_dephasing_operators(self):
         channel = dephasing(0.4)
         assert len(channel.operators) == 3
+
+
+class TestOverRotation:
+    """The coherent over-rotation and its stochastic Pauli twirl."""
+
+    @pytest.mark.parametrize("axis", ["X", "Y", "Z"])
+    def test_over_rotation_is_one_unitary(self, axis):
+        (operator,) = over_rotation(axis, 0.3).operators
+        assert np.allclose(operator.conj().T @ operator, np.eye(2))
+
+    @pytest.mark.parametrize("axis", ["X", "Y", "Z"])
+    def test_twirl_keeps_the_incoherent_weight(self, axis):
+        # The twirl of U keeps weight |Tr(P U)|^2 / 4 on each Pauli P.
+        theta = 0.3
+        (unitary,) = over_rotation(axis, theta).operators
+        pauli = PauliString.from_label(axis).matrix()
+        weight = abs(np.trace(pauli @ unitary)) ** 2 / 4
+        twirled = twirled_over_rotation(axis, theta)
+        assert twirled.terms == ((pytest.approx(weight), axis),)
+        assert weight == pytest.approx(math.sin(theta / 2) ** 2)
+
+    def test_axis_validated(self):
+        with pytest.raises(SimulationError):
+            over_rotation("W", 0.1)
+        with pytest.raises(SimulationError):
+            twirled_over_rotation("W", 0.1)

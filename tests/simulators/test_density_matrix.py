@@ -27,6 +27,14 @@ class TestConstruction:
         rho = DensityMatrix(1)
         assert abs(rho.matrix[0, 0] - 1.0) < 1e-12
 
+    def test_maximally_mixed(self):
+        # Depolarizing at p = 3/4 sends any qubit to I/2.
+        rho = DensityMatrix(2)
+        for qubit in range(2):
+            rho.apply_pauli_channel(depolarizing(0.75), [qubit])
+        assert np.allclose(rho.matrix, np.eye(4) / 4)
+        assert abs(rho.purity() - 0.25) < 1e-12
+
     def test_trace_checked(self):
         with pytest.raises(SimulationError):
             DensityMatrix(1, np.eye(2))

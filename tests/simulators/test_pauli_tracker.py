@@ -108,6 +108,30 @@ class TestWildBehaviour:
         assert result.z_support() == {0}
 
 
+class TestMultiFault:
+    def test_combined_faults_multiply(self):
+        propagator = PauliPropagator(clifford_circuit())
+        fault = propagator.propagate(PauliString.single(3, 1, "X"), 0)
+        assert fault.combine(fault).pauli.is_identity
+        # Simultaneous faults propagate as their product.
+        x0 = propagator.propagate(PauliString.from_label("XII"), -1)
+        z2 = propagator.propagate(PauliString.from_label("IIZ"), -1)
+        both = propagator.propagate(PauliString.from_label("XIZ"), -1)
+        assert x0.combine(z2).pauli.strip_phase() == \
+            both.pauli.strip_phase()
+
+    def test_trivial_flag(self):
+        circuit = Circuit(2)
+        circuit.add_gate(gates.T, 0)
+        propagator = PauliPropagator(circuit)
+        wild = propagator.propagate(PauliString.from_label("XI"), -1)
+        clean = propagator.propagate(PauliString.from_label("IX"), -1)
+        assert wild.wild_qubits == {0} and not clean.wild_qubits
+        combined = clean.combine(wild)
+        assert combined.wild_qubits == {0}
+        assert combined.x_support() == {0, 1}
+
+
 class TestValidation:
     def test_rejects_measurements(self):
         circuit = Circuit(1, 1).measure(0, 0)

@@ -209,6 +209,17 @@ class TestSimulator:
         result = StatevectorSimulator(seed=5).run(circuit)
         assert abs(result.state.probability_of_outcome(0, 0) - 1.0) < 1e-9
 
+    def test_measurements_land_in_named_clbits(self):
+        # Each measurement lands in the clbit it names.
+        circuit = Circuit(3, 3)
+        circuit.add_gate(gates.X, 0)
+        circuit.add_gate(gates.X, 2)
+        circuit.measure(0, 2)
+        circuit.measure(1, 0)
+        circuit.measure(2, 1)
+        result = StatevectorSimulator(seed=0).run(circuit)
+        assert result.classical_bits == [0, 1, 1]
+
     def test_initial_state_size_checked(self):
         circuit = Circuit(2)
         with pytest.raises(SimulationError):

@@ -111,6 +111,7 @@ class TestCodespacePreservation:
         "Z": logical_z_circuit,
         "H": logical_h_circuit,
         "S": logical_s_circuit,
+        "S_DG": lambda code: logical_s_circuit(code).inverse(),
         "CNOT": logical_cnot_circuit,
         "CZ": logical_cz_circuit,
     }

@@ -16,7 +16,6 @@ assertion only applies at full scale).
 import os
 import time
 
-import pytest
 
 from repro.analysis import n_gadget_evaluator
 from repro.analysis.engine import run_malignant_pairs, run_monte_carlo

@@ -13,7 +13,6 @@ sigma_z^{1/4} gadget, |AND> for the Toffoli gadget):
   locations outside the guarantee.
 """
 
-import pytest
 
 from repro.analysis import run_exhaustive
 from repro.codes import SteaneCode, TrivialCode

@@ -11,7 +11,6 @@ Regenerates the Fig. 3 evaluation:
 * resource comparison measurement-based vs measurement-free.
 """
 
-import math
 
 import pytest
 

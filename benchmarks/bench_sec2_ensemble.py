@@ -13,7 +13,6 @@ Regenerates the paper's Sec. 2 claims as quantitative tables:
 """
 
 import numpy as np
-import pytest
 
 from repro.algorithms import (
     ensemble_rng_attempt,

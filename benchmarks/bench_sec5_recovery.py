@@ -19,7 +19,7 @@ from repro.analysis import (
     run_malignant_pairs,
     run_monte_carlo,
 )
-from repro.circuits import PauliString, iter_single_qubit_paulis
+from repro.circuits import iter_single_qubit_paulis
 from repro.codes import SteaneCode
 from repro.ft import (
     build_recovery_gadget,

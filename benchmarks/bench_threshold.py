@@ -18,7 +18,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.analysis import (
     GadgetFaultAnalyzer,
@@ -33,8 +32,7 @@ from repro.codes import SteaneCode
 from repro.ft import build_n_gadget, build_recovery_gadget, \
     build_t_gadget, sparse_coset_state
 from repro.ft.gadget import apply_circuit_with_faults
-from repro.ft.ngate import append_n1
-from repro.noise import NoiseModel, count_locations
+from repro.noise import NoiseModel
 
 from _harness import engine_stats_lines, report, series_lines
 

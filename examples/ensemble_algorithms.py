@@ -16,7 +16,6 @@ Reproduces the paper's four motivating scenarios end-to-end:
 Run:  python examples/ensemble_algorithms.py
 """
 
-import numpy as np
 
 from repro.algorithms import (
     ensemble_rng_attempt,

@@ -10,7 +10,7 @@ the whole procedure is a legal ensemble program.
 Run:  python examples/error_recovery.py
 """
 
-from repro.circuits import PauliString, gates, iter_single_qubit_paulis
+from repro.circuits import gates, iter_single_qubit_paulis
 from repro.codes import SteaneCode
 from repro.ensemble import EnsembleMachine
 from repro.ft import (

@@ -14,7 +14,6 @@ Run:  python examples/logical_program.py
 
 import math
 
-import numpy as np
 
 from repro.circuits import PauliString
 from repro.codes import SteaneCode, TrivialCode

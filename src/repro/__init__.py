@@ -28,8 +28,8 @@ DSN 2004:
   shrinking of failures, metamorphic properties and the engine's
   validation-mode invariants.
 * :mod:`repro.runtime` — the resilient execution runtime: crash-safe
-  checkpoint journals, supervised worker pools, backend degradation
-  ladders and the deterministic chaos harness that certifies them.
+  checkpoint journals, supervised worker pools and the deterministic
+  chaos harness that certifies them.
 * :mod:`repro.service` — the crash-safe certification job service:
   durable content-addressed job queue, lease-based worker pools with
   retry/backoff, and the integrity-checked verdict cache.

@@ -22,13 +22,9 @@ import numpy as np
 
 from repro.circuits import Circuit, gates
 from repro.circuits.gates import Gate
-from repro.ensemble.strategies import (
-    ClassicalEnsemble,
-    agreement_fraction,
-    sort_results,
-)
+from repro.ensemble.strategies import ClassicalEnsemble, agreement_fraction
 from repro.exceptions import ReproError
-from repro.simulators.statevector import StateVector, run_unitary
+from repro.simulators.statevector import run_unitary
 
 
 def oracle_gate(num_qubits: int, marked: Sequence[int]) -> Gate:

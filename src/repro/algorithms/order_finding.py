@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from repro.ensemble.strategies import (
     read_randomized_output,
 )
 from repro.exceptions import ReproError
-from repro.simulators.statevector import StateVector, run_unitary
+from repro.simulators.statevector import run_unitary
 
 
 def multiplicative_order(a: int, modulus: int) -> int:

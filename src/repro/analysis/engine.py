@@ -36,11 +36,11 @@ Since PR 3 the evaluate phase runs under the resilience layer of
   (per-chunk deadlines, per-slot kill and respawn, bounded retry
   with backoff, in-parent quarantine of chunks that keep failing —
   recorded in :class:`EngineStats`, never dropped);
-* per-pattern evaluation degrades down a
-  :class:`~repro.runtime.FallbackPolicy` ladder (sparse →
-  statevector → density matrix) on ``MemoryError`` /
-  ``SimulationError``, with retry-once on invariant
-  ``VerificationError``;
+* per-pattern evaluation is one sparse simulation with a retry-once
+  shield on invariant ``VerificationError``; a ``MemoryError`` or
+  ``SimulationError`` becomes a typed
+  :class:`~repro.exceptions.RuntimeIntegrityError`, which in a pool
+  the supervisor retries like any other failed chunk;
 * ``checkpoint=`` journals completed evaluation chunks through a
   :class:`~repro.runtime.CheckpointStore`, and ``resume=`` replays
   them so an interrupted campaign finishes bit-identically to an
@@ -81,6 +81,7 @@ import numpy as np
 from repro.circuits.pauli import PauliString
 from repro.exceptions import (
     AnalysisError,
+    RuntimeIntegrityError,
     SimulationError,
     VerificationError,
 )
@@ -89,7 +90,6 @@ from repro.noise.locations import FaultLocation, FaultSpace
 from repro.noise.model import NoiseModel
 from repro.runtime.chaos import Fault, raise_injected, strike
 from repro.runtime.checkpoint import CheckpointStore, as_store
-from repro.runtime.fallback import FallbackRecord
 from repro.runtime.policy import RuntimePolicy, resolve_policy
 from repro.runtime.supervisor import Supervisor
 from repro.simulators.batched import (
@@ -352,7 +352,6 @@ class EngineStats:
     worker_errors: int = 0
     pool_restarts: int = 0         # slots forked to replace one
     quarantined_chunks: int = 0
-    degraded_evaluations: Dict[str, int] = field(default_factory=dict)
     invariant_retries: int = 0
     cache_evictions: int = 0
     resumed_verdicts: int = 0
@@ -379,25 +378,18 @@ class EngineStats:
             return 0.0
         return min(1.0, self.worker_busy_seconds / denominator)
 
-    @property
-    def degraded_total(self) -> int:
-        return sum(self.degraded_evaluations.values())
-
     def absorb(self, other: "EngineStats") -> None:
         """Fold another run's stats into this one (multi-phase
         reports: exhaustive + pair sampling share one block).
 
-        Each field folds by its type: numbers add, dicts merge
-        key-wise, lists extend — except ``workers``, the larger pool.
+        Each field folds by its type: numbers add, lists extend —
+        except ``workers``, the larger pool.
         """
         for spec in fields(self):
             mine = getattr(self, spec.name)
             theirs = getattr(other, spec.name)
             if spec.name == "workers":
                 self.workers = max(mine, theirs)
-            elif isinstance(mine, dict):
-                for key, count in theirs.items():
-                    mine[key] = mine.get(key, 0) + count
             elif isinstance(mine, list):
                 mine.extend(theirs)
             else:
@@ -425,21 +417,15 @@ class EngineStats:
             )
         incidents = (self.retries or self.hung_chunks
                      or self.worker_errors or self.pool_restarts
-                     or self.quarantined_chunks or self.degraded_total
-                     or self.invariant_retries or self.cache_evictions
-                     or self.resumed_verdicts)
+                     or self.quarantined_chunks or self.invariant_retries
+                     or self.cache_evictions or self.resumed_verdicts)
         if incidents:
-            degraded = ", ".join(
-                f"{backend}={count}" for backend, count in
-                sorted(self.degraded_evaluations.items())
-            ) or "none"
             lines.append(
                 f"  resilience: {self.retries} retries, "
                 f"{self.hung_chunks} lost to dead or overdue slots, "
                 f"{self.worker_errors} worker errors, "
                 f"{self.pool_restarts} slots replaced, "
                 f"{self.quarantined_chunks} quarantined; "
-                f"degraded [{degraded}], "
                 f"{self.invariant_retries} invariant retries, "
                 f"{self.resumed_verdicts} resumed verdicts, "
                 f"{self.cache_evictions} cache evictions"
@@ -454,14 +440,8 @@ class EngineStats:
         ``chunk_timings`` is left out: it is per-chunk detail that
         grows with the run, not a summary.
         """
-        snapshot: Dict[str, object] = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name == "chunk_timings":
-                continue
-            snapshot[spec.name] = (dict(sorted(value.items()))
-                                   if isinstance(value, dict) else value)
-        return snapshot
+        return {spec.name: getattr(self, spec.name)
+                for spec in fields(self) if spec.name != "chunk_timings"}
 
 
 @dataclass
@@ -476,8 +456,8 @@ class ExhaustiveSurvey:
 class _EvalContext:
     """Everything a worker needs to turn a pattern into a verdict.
 
-    Carries the runtime policy's fallback ladder and fault plan into
-    forked workers (by inheritance — nothing crosses the pipe).
+    Carries the runtime policy's fault plan into forked workers (by
+    inheritance — nothing crosses the pipe).
     """
 
     def __init__(self, gadget: Gadget, initial_state: SparseState,
@@ -498,30 +478,48 @@ class _EvalContext:
         """Cache/fingerprint marker for this context's evaluation path."""
         return BATCHED_PATH if self.batch_size > 1 else SERIAL_PATH
 
-    def evaluate(self, pattern: FaultPattern) -> bool:
-        """Plain single-pattern evaluation (no fault injection)."""
-        return evaluate_fault_pattern(self.gadget, self.initial_state,
-                                      self.evaluator, pattern,
-                                      invariant=self.invariant)
-
     def evaluate_one(self, pattern: FaultPattern,
-                     record: FallbackRecord,
+                     resilience: Dict[str, int],
                      faults: Sequence[Fault]) -> bool:
-        fallback = self.policy.fallback
-        if fallback is not None:
-            return fallback.evaluate(
-                self.gadget, self.initial_state, self.evaluator,
-                pattern, invariant=self.invariant, record=record,
-                faults=faults,
-            )
-        raise_injected(faults, "oom", "simulation_error")
-        return evaluate_fault_pattern(self.gadget, self.initial_state,
-                                      self.evaluator, pattern,
-                                      invariant=self.invariant)
+        """One pattern's verdict from a fresh sparse simulation.
+
+        The invariant gets a retry-once shield: its first
+        ``VerificationError`` buys one fresh re-simulation, counted in
+        ``resilience["invariant_retries"]``, before it is trusted as a
+        real divergence.  A ``MemoryError`` or ``SimulationError``
+        raises :class:`~repro.exceptions.RuntimeIntegrityError`
+        chained to it.  ``faults`` are the engine faults matched for
+        this chunk attempt: ``oom``/``simulation_error`` strike the
+        simulation, ``verification_error`` the invariant's first
+        check.
+        """
+        try:
+            raise_injected(faults, "oom", "simulation_error")
+            state = self._final_state(pattern)
+            if self.invariant is not None:
+                try:
+                    raise_injected(faults, "verification_error")
+                    self.invariant(state)
+                except VerificationError:
+                    resilience["invariant_retries"] += 1
+                    state = self._final_state(pattern)
+                    self.invariant(state)
+        except (MemoryError, SimulationError) as exc:
+            raise RuntimeIntegrityError(
+                f"the sparse simulation of a fault pattern of weight "
+                f"{len(pattern)} failed"
+            ) from exc
+        return bool(self.evaluator(state))
+
+    def _final_state(self, pattern: FaultPattern) -> SparseState:
+        state = self.initial_state.copy()
+        apply_circuit_with_faults(state, self.gadget.circuit,
+                                  list(pattern))
+        return state
 
 
-#: Worker result: (index, verdicts, seconds, pid, resilience payload).
-_ChunkResult = Tuple[int, List[bool], float, int, Dict[str, object]]
+#: Worker result: (index, verdicts, seconds, pid, resilience counters).
+_ChunkResult = Tuple[int, List[bool], float, int, Dict[str, int]]
 
 
 def _evaluate_chunk(context: _EvalContext, index: int,
@@ -536,38 +534,33 @@ def _evaluate_chunk(context: _EvalContext, index: int,
             "engine", "pool" if in_worker else "parent", index,
             attempt + 1)
         strike(faults)
-    record = FallbackRecord()
-    resilience: Dict[str, object]
+    resilience = {"invariant_retries": 0}
     if context.batch_size > 1:
-        verdicts, resilience = _evaluate_chunk_batched(
-            context, patterns, record, faults)
+        verdicts = _evaluate_chunk_batched(context, patterns,
+                                           resilience, faults)
     else:
-        verdicts = [context.evaluate_one(pattern, record, faults)
+        verdicts = [context.evaluate_one(pattern, resilience, faults)
                     for pattern in patterns]
-        resilience = {}
-    resilience["degraded"] = dict(record.degraded)
-    resilience["invariant_retries"] = record.invariant_retries
     return (index, verdicts, time.perf_counter() - start, os.getpid(),
             resilience)
 
 
 def _evaluate_chunk_batched(context: _EvalContext,
                             patterns: Sequence[FaultPattern],
-                            record: FallbackRecord,
-                            faults: Sequence[Fault]
-                            ) -> Tuple[List[bool], Dict[str, object]]:
+                            resilience: Dict[str, int],
+                            faults: Sequence[Fault]) -> List[bool]:
     """One chunk's verdicts through the stacked batched evaluator.
 
     Patterns are sliced into ``batch_size`` stacks; a stack that the
     batched path cannot handle — register too wide for the lane bits
     (``SimulationError``), out of memory, an invariant violation that
     needs the retry-once shield, or one of the chunk's injected
-    backend ``faults`` — degrades to the serial
-    per-pattern ladder of :meth:`_EvalContext.evaluate_one`, exactly
-    the rung structure a serial run would use.  Verdict values are
-    unaffected either way (the lanes are bit-identical to serial
-    evolution); only the accounting differs, surfaced through the
-    ``batched_*`` counters of :class:`EngineStats`.
+    backend ``faults`` — drops to the serial per-pattern path of
+    :meth:`_EvalContext.evaluate_one`, exactly what a serial run
+    would do.  Verdict values are unaffected either way (the lanes
+    are bit-identical to serial evolution); only the accounting
+    differs, surfaced through the ``batched_*`` counters of
+    :class:`EngineStats`, which this adds to ``resilience``.
     """
     verdicts: List[bool] = []
     batches = 0
@@ -585,16 +578,15 @@ def _evaluate_chunk_batched(context: _EvalContext,
             stacked += len(stack)
         except (MemoryError, SimulationError, VerificationError):
             stack_verdicts = [
-                context.evaluate_one(pattern, record, faults)
+                context.evaluate_one(pattern, resilience, faults)
                 for pattern in stack
             ]
             fallbacks += len(stack)
         verdicts.extend(stack_verdicts)
-    return verdicts, {
-        "batched_batches": batches,
-        "batched_evaluations": stacked,
-        "batched_fallbacks": fallbacks,
-    }
+    resilience.update(batched_batches=batches,
+                      batched_evaluations=stacked,
+                      batched_fallbacks=fallbacks)
+    return verdicts
 
 
 def _chunk_slices(total: int, chunk_size: int) -> List[Tuple[int, int]]:
@@ -632,8 +624,7 @@ def _evaluate_patterns(context: _EvalContext,
 
     def _record(index: int, chunk_verdicts: List[bool],
                 seconds: float, pid: int,
-                resilience: Optional[Dict[str, object]] = None
-                ) -> None:
+                resilience: Dict[str, int]) -> None:
         nonlocal done_patterns
         lo, hi = slices[index]
         verdicts[lo:hi] = chunk_verdicts
@@ -643,19 +634,8 @@ def _evaluate_patterns(context: _EvalContext,
             index=index, patterns=hi - lo, seconds=seconds,
             worker_pid=pid,
         ))
-        if resilience:
-            for backend, count in resilience.get(
-                    "degraded", {}).items():
-                stats.degraded_evaluations[backend] = \
-                    stats.degraded_evaluations.get(backend, 0) + count
-            stats.invariant_retries += \
-                int(resilience.get("invariant_retries", 0))
-            stats.batched_batches += \
-                int(resilience.get("batched_batches", 0))
-            stats.batched_evaluations += \
-                int(resilience.get("batched_evaluations", 0))
-            stats.batched_fallbacks += \
-                int(resilience.get("batched_fallbacks", 0))
+        for name, count in resilience.items():
+            setattr(stats, name, getattr(stats, name) + count)
         if journal is not None:
             journal.append_verdicts(
                 zip(patterns[lo:hi], chunk_verdicts))
@@ -693,8 +673,7 @@ def _evaluate_patterns(context: _EvalContext,
         for index, chunk_patterns in enumerate(payloads):
             result = _evaluate_chunk(context, index, chunk_patterns,
                                      attempt=0, in_worker=False)
-            _record(result[0], result[1], result[2], result[3],
-                    result[4])
+            _record(*result)
     stats.eval_seconds += time.perf_counter() - start
     return verdicts
 
@@ -1204,9 +1183,8 @@ def run_monte_carlo(gadget: Gadget,
     patterns are stacked into one sparse register and advanced
     together, with per-lane amplitudes bit-identical to serial
     evolution.  Sampling, dedup, seeds and verdicts are unchanged; an
-    unbatchable stack degrades automatically to the serial
-    :class:`~repro.runtime.FallbackPolicy` ladder (counted in
-    ``engine_stats.batched_fallbacks``).  Checkpoint fingerprints gain
+    unbatchable stack drops automatically to the serial per-pattern
+    path (counted in ``engine_stats.batched_fallbacks``).  Checkpoint fingerprints gain
     an ``eval_path`` marker for batched runs, so a journal written by
     one path refuses to silently resume under the other.
 
@@ -1222,8 +1200,8 @@ def run_monte_carlo(gadget: Gadget,
     finishes bit-identically to an uninterrupted one.  A mismatched
     or corrupted journal raises
     :class:`~repro.exceptions.CheckpointError` rather than risk a
-    wrong number.  ``runtime`` tunes supervision/fallback (default:
-    production :class:`~repro.runtime.RuntimePolicy`).
+    wrong number.  ``runtime`` tunes supervision and fault injection
+    (default: production :class:`~repro.runtime.RuntimePolicy`).
 
     ``optimize`` (``False`` | ``True`` | a qubit-preserving
     :class:`~repro.optimize.PassPipeline`) rewrites the gadget's

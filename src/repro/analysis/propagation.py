@@ -43,12 +43,11 @@ Acceptance criteria per block role:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.circuits.pauli import PauliString
 from repro.codes.quantum.css import CssCode
-from repro.exceptions import AnalysisError
 from repro.ft.gadget import Gadget
 from repro.noise.locations import FaultLocation, FaultSpace
 from repro.simulators.pauli_tracker import PauliPropagator, PropagatedFault

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.analysis.engine import DEFAULT_CHUNK_SIZE
-from repro.analysis.propagation import GadgetFaultAnalyzer, SingleFaultSurvey
-from repro.codes.quantum.css import CssCode
 from repro.ft.gadget import Gadget
 from repro.noise.locations import FaultLocation, count_locations
 from repro.simulators.sparse import SparseState
@@ -75,20 +73,6 @@ class ThresholdReport:
         return 1.0 / self.malignant_pairs
 
 
-def analyze_gadget(gadget: Gadget, code: CssCode,
-                   count_pairs: bool = True) -> ThresholdReport:
-    """Run the full paper-style counting analysis on one gadget."""
-    analyzer = GadgetFaultAnalyzer(gadget, code)
-    survey = analyzer.single_fault_survey()
-    malignant = survey.count_malignant_pairs() if count_pairs else -1
-    return ThresholdReport(
-        gadget_name=gadget.name,
-        location_counts=analyzer.space.kind_counts(),
-        single_fault_failures=len(survey.failures),
-        malignant_pairs=malignant,
-    )
-
-
 def sampled_threshold_report(gadget: Gadget,
                              initial_state: SparseState,
                              evaluator: Callable[[SparseState], bool],
@@ -111,21 +95,22 @@ def sampled_threshold_report(gadget: Gadget,
                              threshold_margin: float = 4.0,
                              sequential_method: str = "sprt",
                              ) -> ThresholdReport:
-    """Exact state-based counterpart of :func:`analyze_gadget`.
+    """Exact state-based counting report for one gadget.
 
-    Where the symbolic analyzer over-counts (worst-case Pauli
-    propagation cannot see value-dependent cancellation inside the
-    classical correction logic), this report certifies the single
-    faults exhaustively on the sparse simulator and samples the
-    malignant-pair count, both scheduled through
+    Where the symbolic
+    :class:`~repro.analysis.propagation.GadgetFaultAnalyzer` over-counts
+    (worst-case Pauli propagation cannot see value-dependent
+    cancellation inside the classical correction logic), this report
+    certifies the single faults exhaustively on the sparse simulator
+    and samples the malignant-pair count, both scheduled through
     :mod:`repro.analysis.engine` so large gadgets can use a worker
     pool and a shared verdict cache.  ``malignant_pairs`` is the
     rounded sampled estimate M_eff.
 
     ``checkpoint`` journals the two phases into ``exhaustive`` and
     ``pairs`` subdirectories of the run directory, so a crashed report
-    resumes mid-phase; ``runtime`` tunes supervision/fallback for
-    both (see :func:`repro.analysis.engine.run_monte_carlo`).
+    resumes mid-phase; ``runtime`` tunes supervision for both (see
+    :func:`repro.analysis.engine.run_monte_carlo`).
 
     ``certify_threshold_at=p_target`` switches the pair phase to a
     sequential certification of the claim ``p_th >= p_target``

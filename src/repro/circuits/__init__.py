@@ -20,7 +20,6 @@ from repro.circuits.equivalence import (
     global_phase_between,
     operators_equal_up_to_phase,
     state_discrepancy,
-    vectors_equal_up_to_phase,
 )
 from repro.circuits.circuit import (
     Circuit,
@@ -61,5 +60,4 @@ __all__ = [
     "propagates_to_pauli",
     "sigma_z_power",
     "state_discrepancy",
-    "vectors_equal_up_to_phase",
 ]

@@ -9,9 +9,9 @@ representations agree", which this module provides:
 
 * :func:`global_phase_between` — the phase factor relating two vectors
   or matrices, or ``None`` when no single phase relates them;
-* :func:`vectors_equal_up_to_phase` / :func:`operators_equal_up_to_phase`
-  — boolean forms of the same question;
-* :func:`state_discrepancy` / :func:`operator_discrepancy` — graded
+* :func:`operators_equal_up_to_phase` — the boolean form of the same
+  question;
+* :func:`state_discrepancy` / :func:`mixed_state_discrepancy` — graded
   forms (0.0 = identical up to phase), used to rank divergences;
 * :func:`embed_operator` — a k-qubit operator embedded into an n-qubit
   register (the single shared implementation the verify backends use);
@@ -62,12 +62,6 @@ def global_phase_between(a: np.ndarray, b: np.ndarray,
     return complex(phase)
 
 
-def vectors_equal_up_to_phase(a: np.ndarray, b: np.ndarray,
-                              atol: float = _ATOL) -> bool:
-    """Whether two state vectors describe the same physical state."""
-    return global_phase_between(a, b, atol) is not None
-
-
 def operators_equal_up_to_phase(a: np.ndarray, b: np.ndarray,
                                 atol: float = _ATOL) -> bool:
     """Whether two operators are equal up to one global phase."""
@@ -95,17 +89,6 @@ def mixed_state_discrepancy(rho: np.ndarray, vector: np.ndarray) -> float:
     if rho.shape != (vector.shape[0], vector.shape[0]):
         return 1.0
     return max(0.0, 1.0 - float(np.real(vector.conj() @ rho @ vector)))
-
-
-def operator_discrepancy(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-entry deviation after optimal global-phase alignment."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        return 1.0
-    overlap = np.vdot(b.reshape(-1), a.reshape(-1))
-    phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
-    return float(np.max(np.abs(a - phase * b)))
 
 
 def embed_operator(matrix: np.ndarray, qubits: Sequence[int],

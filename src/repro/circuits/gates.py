@@ -5,7 +5,7 @@ Every gate used by the paper's constructions is defined here as a
 metadata and its inverse.  The module-level singletons (``X``, ``H``,
 ``CNOT``, ``TOFFOLI``, ...) are the vocabulary that circuits are written
 in; parametric rotations are produced by the factory functions
-(:func:`rz`, :func:`rx`, :func:`ry`, :func:`phase_gate`).
+(:func:`rz`, :func:`rx`, :func:`ry`).
 
 Naming follows the paper: ``S`` is the paper's sigma_z^{1/2} and ``T``
 is sigma_z^{1/4} (up to global phase, the standard S and T gates).
@@ -277,11 +277,6 @@ def ry(theta: float) -> Gate:
     sin = math.sin(theta / 2.0)
     matrix = np.array([[cos, -sin], [sin, cos]], dtype=np.complex128)
     return Gate("RY", matrix, 1, params=(theta,))
-
-
-def phase_gate(phi: float) -> Gate:
-    """Global-phase-free phase gate diag(1, e^{i phi})."""
-    return rz(phi)
 
 
 def global_phase(phi: float, num_qubits: int = 1) -> Gate:

@@ -10,7 +10,7 @@ Hamming code underlying the Steane quantum code are both instances.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -25,7 +25,7 @@ and RNG impossibility arguments quantitatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.circuits.circuit import Circuit, GateOp
+from repro.circuits.circuit import GateOp
 from repro.exceptions import FaultToleranceError
 from repro.ft.gadget import Gadget
 

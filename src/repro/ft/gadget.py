@@ -10,7 +10,7 @@ simulators, fault injectors and the analysis module can all address
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit

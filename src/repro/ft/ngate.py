@@ -59,7 +59,7 @@ Error-flow guarantees (all machine-checked in the test-suite):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,12 +68,7 @@ from repro.circuits.circuit import Circuit
 from repro.codes.quantum.css import CssCode
 from repro.exceptions import FaultToleranceError
 from repro.ft import classical_logic
-from repro.ft.gadget import (
-    Gadget,
-    Register,
-    RegisterAllocator,
-    maybe_optimize,
-)
+from repro.ft.gadget import Gadget, RegisterAllocator, maybe_optimize
 
 
 def readout_vector(code: CssCode) -> np.ndarray:

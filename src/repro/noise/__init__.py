@@ -1,6 +1,6 @@
 """Noise models, fault locations and fault injection."""
 
-from repro.noise.injection import run_with_coherent_noise, run_with_faults
+from repro.noise.injection import run_with_coherent_noise
 from repro.noise.locations import (
     FaultLocation,
     FaultSpace,
@@ -50,5 +50,4 @@ __all__ = [
     "enumerate_locations",
     "register_channel",
     "run_with_coherent_noise",
-    "run_with_faults",
 ]

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits import gates
-from repro.circuits.circuit import Circuit, GateOp
+from repro.circuits.circuit import Circuit
 from repro.circuits.pauli import PauliString
 from repro.exceptions import SimulationError
 from repro.noise.locations import FaultLocation, enumerate_locations
@@ -312,9 +312,8 @@ class CoherentOverRotationModel(StructuredNoiseModel):
 
     * :func:`repro.noise.injection.run_with_coherent_noise` — exact
       composition on the state-vector / sparse backends (pure states
-      stay pure under a fixed unitary), or a
-      :class:`~repro.simulators.density_matrix.DensityMatrix` via
-      :func:`repro.simulators.channels.over_rotation`;
+      stay pure under a fixed unitary), or :meth:`error_gate` applied
+      to a :class:`~repro.simulators.density_matrix.DensityMatrix`;
     * :meth:`twirled` — the Pauli twirl of each over-rotation
       (probability ``sin^2(theta/2)`` of the axis Pauli per touched
       qubit), which IS samplable and bounds the incoherent part.

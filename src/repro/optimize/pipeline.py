@@ -28,11 +28,11 @@ mismatch, never a silent mix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.circuits.circuit import Circuit, GateOp, MeasureOp, ResetOp
-from repro.exceptions import AnalysisError, OptimizationError
+from repro.exceptions import AnalysisError
 from repro.ft.gadget import Gadget
 from repro.optimize.passes import (
     DEFAULT_PASSES,

@@ -1,4 +1,4 @@
-"""Resilient execution runtime: checkpoint, supervise, degrade, prove.
+"""Resilient execution runtime: checkpoint, supervise, prove.
 
 The paper's thesis is computing reliably on unreliable hardware; this
 package applies the same discipline to the *analysis software*: a
@@ -15,9 +15,6 @@ out-of-memory, Ctrl-C and half-written files — and must prove it.
   (:class:`Supervisor`: per-chunk deadlines, bounded retry, in-parent
   quarantine) and the certification service's workers;
   :func:`backoff_delay` is the one retry rule the service shares.
-* :mod:`repro.runtime.fallback` — :class:`FallbackPolicy`: sparse →
-  statevector → density-matrix degradation on ``MemoryError`` /
-  ``SimulationError``, and retry-once on ``VerificationError``.
 * :mod:`repro.runtime.chaos` — :class:`FaultPlan`, the one
   deterministic fault plan: :class:`Fault`\\ s keyed by (layer, site,
   index) that the engine, the service worker and the HTTP server each
@@ -42,7 +39,6 @@ from repro.runtime.checkpoint import (
     deserialize_pattern,
     serialize_pattern,
 )
-from repro.runtime.fallback import FallbackPolicy, FallbackRecord
 from repro.runtime.policy import RuntimePolicy, resolve_policy
 from repro.runtime.supervisor import (
     SupervisionReport,
@@ -55,8 +51,6 @@ __all__ = [
     "CheckpointStore",
     "Fault",
     "FaultPlan",
-    "FallbackPolicy",
-    "FallbackRecord",
     "RuntimePolicy",
     "SupervisionReport",
     "Supervisor",

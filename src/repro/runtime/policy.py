@@ -1,11 +1,10 @@
 """The bundle the engine threads through a resilient run.
 
-:class:`RuntimePolicy` groups the three orthogonal resilience
-mechanisms — worker supervision, backend fallback and (for the
-certification suite) fault injection — into one object the public
-``runtime=`` keyword accepts.  ``RuntimePolicy()`` is the production
-default: generous supervision deadlines, the full degradation ladder,
-no chaos.
+:class:`RuntimePolicy` groups the two orthogonal resilience
+mechanisms — worker supervision and (for the certification suite)
+fault injection — into one object the public ``runtime=`` keyword
+accepts.  ``RuntimePolicy()`` is the production default: generous
+supervision deadlines, no chaos.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.runtime.chaos import FaultPlan
-from repro.runtime.fallback import FallbackPolicy
 from repro.runtime.supervisor import SupervisorConfig
 
 
@@ -25,9 +23,6 @@ class RuntimePolicy:
     Args:
         supervisor: pool supervision knobs (deadlines, retries,
             backoff).
-        fallback: the backend degradation ladder; ``None`` disables
-            degradation (errors escape to the supervisor's retry
-            path instead).
         chaos: deterministic fault injection; the engine acts on the
             plan's ``engine`` faults, matched once per chunk attempt.
             Production runs leave this ``None``.
@@ -35,8 +30,6 @@ class RuntimePolicy:
 
     supervisor: SupervisorConfig = field(
         default_factory=SupervisorConfig)
-    fallback: Optional[FallbackPolicy] = field(
-        default_factory=FallbackPolicy)
     chaos: Optional[FaultPlan] = None
 
 

@@ -67,8 +67,8 @@ from repro.exceptions import CheckpointError, ServiceError, \
 from repro.runtime.checkpoint import CheckpointStore, _flock, \
     _read_checked_json, _write_atomic_json
 from repro.runtime.supervisor import backoff_delay
-from repro.service.jobs import CANCELLED, DEAD, FAILED, JobSpec, \
-    JobStatus, PENDING, RUNNING, SUCCEEDED, canonical_json
+from repro.service.jobs import CANCELLED, DEAD, JobSpec, JobStatus, \
+    PENDING, RUNNING, SUCCEEDED, canonical_json
 
 _EVENTS = "events"
 _QUEUE_LOCK = "queue.lock"

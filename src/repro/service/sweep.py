@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import CheckpointError, ServiceError
-from repro.runtime.checkpoint import CheckpointStore
 from repro.service.jobs import JobSpec, SUCCEEDED, canonical_json
 
 #: Job kinds a sweep may decompose into (one cell = one such job).

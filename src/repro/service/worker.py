@@ -47,7 +47,6 @@ from repro.exceptions import ServiceError, StaleLeaseError
 from repro.noise import NoiseModel
 from repro.runtime.chaos import FaultPlan, raise_injected, strike
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.fallback import FallbackPolicy
 from repro.runtime.policy import RuntimePolicy
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobSpec
@@ -69,20 +68,6 @@ def _build_case(code_name: str, gadget_name: str):
     code = _resolve_code(code_name)
     case = gadget_cases(code, (gadget_name,))[0]
     return case.factory()
-
-
-def resolve_policy(base: Optional[RuntimePolicy],
-                   params: Dict[str, Any]
-                   ) -> Optional[RuntimePolicy]:
-    """Per-job FallbackPolicy threading via ``fallback_ladder``."""
-    ladder = params.get("fallback_ladder")
-    if ladder is None:
-        return base
-    policy = base or RuntimePolicy()
-    return RuntimePolicy(
-        supervisor=policy.supervisor,
-        fallback=FallbackPolicy(ladder=tuple(ladder)),
-        chaos=policy.chaos)
 
 
 @dataclass
@@ -149,7 +134,7 @@ def _execute_monte_carlo(ctx: ExecutionContext
         trials=trials, seed=int(params["seed"]),
         chunk_size=chunk_size, workers=1,
         checkpoint=ctx.store, resume=True, progress=progress,
-        runtime=resolve_policy(ctx.runtime, params))
+        runtime=ctx.runtime)
     interval = wilson_interval(result.failures, result.trials)
     verdict = {
         "kind": "monte_carlo",
@@ -203,7 +188,7 @@ def _execute_sequential(ctx: ExecutionContext
         batch_size=int(params.get("batch_size", 64)),
         method=str(params.get("method", "sprt")),
         checkpoint=ctx.store, resume=True, on_batch=on_batch,
-        runtime=resolve_policy(ctx.runtime, params))
+        runtime=ctx.runtime)
     claim = outcome.verdict
     verdict = {
         "kind": "sequential_monte_carlo",

@@ -32,7 +32,6 @@ from repro.simulators.channels import (
 )
 from repro.simulators.density_matrix import (
     DensityMatrix,
-    DensityMatrixSimulator,
 )
 from repro.simulators.pauli_tracker import PauliPropagator, PropagatedFault
 from repro.simulators.sparse import SparseState
@@ -46,7 +45,6 @@ from repro.simulators.statevector import (
 __all__ = [
     "BatchedState",
     "DensityMatrix",
-    "DensityMatrixSimulator",
     "KrausChannel",
     "PauliChannel",
     "PauliPropagator",

@@ -40,8 +40,8 @@ Paulis past each other.
 
 The stacked register must fit the :class:`SparseState` width limit
 (192 qubits); oversized batches raise
-:class:`~repro.exceptions.SimulationError`, which the engine's
-fallback ladder catches to degrade gracefully to the serial path.
+:class:`~repro.exceptions.SimulationError`, which the engine catches
+to evaluate that stack pattern by pattern on the serial path.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.circuits import gates
 from repro.circuits.pauli import PauliString
 from repro.exceptions import SimulationError
 
@@ -161,46 +160,6 @@ def dephasing(p: float) -> KrausChannel:
         math.sqrt(p) * one,
     )
     return KrausChannel(f"dephasing({p})", 1, operators)
-
-
-def over_rotation(axis: str, theta: float) -> KrausChannel:
-    """Coherent over-rotation: the unitary exp(-i theta/2 P_axis).
-
-    A systematic calibration error — every application of the affected
-    gate rotates each touched qubit a little too far.  The channel has
-    a single Kraus operator (it is unitary, hence trivially CPTP); it
-    is *not* a stochastic Pauli channel, which is exactly why
-    :class:`repro.noise.structured.CoherentOverRotationModel` routes
-    through the density-matrix / state-vector backends instead of the
-    Pauli sampling engine.  Its Pauli twirl is
-    :func:`twirled_over_rotation`.
-    """
-    factories = {"X": gates.rx, "Y": gates.ry, "Z": gates.rz}
-    if axis not in factories:
-        raise SimulationError(
-            f"over-rotation axis must be X, Y or Z, got {axis!r}"
-        )
-    matrix = factories[axis](theta).matrix
-    return KrausChannel(f"over_rotation({axis},{theta})", 1, (matrix,))
-
-
-def twirled_over_rotation(axis: str, theta: float) -> PauliChannel:
-    """Pauli twirl of :func:`over_rotation`: P_axis w.p. sin^2(theta/2).
-
-    Twirling discards the coherent (off-diagonal) part of the error,
-    keeping only its incoherent weight — the standard stochastic
-    approximation whose gap from the exact unitary channel measures the
-    cost of coherence.
-    """
-    if axis not in ("X", "Y", "Z"):
-        raise SimulationError(
-            f"over-rotation axis must be X, Y or Z, got {axis!r}"
-        )
-    probability = math.sin(theta / 2.0) ** 2
-    return PauliChannel(
-        f"twirled_over_rotation({axis},{theta})", 1,
-        ((probability, axis),),
-    )
 
 
 def _nonidentity_labels(num_qubits: int) -> List[str]:

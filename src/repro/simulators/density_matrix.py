@@ -15,11 +15,11 @@ Cost is O(4^n), so it is reserved for n <= ~10.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.circuits.circuit import Circuit, GateOp, MeasureOp, ResetOp
+from repro.circuits.circuit import Circuit, GateOp
 from repro.circuits.gates import Gate
 from repro.circuits.pauli import PauliString
 from repro.exceptions import SimulationError
@@ -206,58 +206,3 @@ class DensityMatrix:
         return op.reshape(2**n, 2**n)
 
 
-class DensityMatrixSimulator:
-    """Circuit execution on density matrices, with optional noise.
-
-    Args:
-        noise: an optional per-operation Pauli channel applied after
-            every gate on the gate's qubits (a crude uniform model;
-            the structured model lives in :mod:`repro.noise`).
-        seed: RNG seed for measurements.
-    """
-
-    def __init__(self, noise: Optional[PauliChannel] = None,
-                 seed: Optional[int] = None) -> None:
-        self._noise = noise
-        self._rng = np.random.default_rng(seed)
-
-    def run(self, circuit: Circuit,
-            initial: Optional[DensityMatrix] = None) -> "DensityMatrixRun":
-        if initial is None:
-            rho = DensityMatrix(circuit.num_qubits)
-        else:
-            rho = initial.copy()
-        classical = [0] * circuit.num_clbits
-        for op in circuit.operations:
-            if isinstance(op, GateOp):
-                if op.condition is None or op.condition.is_satisfied(classical):
-                    rho.apply_gate(op.gate, op.qubits)
-                    self._maybe_noise(rho, op.qubits)
-            elif isinstance(op, MeasureOp):
-                classical[op.clbit] = rho.measure(op.qubit, self._rng)
-            elif isinstance(op, ResetOp):
-                outcome = rho.measure(op.qubit, self._rng)
-                if outcome:
-                    from repro.circuits import gates as gate_lib
-
-                    rho.apply_gate(gate_lib.X, [op.qubit])
-            else:  # pragma: no cover
-                raise SimulationError(f"unknown operation {op!r}")
-        return DensityMatrixRun(rho, classical)
-
-    def _maybe_noise(self, rho: DensityMatrix,
-                     qubits: Sequence[int]) -> None:
-        if self._noise is None:
-            return
-        for qubit in qubits:
-            if self._noise.num_qubits == 1:
-                rho.apply_pauli_channel(self._noise, [qubit])
-
-
-class DensityMatrixRun:
-    """Result bundle from :class:`DensityMatrixSimulator.run`."""
-
-    def __init__(self, state: DensityMatrix,
-                 classical_bits: List[int]) -> None:
-        self.state = state
-        self.classical_bits = classical_bits

@@ -62,7 +62,6 @@ from repro.verify.oracle import (
     check_circuit_pair,
     circuit_seed_for,
     codespace_invariant,
-    combine_invariants,
     differential_sweep,
     divergence_predicate,
     norm_invariant,
@@ -93,7 +92,6 @@ __all__ = [
     "circuit_seed_for",
     "codespace_discrepancy",
     "codespace_invariant",
-    "combine_invariants",
     "default_backends",
     "differential_sweep",
     "divergence_predicate",

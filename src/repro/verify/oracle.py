@@ -8,8 +8,8 @@ a seeded stream of generated circuits and shrinks every failure to a
 minimal reproducer.
 
 The oracle is also exported as reusable *invariant* callables
-(:func:`norm_invariant`, :func:`codespace_invariant`,
-:func:`combine_invariants`) with the signature the analysis engine's
+(:func:`norm_invariant`, :func:`codespace_invariant`) with the
+signature the analysis engine's
 validation hook expects, so Monte-Carlo runs and benchmarks can
 assert simulator consistency mid-flight instead of trusting it.
 """
@@ -436,10 +436,3 @@ def codespace_invariant(code: CssCode, block: Sequence[int],
     return check
 
 
-def combine_invariants(*invariants: Callable[[SparseState], None]
-                       ) -> Callable[[SparseState], None]:
-    """Run several invariants as one engine hook."""
-    def check(state: SparseState) -> None:
-        for invariant in invariants:
-            invariant(state)
-    return check

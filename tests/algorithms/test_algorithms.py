@@ -1,6 +1,5 @@
 """Tests for the Sec. 2 ensemble algorithm experiments."""
 
-import math
 
 import numpy as np
 import pytest

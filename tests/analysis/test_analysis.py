@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     GadgetFaultAnalyzer,
-    analyze_gadget,
     fit_power_law,
     n_gadget_evaluator,
     recovered_overlap_evaluator,
@@ -95,10 +94,10 @@ class TestSymbolicAnalyzer:
         survey = analyzer.single_fault_survey()
         assert len(survey.failures) > 0  # over-approximation, by design
 
-    def test_threshold_report(self, trivial):
-        gadget = build_n_gadget(trivial)
-        report = analyze_gadget(gadget, trivial, count_pairs=True)
-        assert report.location_counts["total"] > 0
+    def test_location_counts_and_pair_count(self, trivial):
+        analyzer = GadgetFaultAnalyzer(build_n_gadget(trivial), trivial)
+        assert analyzer.space.kind_counts()["total"] > 0
+        assert analyzer.single_fault_survey().count_malignant_pairs() >= 0
 
 
 class TestMonteCarlo:

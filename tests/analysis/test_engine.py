@@ -11,7 +11,6 @@ downstream figure, so the engine's contracts are tested adversarially:
   seeds actually produce distinct streams.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis import (

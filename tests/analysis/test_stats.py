@@ -29,7 +29,6 @@ from repro.analysis.stats import (
     clopper_pearson_interval,
     exact_coverage,
     interval_stderr,
-    jeffreys_interval,
     make_sequential_test,
     normal_quantile,
     regularized_incomplete_beta,

@@ -11,9 +11,8 @@ from repro.circuits.equivalence import (
     embed_operator,
     global_phase_between,
     mixed_state_discrepancy,
-    operator_discrepancy,
+    operators_equal_up_to_phase,
     state_discrepancy,
-    vectors_equal_up_to_phase,
 )
 from repro.exceptions import CircuitError
 from repro.simulators import run_unitary
@@ -39,9 +38,8 @@ class TestGlobalPhase:
         assert global_phase_between(np.zeros(2), np.zeros(2)) == 1.0
         assert global_phase_between(ZERO, np.zeros(2)) is None
 
-    def test_vectors_equal_up_to_phase(self):
-        assert vectors_equal_up_to_phase(-PLUS, PLUS)
-        assert not vectors_equal_up_to_phase(PLUS, MINUS)
+    def test_vector_phase_recovered(self):
+        assert global_phase_between(-PLUS, PLUS) == pytest.approx(-1)
 
 
 class TestDiscrepancies:
@@ -58,11 +56,12 @@ class TestDiscrepancies:
             pytest.approx(0.5)
         assert mixed_state_discrepancy(np.eye(4) / 4, ZERO) == 1.0
 
-    def test_operator_discrepancy_ignores_global_phase(self):
-        assert operator_discrepancy(-1j * gates.S.matrix,
-                                    gates.S.matrix) < 1e-12
-        assert operator_discrepancy(gates.S.matrix, gates.T.matrix) > 0.1
-        assert operator_discrepancy(np.eye(2), np.eye(4)) == 1.0
+    def test_operators_equal_up_to_phase(self):
+        assert operators_equal_up_to_phase(-1j * gates.S.matrix,
+                                           gates.S.matrix)
+        assert not operators_equal_up_to_phase(gates.S.matrix,
+                                               gates.T.matrix)
+        assert not operators_equal_up_to_phase(np.eye(2), np.eye(4))
 
 
 class TestEmbedOperator:

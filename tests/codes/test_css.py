@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import PauliString, gates, iter_single_qubit_paulis
-from repro.codes import SteaneCode, TrivialCode
+from repro.codes import SteaneCode
 from repro.codes.quantum import (
     check_commuting_generators,
     in_stabilizer_group,

@@ -1,6 +1,5 @@
 """Tests for algorithmic cooling (the ensemble substitute for reset)."""
 
-import math
 
 import numpy as np
 import pytest

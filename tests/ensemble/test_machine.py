@@ -1,6 +1,5 @@
 """Tests for the ensemble machine model."""
 
-import numpy as np
 import pytest
 
 from repro.circuits import Circuit, ClassicalCondition, gates

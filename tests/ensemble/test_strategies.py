@@ -13,7 +13,7 @@ from repro.ensemble import (
     sort_results,
 )
 from repro.exceptions import EnsembleViolationError
-from repro.simulators import StatevectorSimulator, run_unitary
+from repro.simulators import run_unitary
 
 
 def measured_teleport_fragment() -> Circuit:

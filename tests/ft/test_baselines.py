@@ -1,7 +1,6 @@
 """Tests for the measurement-based baseline protocols."""
 
 import itertools
-import math
 
 import pytest
 

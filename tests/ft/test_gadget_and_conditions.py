@@ -11,7 +11,6 @@ from repro.ft.conditions import (
 )
 from repro.ft.gadget import (
     Gadget,
-    Register,
     RegisterAllocator,
     apply_circuit_with_faults,
 )

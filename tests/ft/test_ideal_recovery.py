@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuits import PauliString, gates, iter_single_qubit_paulis
+from repro.circuits import PauliString, gates
 from repro.ft import sparse_logical_state
 from repro.ft.ideal_recovery import (
     apply_perfect_recovery,

@@ -1,6 +1,5 @@
 """Tests for the measurement-free logical processor."""
 
-import itertools
 import math
 
 import numpy as np

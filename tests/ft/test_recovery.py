@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuits import PauliString, gates, iter_single_qubit_paulis
+from repro.circuits import PauliString
 from repro.exceptions import FaultToleranceError
 from repro.ft import (
     build_recovery_gadget,
@@ -10,7 +10,6 @@ from repro.ft import (
     sparse_logical_state,
 )
 from repro.ft.gadget import apply_circuit_with_faults
-from repro.simulators import SparseState
 
 
 def run_both_passes(code, data_state, error=None):

@@ -137,7 +137,7 @@ class TestFaultTolerance:
         its actual scope: faults on parity bits, on the parity
         extraction, on the flip stage, and on cat qubits *after* they
         have controlled U."""
-        from repro.circuits import GateOp, gates
+        from repro.circuits import GateOp
         from repro.noise import enumerate_locations
 
         spec, gadget, initial, evaluator, state_qubits = \

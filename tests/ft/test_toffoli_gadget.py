@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import os
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.ft import (
     sparse_coset_state,
     sparse_logical_state,
 )
-from repro.simulators import SparseState
 
 
 def output_block(gadget):

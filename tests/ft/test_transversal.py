@@ -1,12 +1,11 @@
 """Tests for the transversal logical gate layer."""
 
-import numpy as np
 import pytest
 
 from repro.circuits import Circuit, gates
 from repro.exceptions import FaultToleranceError
 from repro.ft import transversal
-from repro.simulators import SparseState, StateVector, run_unitary
+from repro.simulators import SparseState
 
 
 def encode(code, alpha, beta):

@@ -6,14 +6,13 @@ import pytest
 from repro.analysis.engine import run_exhaustive
 from repro.circuits import Circuit, PauliString, gates
 from repro.exceptions import AnalysisError
-from repro.ft.gadget import Gadget, Register
+from repro.ft.gadget import Gadget, Register, apply_circuit_with_faults
 from repro.noise import (
     CrosstalkModel,
     FaultSpace,
     count_locations,
     enumerate_locations,
 )
-from repro.noise.injection import run_with_faults
 from repro.simulators import StateVector
 from repro.simulators.sparse import SparseState
 
@@ -91,7 +90,9 @@ class TestDelayAnchoring:
         assert delays
         location = delays[0]
         fault = PauliString.single(2, 0, "X")
-        faulty = run_with_faults(circuit, [(fault, location.after_op)])
+        faulty = StateVector(2)
+        apply_circuit_with_faults(faulty, circuit,
+                                  [(fault, location.after_op)])
         # Reference: X on q0 between op0 and op3 (same moment window).
         reference = StateVector(2)
         reference.apply_gate(gates.X, [0])

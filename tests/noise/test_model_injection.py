@@ -5,9 +5,9 @@ import pytest
 
 from repro.analysis.engine import run_exhaustive, run_monte_carlo
 from repro.circuits import Circuit, PauliString, gates
-from repro.exceptions import SimulationError
-from repro.ft.gadget import Gadget, Register
-from repro.noise import NoiseModel, enumerate_locations, run_with_faults
+from repro.exceptions import FaultToleranceError, SimulationError
+from repro.ft.gadget import Gadget, Register, apply_circuit_with_faults
+from repro.noise import NoiseModel, enumerate_locations
 from repro.simulators import StateVector
 from repro.simulators.sparse import SparseState
 
@@ -73,6 +73,13 @@ class TestNoiseModel:
                    - 0.1 * len(locations)) < 1e-12
 
 
+def run_with_faults(circuit: Circuit, faults) -> StateVector:
+    """The circuit on |0...0> of a dense state, with ``faults``."""
+    state = StateVector(circuit.num_qubits)
+    apply_circuit_with_faults(state, circuit, faults)
+    return state
+
+
 class TestRunWithFaults:
     def test_fault_before_circuit(self):
         circuit = simple_circuit()
@@ -104,7 +111,7 @@ class TestRunWithFaults:
 
     def test_rejects_measurement(self):
         circuit = Circuit(1, 1).measure(0, 0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(FaultToleranceError):
             run_with_faults(circuit, [])
 
 

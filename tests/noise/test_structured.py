@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit, PauliString, gates
+from repro.circuits import Circuit, gates
 from repro.exceptions import AnalysisError, SimulationError
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.noise import (

@@ -6,9 +6,9 @@ Each scenario runs the real engine on a real gadget with a
 deterministic :class:`~repro.runtime.FaultPlan` and compares against a
 chaos-free baseline computed with identical seeds.  Process-level
 faults (SIGKILL, hang) exercise the supervisor; backend faults (OOM,
-simulator error) exercise the degradation ladder; invariant faults
-exercise the retry shield; checkpoint corruption exercises the
-integrity checks on resume.
+simulator error) end a serial run in a typed error and a pool run in
+a supervised retry; invariant faults exercise the retry shield;
+checkpoint corruption exercises the integrity checks on resume.
 """
 
 import multiprocessing
@@ -17,13 +17,16 @@ import pytest
 
 from repro.analysis import n_gadget_evaluator
 from repro.analysis.engine import run_monte_carlo
-from repro.exceptions import CheckpointError, RuntimeIntegrityError
+from repro.exceptions import (
+    CheckpointError,
+    RuntimeIntegrityError,
+    SimulationError,
+)
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.noise import NoiseModel
 from repro.runtime import (
     CheckpointStore,
     Fault,
-    FallbackPolicy,
     FaultPlan,
     RuntimePolicy,
     SupervisorConfig,
@@ -165,12 +168,11 @@ class TestProcessChaos:
 
     def test_unrecoverable_chunk_is_typed_error_not_wrong_number(
             self, tiny):
-        # OOM on every attempt, no fallback ladder: the pool retries
-        # fail, and the in-parent quarantine re-evaluation is struck
-        # too.  The run must die typed, not return garbage.
+        # OOM on every attempt: the pool retries fail, and the
+        # in-parent quarantine re-evaluation is struck too.  The run
+        # must die typed, not return garbage.
         runtime = RuntimePolicy(
             supervisor=_fast_supervision(max_retries=1),
-            fallback=None,
             chaos=(FaultPlan()
                    .add("engine", "pool", 0, "oom", attempt=None)
                    .add("engine", "parent", 0, "oom", attempt=None)),
@@ -180,56 +182,36 @@ class TestProcessChaos:
             _mc(tiny, workers=2, runtime=runtime)
 
 
+_BACKEND_ERRORS = {"oom": MemoryError,
+                   "simulation_error": SimulationError}
+
+
 class TestBackendChaos:
-    def test_oom_degrades_to_statevector(self, tiny):
-        baseline = _mc(tiny, workers=1)
+    @needs_fork
+    @pytest.mark.parametrize("kind", sorted(_BACKEND_ERRORS))
+    def test_pool_retries_struck_chunk_to_correct_result(self, tiny,
+                                                         kind):
+        baseline = _mc(tiny, workers=2)
         runtime = RuntimePolicy(
-            chaos=FaultPlan().add("engine", "parent", 0, "oom"),
+            supervisor=_fast_supervision(),
+            chaos=FaultPlan().add("engine", "pool", 0, kind),
         )
-        survived = _mc(tiny, workers=1, runtime=runtime)
+        survived = _mc(tiny, workers=2, runtime=runtime)
         assert survived == baseline
         stats = survived.engine_stats
-        # Every pattern of the struck chunk degrades (chunk_size=8).
-        assert stats.degraded_evaluations == {"statevector": 8}
-        assert stats.degraded_total == 8
-        assert stats.invariant_retries == 0
+        assert stats.retries == 1
+        assert stats.worker_errors == 1
+        assert stats.quarantined_chunks == 0
 
-    def test_simulation_error_degrades_identically(self, tiny):
-        baseline = _mc(tiny, workers=1)
+    @pytest.mark.parametrize("kind", sorted(_BACKEND_ERRORS))
+    def test_serial_backend_fault_is_typed_error(self, tiny, kind):
         runtime = RuntimePolicy(
-            chaos=FaultPlan().add("engine", "parent", 0,
-                                  "simulation_error"),
-        )
-        survived = _mc(tiny, workers=1, runtime=runtime)
-        assert survived == baseline
-        assert survived.engine_stats.degraded_evaluations \
-            == {"statevector": 8}
-        assert survived.engine_stats.degraded_total == 8
-
-    def test_oom_degrades_to_density_matrix(self, tiny):
-        # Skip the statevector rung entirely: the density-matrix
-        # backend must still reproduce the exact verdicts.
-        baseline = _mc(tiny, workers=1)
-        runtime = RuntimePolicy(
-            fallback=FallbackPolicy(ladder=("sparse",
-                                            "density_matrix")),
-            chaos=FaultPlan().add("engine", "parent", 0, "oom"),
-        )
-        survived = _mc(tiny, workers=1, runtime=runtime)
-        assert survived == baseline
-        assert survived.engine_stats.degraded_evaluations \
-            == {"density_matrix": 8}
-        assert survived.engine_stats.degraded_total == 8
-
-    def test_exhausted_ladder_is_typed_error(self, tiny):
-        runtime = RuntimePolicy(
-            fallback=FallbackPolicy(ladder=("sparse",)),
-            chaos=FaultPlan().add("engine", "parent", 0, "oom",
-                                  attempt=None),
+            chaos=FaultPlan().add("engine", "parent", 0, kind),
         )
         with pytest.raises(RuntimeIntegrityError,
-                           match="every backend"):
+                           match="sparse simulation") as caught:
             _mc(tiny, workers=1, runtime=runtime)
+        assert isinstance(caught.value.__cause__, _BACKEND_ERRORS[kind])
 
     def test_transient_invariant_failure_is_retried(self, tiny):
         invariant = norm_invariant()
@@ -242,30 +224,31 @@ class TestBackendChaos:
                        invariant=invariant)
         assert survived == baseline
         assert survived.engine_stats.invariant_retries == 8
-        assert survived.engine_stats.degraded_total == 0
 
     @pytest.mark.parametrize("kind", ["oom", "simulation_error",
                                       "verification_error"])
     def test_batched_path_honours_backend_faults(self, tiny, kind):
-        # The struck chunk's stack drops to the per-pattern ladder, so
-        # batch_size=8 must degrade or retry exactly as a serial run.
+        # The struck chunk's stack drops to the per-pattern path, so
+        # batch_size=8 must fail or retry exactly as a serial run.
         invariant = norm_invariant()
 
         def struck(batch_size):
             runtime = RuntimePolicy(
                 chaos=FaultPlan().add("engine", "parent", 0, kind))
-            return _mc(tiny, workers=1, runtime=runtime,
-                       invariant=invariant, batch_size=batch_size)
+            try:
+                result = _mc(tiny, workers=1, runtime=runtime,
+                             invariant=invariant,
+                             batch_size=batch_size)
+            except RuntimeIntegrityError as exc:
+                return type(exc.__cause__), None
+            return result, result.engine_stats.invariant_retries
 
         serial, batched = struck(1), struck(8)
         assert batched == serial
-        serial_stats = serial.engine_stats
-        stats = batched.engine_stats
-        assert serial_stats.degraded_total \
-            + serial_stats.invariant_retries == 8
-        assert stats.degraded_evaluations \
-            == serial_stats.degraded_evaluations
-        assert stats.invariant_retries == serial_stats.invariant_retries
+        if kind in _BACKEND_ERRORS:
+            assert serial == (_BACKEND_ERRORS[kind], None)
+        else:
+            assert serial[1] == 8
 
 
 class TestCheckpointChaos:

@@ -142,7 +142,6 @@ class TestEngineStatsEdges:
         assert stats.cache_hit_rate == 0.0
         assert stats.trials_per_second == 0.0
         assert stats.worker_utilization == 0.0
-        assert stats.degraded_total == 0
 
     def test_worker_utilization_is_capped_at_one(self):
         stats = EngineStats(workers=1, eval_seconds=1.0,
@@ -156,24 +155,18 @@ class TestEngineStatsEdges:
 
     def test_summary_includes_resilience_line_on_incident(self):
         stats = EngineStats(retries=2, hung_chunks=1,
-                            degraded_evaluations={"statevector": 4})
+                            invariant_retries=4)
         joined = "\n".join(stats.summary_lines())
         assert "resilience: 2 retries" in joined
-        assert "statevector=4" in joined
+        assert "4 invariant retries" in joined
 
     def test_absorb_folds_resilience_counters(self):
         left = EngineStats(trials=5, retries=1,
-                           degraded_evaluations={"statevector": 1},
                            cache_evictions=2, resumed_verdicts=3)
-        right = EngineStats(trials=7, retries=2,
-                            degraded_evaluations={"statevector": 2,
-                                                  "density_matrix": 1},
-                            invariant_retries=1)
+        right = EngineStats(trials=7, retries=2, invariant_retries=1)
         left.absorb(right)
         assert left.trials == 12
         assert left.retries == 3
-        assert left.degraded_evaluations == {"statevector": 3,
-                                             "density_matrix": 1}
         assert left.invariant_retries == 1
         assert left.cache_evictions == 2
         assert left.resumed_verdicts == 3
@@ -185,9 +178,7 @@ class TestEngineStatsEdges:
         for number, spec in enumerate(fields(EngineStats), 1):
             default = getattr(EngineStats(), spec.name)
             seed = offset * 100 + number
-            if isinstance(default, dict):
-                values[spec.name] = {f"backend{seed}": seed}
-            elif isinstance(default, list):
+            if isinstance(default, list):
                 values[spec.name] = [ChunkTiming(seed, seed, 0.5, seed)]
             else:
                 values[spec.name] = type(default)(seed)
@@ -204,8 +195,6 @@ class TestEngineStatsEdges:
             theirs = getattr(right, spec.name)
             if spec.name == "workers":
                 expected = max(mine, theirs)
-            elif isinstance(mine, dict):
-                expected = {**mine, **theirs}  # disjoint keys
             else:
                 expected = mine + theirs  # numbers add, lists extend
             assert getattr(left, spec.name) == expected, spec.name

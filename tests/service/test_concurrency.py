@@ -18,7 +18,6 @@ import pytest
 from repro.service import (
     CertificationService,
     JobQueue,
-    JobSpec,
     ResultCache,
     SUCCEEDED,
 )

@@ -24,7 +24,6 @@ import pytest
 from repro.exceptions import (
     AuthenticationError,
     AuthorizationError,
-    ServiceError,
     StaleLeaseError,
 )
 from repro.service import (

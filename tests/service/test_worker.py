@@ -71,11 +71,6 @@ class TestMonteCarloJobs:
         assert events, "no streamed progress"
         assert all(e["worker"] == "w1" for e in events)
 
-    def test_fallback_ladder_threads_per_job(self, service):
-        fp = service.submit(mc_spec(fallback_ladder=["sparse"]))
-        service.worker("w1").run_once()
-        assert service.status(fp).state == SUCCEEDED
-
 
 class TestSequentialJobs:
     def test_decided_run_records_claim_verdict(self, service):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.circuits import PauliString
 from repro.exceptions import SimulationError
+from repro.noise import CoherentOverRotationModel
 from repro.simulators import (
     KrausChannel,
     PauliChannel,
@@ -15,7 +16,6 @@ from repro.simulators import (
     dephasing,
     phase_flip,
 )
-from repro.simulators.channels import over_rotation, twirled_over_rotation
 
 
 class TestPauliChannels:
@@ -87,22 +87,24 @@ class TestOverRotation:
 
     @pytest.mark.parametrize("axis", ["X", "Y", "Z"])
     def test_over_rotation_is_one_unitary(self, axis):
-        (operator,) = over_rotation(axis, 0.3).operators
+        model = CoherentOverRotationModel.uniform(0.3, axis)
+        operator = model.error_gate("H").matrix
         assert np.allclose(operator.conj().T @ operator, np.eye(2))
 
     @pytest.mark.parametrize("axis", ["X", "Y", "Z"])
     def test_twirl_keeps_the_incoherent_weight(self, axis):
         # The twirl of U keeps weight |Tr(P U)|^2 / 4 on each Pauli P.
         theta = 0.3
-        (unitary,) = over_rotation(axis, theta).operators
+        model = CoherentOverRotationModel.uniform(theta, axis)
+        unitary = model.error_gate("H").matrix
         pauli = PauliString.from_label(axis).matrix()
         weight = abs(np.trace(pauli @ unitary)) ** 2 / 4
-        twirled = twirled_over_rotation(axis, theta)
-        assert twirled.terms == ((pytest.approx(weight), axis),)
+        assert model.effective_pauli_probability("H") \
+            == pytest.approx(weight)
         assert weight == pytest.approx(math.sin(theta / 2) ** 2)
 
     def test_axis_validated(self):
         with pytest.raises(SimulationError):
-            over_rotation("W", 0.1)
+            CoherentOverRotationModel.uniform(0.1, "W")
         with pytest.raises(SimulationError):
-            twirled_over_rotation("W", 0.1)
+            CoherentOverRotationModel({"H": ("W", 0.1)})

@@ -7,7 +7,6 @@ from repro.circuits import Circuit, PauliString, gates
 from repro.exceptions import SimulationError
 from repro.simulators import (
     DensityMatrix,
-    DensityMatrixSimulator,
     StateVector,
     bit_flip,
     depolarizing,
@@ -136,24 +135,15 @@ class TestPartialTrace:
         assert abs(rho.fidelity_with_pure(state) - 1.0) < 1e-12
 
 
-class TestSimulator:
-    def test_noisy_simulator_decoheres(self):
-        circuit = Circuit(1)
-        circuit.add_gate(gates.H, 0)
-        run = DensityMatrixSimulator(noise=depolarizing(0.2),
-                                     seed=0).run(circuit)
-        assert run.state.purity() < 1.0 - 1e-6
+class TestNoiseAndMeasurement:
+    def test_depolarizing_decoheres(self):
+        rho = DensityMatrix(1)
+        rho.apply_gate(gates.H, [0])
+        rho.apply_pauli_channel(depolarizing(0.2), [0])
+        assert rho.purity() < 1.0 - 1e-6
 
-    def test_measurement_in_simulator(self):
-        circuit = Circuit(1, 1)
-        circuit.add_gate(gates.X, 0)
-        circuit.measure(0, 0)
-        run = DensityMatrixSimulator(seed=0).run(circuit)
-        assert run.classical_bits == [1]
-
-    def test_reset_in_simulator(self):
-        circuit = Circuit(1)
-        circuit.add_gate(gates.X, 0)
-        circuit.reset(0)
-        run = DensityMatrixSimulator(seed=0).run(circuit)
-        assert abs(run.state.expectation_z(0) - 1.0) < 1e-9
+    def test_measurement_collapses(self):
+        rho = DensityMatrix(1)
+        rho.apply_gate(gates.X, [0])
+        assert rho.measure(0, np.random.default_rng(0)) == 1
+        assert abs(rho.expectation_z(0) + 1.0) < 1e-9

@@ -1,6 +1,5 @@
 """Tests for Pauli fault propagation through circuits."""
 
-import numpy as np
 import pytest
 
 from repro.circuits import Circuit, PauliString, gates

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import PauliString, gates
 from repro.exceptions import SimulationError
-from repro.simulators import SparseState, StateVector
+from repro.simulators import SparseState
 
 
 def random_narrow_and_wide(seed, narrow_qubits=6, wide_qubits=150):

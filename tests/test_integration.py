@@ -9,7 +9,6 @@ errors kept correctable by the Sec. 5 recovery.
 import itertools
 import math
 
-import numpy as np
 import pytest
 
 from repro.circuits import gates
@@ -110,7 +109,6 @@ class TestPipelineWithRecovery:
         """T gadget followed by Sec. 5 recovery: an injected error
         before the pipeline is corrected by its end."""
         from repro.circuits import PauliString
-        from repro.ft import recovery_ancilla_state
         from repro.ft.gadget import apply_circuit_with_faults
 
         alpha, beta = 0.6, 0.8

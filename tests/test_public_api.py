@@ -1,6 +1,7 @@
 """Public-API integrity checks: every exported name resolves, every
-public definition has a caller, the package metadata is consistent,
-and the examples at least compile."""
+public definition has a caller, no module imports a name it never
+uses, the package metadata is consistent, and the examples at least
+compile."""
 
 import ast
 import collections
@@ -24,8 +25,11 @@ SUBPACKAGES = [
     "repro.ensemble",
     "repro.ft",
     "repro.noise",
+    "repro.optimize",
+    "repro.runtime",
     "repro.service",
     "repro.simulators",
+    "repro.verify",
 ]
 
 
@@ -115,6 +119,19 @@ KEPT_WITHOUT_CALLER = {
         "(a) tears the queue journal's tail for the replay tests",
     "garble_cache_entry":
         "(a) corrupts a result-cache entry the cache must reject",
+    "truncate_checkpoint_record":
+        "(a) tears an engine journal record resume must refuse",
+    "garble_checkpoint_record":
+        "(a) garbles an engine journal record resume must refuse",
+    "poison_checkpoint_verdict":
+        "(a) flips a journaled verdict the integrity checksum must "
+        "catch",
+    "GateRewriteBackend":
+        "(a) wraps a backend with a gate-rewrite bug the oracles must "
+        "catch",
+    "swap_s_direction":
+        "(a) the S/S-dagger swap bug the oracle and certifier must "
+        "shrink",
     "BrokenSCancelPass":
         "(a) a wrong optimizer pass the certifier must catch",
     "reverse_cnot":
@@ -132,6 +149,35 @@ KEPT_WITHOUT_CALLER = {
         "(b) the fully-quantum teleportation an ensemble machine runs",
     "run_recovery":
         "(b) the Sec. 5 measurement-free recovery the oracle checks",
+    "delay_measurements":
+        "(b) the Sec. 2 deferred-measurement rewrite the ensemble-safety "
+        "check accepts",
+    "sort_results":
+        "(b) the Sec. 2 sort strategy that makes ensemble registers "
+        "agree",
+    "dephasing":
+        "(b) the Sec. 2 dephasing of fully-quantum teleportation's "
+        "controls",
+    "RepetitionCode":
+        "(b) the majority reference the N gadget's classical value is "
+        "checked against",
+    "differential_sweep":
+        "(b) the cross-simulator oracle sweep the batched and resume "
+        "paths are checked with",
+    "norm_invariant":
+        "(b) the engine validation-mode check of the invariant retry "
+        "shield",
+    "codespace_invariant":
+        "(b) the code-space check of the optimized gadgets",
+    "inverse_roundtrip_discrepancy":
+        "(b) metamorphic check of every backend: U then U-dagger is "
+        "identity",
+    "pauli_channel_conjugation_discrepancy":
+        "(b) metamorphic check of the Pauli tracker's frame rule",
+    "codespace_discrepancy":
+        "(b) metamorphic check that transversal gates keep codewords",
+    "channel_linearity_discrepancy":
+        "(b) metamorphic check that channel evolution is linear",
     "write_artifact":
         "(c) writes the conftest fuzz reporter's reproducer files",
     "format_failure":
@@ -162,28 +208,55 @@ def _public_definitions():
     return tuple(found)
 
 
+def _docstrings(tree):
+    """The docstring nodes of a module and its classes and functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                yield first.value
+
+
+def _references(node, docstrings):
+    """Names ``node`` references in code: ``Name`` and ``Attribute``
+    nodes, import aliases, and identifiers inside string constants
+    that are not docstrings (perfbench patches names by string)."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield from child.name.split(".")
+        elif (isinstance(child, ast.Constant)
+              and isinstance(child.value, str)
+              and child not in docstrings):
+            yield from _WORD.findall(child.value)
+
+
 @functools.lru_cache(maxsize=None)
 def _uncalled():
-    """Public names never mentioned in CALLER_DIRS outside their own
-    definition.  Any identifier token counts as a mention (a call, an
-    import, a docstring reference, a name perfbench patches by
-    string); package ``__init__.py`` re-exports do not."""
-    lines = {}
+    """Public names never referenced in CALLER_DIRS code outside their
+    own definition.  Comments and docstrings do not count, nor do
+    package ``__init__.py`` re-exports."""
     mentions = collections.Counter()
     for directory in CALLER_DIRS:
         for path in sorted((ROOT / directory).rglob("*.py")):
             if path.name == "__init__.py":
                 continue
-            lines[path] = path.read_text().splitlines()
-            for line in lines[path]:
-                mentions.update(_WORD.findall(line))
-    uncalled = {}
-    for name, path, first, last in _public_definitions():
-        own = sum(_WORD.findall(line).count(name)
-                  for line in lines[path][first - 1:last])
-        if mentions[name] == own:
-            uncalled[name] = f"{path.relative_to(ROOT)}:{first}"
-    return uncalled
+            tree = ast.parse(path.read_text())
+            docstrings = set(_docstrings(tree))
+            for node in tree.body:
+                own = getattr(node, "name", None)
+                mentions.update(name for name in
+                                _references(node, docstrings)
+                                if name != own)
+    return {name: f"{path.relative_to(ROOT)}:{first}"
+            for name, path, first, _ in _public_definitions()
+            if not mentions[name]}
 
 
 class TestEveryPublicNameHasACaller:
@@ -209,3 +282,41 @@ class TestEveryPublicNameHasACaller:
             f"these now have a caller; drop them from "
             f"KEPT_WITHOUT_CALLER: {called}"
         )
+
+
+def _unused_imports(path):
+    """(line, name) of every name ``path`` imports and never uses.
+
+    A use is a ``Name`` node or an identifier inside a string
+    constant that is not a docstring (a quoted annotation, an
+    ``__all__`` entry)."""
+    tree = ast.parse(path.read_text())
+    docstrings = set(_docstrings(tree))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname
+                         or alias.name.split(".")[0]] = node.lineno
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Constant)
+              and isinstance(node.value, str)
+              and node not in docstrings):
+            used.update(_WORD.findall(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+class TestNoUnusedImports:
+    def test_src_imports_only_what_it_uses(self):
+        unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
+                  for path in sorted((ROOT / "src").rglob("*.py"))
+                  if path.name != "__init__.py"
+                  for line, name in _unused_imports(path)]
+        assert not unused, f"unused imports: {unused}"

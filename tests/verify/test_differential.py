@@ -221,18 +221,6 @@ class TestEngineValidationMode:
                                 invariant=norm_invariant())
         assert survey.checked > 0
 
-    def test_combined_invariants_run_in_order(self):
-        from repro.simulators.sparse import SparseState
-        from repro.verify import combine_invariants
-
-        calls = []
-        combined = combine_invariants(
-            lambda state: calls.append("first"),
-            lambda state: calls.append("second"),
-        )
-        combined(SparseState(2))
-        assert calls == ["first", "second"]
-
     def test_norm_invariant_flags_denormalised_state(self):
         from repro.simulators.sparse import SparseState
         from repro.verify import norm_invariant

@@ -1,4 +1,4 @@
-"""Ideal (noiseless) recovery used to *evaluate* gadget outputs.
+"""Ideal (noiseless) recovery: the reference oracle for the evaluators.
 
 A gadget output is acceptable when ideal error correction on its data
 block would restore the intended logical state.  Naively comparing
@@ -23,11 +23,18 @@ After recovery, the block lies in the code space with at most a
 *logical* error; :func:`recovered_block_overlap` then measures the
 overlap with the expected logical block state, and 1.0 certifies the
 gadget output.
+
+This literal construction is the reference.  The engine's judge,
+:func:`repro.analysis.evaluators.recovered_overlap_evaluator`, reaches
+the same overlap from per-code tables without the Hadamard round trip,
+and ``tests/verify/test_lane_evaluators.py`` checks it against
+:func:`apply_perfect_recovery` + ``block_overlap`` fault by fault.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import weakref
+from typing import Sequence
 
 import numpy as np
 
@@ -37,22 +44,34 @@ from repro.exceptions import DecodingFailure, FaultToleranceError
 from repro.simulators.sparse import SparseState
 
 
-def _syndrome_correction_table(code: CssCode) -> Dict[int, np.ndarray]:
-    """syndrome value (int) -> minimum-weight error bit-vector."""
-    checks = code.classical_code.parity_check
-    table: Dict[int, np.ndarray] = {}
-    for value in range(2**checks.shape[0]):
-        syndrome = np.array(
-            [(value >> (checks.shape[0] - 1 - r)) & 1
-             for r in range(checks.shape[0])],
-            dtype=np.uint8,
-        )
+#: Per-code syndrome tables, built once per code object.
+_CORRECTION_TABLES: "weakref.WeakKeyDictionary[CssCode, np.ndarray]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _syndrome_correction_table(code: CssCode) -> np.ndarray:
+    """(2^r, n) uint8: row s is the minimum-weight error whose
+    syndrome (big-endian over the r check rows) is s.
+
+    Rows outside the correction radius are zero — such a block is left
+    untouched and the overlap check reports the failure.  Memoised per
+    code; the returned array is read-only.
+    """
+    table = _CORRECTION_TABLES.get(code)
+    if table is not None:
+        return table
+    num_checks = int(code.classical_code.parity_check.shape[0])
+    table = np.zeros((2**num_checks, code.n), dtype=np.uint8)
+    for value in range(2**num_checks):
+        syndrome = [(value >> (num_checks - 1 - row)) & 1
+                    for row in range(num_checks)]
         try:
-            table[value] = code.classical_code.error_for_syndrome(syndrome)
+            table[value] = code.classical_code.error_for_syndrome(
+                syndrome)
         except DecodingFailure:
-            # Outside the correction radius: leave the block untouched;
-            # the overlap check will report the failure.
-            table[value] = np.zeros(code.n, dtype=np.uint8)
+            pass
+    table.setflags(write=False)
+    _CORRECTION_TABLES[code] = table
     return table
 
 
@@ -72,20 +91,21 @@ def _apply_x_recovery(state: SparseState, block: Sequence[int],
         for position in np.nonzero(checks[row])[0]:
             row_parity ^= bits[int(position)]
         syndrome = (syndrome << 1) | row_parity
-    # Correction mask (plus syndrome record in the fresh ancillas, to
-    # keep the map injective — a unitary permutation of basis states)
-    # as one Python-int mask per possible syndrome value.
+    # One index mask per syndrome value: the correction on the block
+    # plus the syndrome record in the fresh ancillas, which keeps the
+    # map injective — a unitary permutation of basis states.
     table = _syndrome_correction_table(code)
-    mask_for: List[int] = [0] * (2**num_checks)
-    for value, error in table.items():
-        mask = 0
-        for position in np.nonzero(error)[0]:
-            mask |= 1 << (state.num_qubits - 1 - block[int(position)])
-        for row in range(num_checks):
-            if (value >> (num_checks - 1 - row)) & 1:
-                mask |= 1 << (state.num_qubits - 1 - ancillas[row])
-        mask_for[value] = mask
-    state.xor_row_masks([mask_for[int(s)] for s in syndrome])
+    values = np.arange(2**num_checks, dtype=np.uint64)
+    masks = np.zeros((values.shape[0], state._cols), dtype=np.uint64)
+    for position, qubit in enumerate(block):
+        col, shift, _ = state._position(qubit)
+        masks[:, col] |= table[:, position].astype(np.uint64) << shift
+    for row, qubit in enumerate(ancillas):
+        col, shift, _ = state._position(qubit)
+        record = (values >> np.uint64(num_checks - 1 - row)) & np.uint64(1)
+        masks[:, col] |= record << shift
+    state._indices = state._indices ^ masks[syndrome]
+    state._merge()
 
 
 def apply_perfect_recovery(state: SparseState, block: Sequence[int],

@@ -30,6 +30,13 @@ is what lets the engine swap the batched path in without perturbing
 verdict streams, checkpoints or SPRT decision sequences (certified by
 ``tests/simulators/test_batched_equivalence.py``).
 
+:func:`evaluate_fault_patterns_batched` judges the finished stack
+without taking it apart: the evaluators of :mod:`repro.analysis.
+evaluators` carry a lane judge (``evaluator.lanes``) that rules on
+every lane in one vectorised pass over the stacked terms, and is the
+same code that gives their serial verdict.  Lanes are extracted only
+for an ``invariant`` and for a plain callable evaluator with no judge.
+
 Faults that land at the same circuit point are applied in canonical
 pattern order — sorted by ``(x_bits, z_bits, phase)`` and occurrence —
 matching :func:`repro.analysis.engine.canonical_pattern`.  Patterns
@@ -321,20 +328,28 @@ def evaluate_fault_patterns_batched(
 ) -> List[bool]:
     """Evaluate a batch of fault patterns in one stacked simulation.
 
-    Returns one verdict per pattern, in order, each computed on the
-    extracted per-lane final state — bit-identical to
-    :func:`repro.analysis.engine.evaluate_fault_pattern` run serially
-    on the same (canonical) pattern.
+    Returns one verdict per pattern, in order — the verdict
+    :func:`repro.analysis.engine.evaluate_fault_pattern` gives serially
+    on the same (canonical) pattern.  An evaluator carrying a lane
+    judge (``evaluator.lanes``, see :mod:`repro.analysis.evaluators`)
+    rules on the whole stack in one call; a plain callable sees each
+    extracted lane.  ``invariant`` always sees every extracted lane.
     """
     patterns = list(patterns)
     if not patterns:
         return []
     state = BatchedState(initial_state, len(patterns))
     apply_circuit_with_fault_patterns(state, gadget.circuit, patterns)
+    judge = getattr(evaluator, "lanes", None)
     verdicts: List[bool] = []
-    for lane in range(len(patterns)):
-        final = state.extract_lane(lane)
-        if invariant is not None:
-            invariant(final)
-        verdicts.append(bool(evaluator(final)))
+    if judge is None or invariant is not None:
+        for lane in range(state.batch):
+            final = state.extract_lane(lane)
+            if invariant is not None:
+                invariant(final)
+            if judge is None:
+                verdicts.append(bool(evaluator(final)))
+    if judge is not None:
+        verdicts = [bool(verdict) for verdict in
+                    judge(state._state, state._lane_ids(), state.batch)]
     return verdicts

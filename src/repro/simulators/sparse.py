@@ -364,18 +364,6 @@ class SparseState:
                 raise SimulationError("conditioned gate in unitary context")
             self.apply_gate(op.gate, [mapping[q] for q in op.qubits])
 
-    def xor_row_masks(self, masks: Sequence[int]) -> None:
-        """XOR a per-term Python-int mask into each basis index.
-
-        Used by the ideal-recovery evaluator to apply per-branch
-        corrections as one vectorised basis permutation.
-        """
-        if len(masks) != self.num_terms:
-            raise SimulationError("need one mask per term")
-        mask_matrix = self._index_array(masks)
-        self._indices = self._indices ^ mask_matrix
-        self._merge()
-
     def _merge(self) -> None:
         """Combine duplicate indices and prune negligible terms.
 

@@ -6,21 +6,39 @@ an unbatchable simulator — must not merely *work*, they must leave the
 exact :class:`EngineStats` audit trail that tells an operator which
 path ran and how often it degraded.  The path-keyed
 :class:`FaultPatternCache` tests certify the cache never launders a
-verdict across evaluation paths, including under LRU pressure.
+verdict across evaluation paths, including under LRU pressure.  The
+evaluator-contract tests pin what the batched path asks of an
+evaluator: a lane judge (``evaluator.lanes``) that survives
+``functools.wraps``, per-lane extraction for a plain callable, and an
+invariant that still sees every lane.
 """
+
+import functools
 
 import pytest
 
-from repro.analysis import n_gadget_evaluator
+from repro.analysis import (
+    classical_block_value_evaluator,
+    n_gadget_evaluator,
+    recovered_overlap_evaluator,
+)
 from repro.analysis.engine import (
     BATCHED_PATH,
     SERIAL_PATH,
     FaultPatternCache,
+    evaluate_fault_pattern,
     run_monte_carlo,
 )
 from repro.exceptions import AnalysisError, SimulationError
-from repro.ft import build_n_gadget, sparse_coset_state
-from repro.noise import NoiseModel
+from repro.ft import (
+    build_n_gadget,
+    build_recovery_gadget,
+    recovery_ancilla_state,
+    sparse_coset_state,
+    sparse_logical_state,
+)
+from repro.noise import FaultSpace, NoiseModel
+from repro.simulators.batched import evaluate_fault_patterns_batched
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +187,74 @@ class TestPathKeyedCache:
         assert cache.evictions == 1
         assert cache.contains((), path=SERIAL_PATH)
         assert not cache.contains((), path=BATCHED_PATH)
+
+
+@pytest.fixture(scope="module")
+def factory_cases(trivial, tiny):
+    """(name, gadget, initial, evaluator) for each evaluator factory."""
+    gadget, initial, evaluator = tiny
+    recovery = build_recovery_gadget(trivial, "X")
+    data = sparse_logical_state(trivial, {(0,): 0.6, (1,): 0.8})
+    recovery_initial = recovery.initial_state({
+        "data": data,
+        "ancilla": recovery_ancilla_state(trivial, "X"),
+    })
+    return [
+        ("recovered_overlap", recovery, recovery_initial,
+         recovered_overlap_evaluator(recovery, trivial, ["data"], data)),
+        ("n_gadget", gadget, initial, evaluator),
+        ("classical_block_value", gadget, initial,
+         classical_block_value_evaluator(gadget, "classical", 0, 0)),
+    ]
+
+
+def _singles(gadget):
+    space = FaultSpace.build(gadget.circuit, gadget.fault_locations())
+    return [((pauli, location.after_op),)
+            for location, pauli in space.singles()]
+
+
+def _serial(gadget, initial, evaluator, patterns):
+    return [evaluate_fault_pattern(gadget, initial, evaluator, pattern)
+            for pattern in patterns]
+
+
+class TestEvaluatorContract:
+    def test_wrapped_evaluator_keeps_its_judge(self, factory_cases):
+        for name, gadget, initial, evaluator in factory_cases:
+            shim = functools.wraps(evaluator)(
+                lambda state, evaluator=evaluator: evaluator(state))
+            assert shim.lanes is evaluator.lanes, name
+            patterns = _singles(gadget)
+            verdicts = evaluate_fault_patterns_batched(
+                gadget, initial, shim, patterns)
+            assert verdicts == _serial(gadget, initial, evaluator,
+                                       patterns), name
+            assert not all(verdicts), f"{name}: no rejected fault"
+
+    def test_plain_callable_is_judged_lane_by_lane(self,
+                                                   factory_cases):
+        for name, gadget, initial, evaluator in factory_cases:
+            calls = []
+
+            def plain(state, evaluator=evaluator):
+                calls.append(state.num_qubits)
+                return evaluator(state)
+
+            patterns = _singles(gadget)
+            verdicts = evaluate_fault_patterns_batched(
+                gadget, initial, plain, patterns)
+            assert verdicts == evaluate_fault_patterns_batched(
+                gadget, initial, evaluator, patterns), name
+            assert calls == [gadget.num_qubits] * len(patterns), name
+
+    def test_invariant_sees_every_lane(self, factory_cases):
+        for name, gadget, initial, evaluator in factory_cases:
+            seen = []
+            patterns = _singles(gadget)
+            verdicts = evaluate_fault_patterns_batched(
+                gadget, initial, evaluator, patterns,
+                invariant=lambda state: seen.append(state.num_qubits))
+            assert seen == [gadget.num_qubits] * len(patterns), name
+            assert verdicts == _serial(gadget, initial, evaluator,
+                                       patterns), name

@@ -1,7 +1,7 @@
 """Deep tests of the sparse engine's wide-register (multi-column)
-machinery: vectorised shifts, release, keep_only, xor_row_masks and
-the lexsort merge — cross-checked against narrow-register references
-and dense simulation."""
+machinery: vectorised shifts, release, keep_only, the ideal-recovery
+index masks and the lexsort merge — cross-checked against
+narrow-register references and dense simulation."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import PauliString, gates
 from repro.exceptions import SimulationError
+from repro.ft import recovered_block_overlap, sparse_logical_state
 from repro.simulators import SparseState
 
 
@@ -128,18 +129,23 @@ class TestWideRegisterOps:
         assert state.num_qubits == 2
         assert set(state.terms()) == {0b10}
 
-    def test_xor_row_masks(self):
-        state = SparseState.from_terms(3, {0b000: 1.0, 0b100: 1.0})
-        # Flip the last bit of the 0b100 term only.
-        masks = []
-        for index in state.iter_ints():
-            masks.append(0b001 if index == 0b100 else 0)
-        state.xor_row_masks(masks)
-        assert set(state.terms()) == {0b000, 0b101}
-
-    def test_xor_row_masks_length_checked(self):
-        with pytest.raises(SimulationError):
-            SparseState(2).xor_row_masks([0, 0])
+    def test_x_recovery_masks_on_wide_register(self, steane):
+        """Ideal recovery XORs one (syndrome -> index mask) row per
+        term; here the block straddles the 64-bit column boundary."""
+        data = sparse_logical_state(steane, {(0,): 0.6, (1,): 0.8})
+        block = list(range(8, 15))
+        for label in ("IIIXIII", "IZIIIII", "IIIIIYI"):
+            state = SparseState(8).tensor(data).tensor(SparseState(57))
+            error = PauliString.from_label("I" * 8 + label + "I" * 57)
+            state.apply_pauli(error)
+            assert recovered_block_overlap(state, block, steane,
+                                           data) > 1 - 1e-9
+        state = SparseState(8).tensor(data).tensor(SparseState(57))
+        state.apply_pauli(PauliString.from_label(
+            "I" * 8 + "XXIIIII" + "I" * 57))
+        # Decoded to a logical X: |<0.6 0 + 0.8 1|0.6 1 + 0.8 0>|^2.
+        assert recovered_block_overlap(state, block, steane, data) == \
+            pytest.approx((2 * 0.6 * 0.8)**2)
 
 
 class TestWidePauliAndOverlap:

@@ -320,3 +320,11 @@ class TestNoUnusedImports:
                   if path.name != "__init__.py"
                   for line, name in _unused_imports(path)]
         assert not unused, f"unused imports: {unused}"
+
+    @pytest.mark.parametrize("directory", ["tests", "benchmarks",
+                                           "examples", "scripts"])
+    def test_other_code_imports_only_what_it_uses(self, directory):
+        unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
+                  for path in sorted((ROOT / directory).rglob("*.py"))
+                  for line, name in _unused_imports(path)]
+        assert not unused, f"unused imports: {unused}"

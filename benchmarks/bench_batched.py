@@ -2,10 +2,11 @@
 
 The malignant-pair sweep behind the paper's Sec. 4.2 threshold
 estimate is evaluation-dominated: every sampled pair is a distinct
-two-fault pattern, so memoization barely helps and the serial path
-pays full per-gate Python dispatch per sample.  This bench measures
-the lane-stacked :mod:`repro.simulators.batched` path on exactly that
-workload (plus a no-memoize Monte-Carlo sweep), asserts the >= 2x
+two-fault pattern, so deduplication barely helps and a one-lane stack
+(``batch_size=1``) pays full per-gate Python dispatch per sample.
+This bench measures 64-lane stacks of the engine's one evaluation
+path, :mod:`repro.simulators.batched`, against one-lane stacks on
+exactly that workload (plus a Monte-Carlo sweep), asserts the >= 2x
 acceptance bar at full scale, re-checks result equality while timing,
 and emits ``results/BENCH_batched.json`` for CI.
 
@@ -42,7 +43,7 @@ def _steane_n():
 
 
 def test_batched_speedup(benchmark):
-    """Serial vs lane-stacked evaluation on the threshold sweep."""
+    """One-lane vs 64-lane stacks on the threshold sweep."""
     gadget, initial, evaluator = _steane_n()
     locations = gadget.fault_locations()
     noise = NoiseModel.uniform(0.002)
@@ -52,10 +53,10 @@ def test_batched_speedup(benchmark):
         timings = {}
 
         start = time.perf_counter()
-        pairs_serial = run_malignant_pairs(
+        pairs_one_lane = run_malignant_pairs(
             gadget, initial, evaluator, samples=SAMPLES, seed=71,
-            locations=locations)
-        timings["pairs_serial"] = time.perf_counter() - start
+            locations=locations, batch_size=1)
+        timings["pairs_one_lane"] = time.perf_counter() - start
 
         start = time.perf_counter()
         pairs_batched = run_malignant_pairs(
@@ -64,45 +65,45 @@ def test_batched_speedup(benchmark):
         timings["pairs_batched"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        mc_serial = run_monte_carlo(
+        mc_one_lane = run_monte_carlo(
             gadget, initial, evaluator, noise, trials=mc_trials,
-            seed=72, locations=locations, memoize=False)
-        timings["mc_serial"] = time.perf_counter() - start
+            seed=72, locations=locations, batch_size=1)
+        timings["mc_one_lane"] = time.perf_counter() - start
 
         start = time.perf_counter()
         mc_batched = run_monte_carlo(
             gadget, initial, evaluator, noise, trials=mc_trials,
-            seed=72, locations=locations, memoize=False,
-            batch_size=BATCH_SIZE)
+            seed=72, locations=locations, batch_size=BATCH_SIZE)
         timings["mc_batched"] = time.perf_counter() - start
 
-        return timings, pairs_serial, pairs_batched, mc_serial, \
+        return timings, pairs_one_lane, pairs_batched, mc_one_lane, \
             mc_batched
 
-    timings, pairs_serial, pairs_batched, mc_serial, mc_batched = \
+    timings, pairs_one_lane, pairs_batched, mc_one_lane, mc_batched = \
         benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     # Speedups are meaningless if the results differ — check first.
-    assert pairs_batched == pairs_serial
-    assert mc_batched == mc_serial
+    assert pairs_batched == pairs_one_lane
+    assert mc_batched == mc_one_lane
 
-    pairs_speedup = timings["pairs_serial"] / timings["pairs_batched"]
-    mc_speedup = timings["mc_serial"] / timings["mc_batched"]
+    pairs_speedup = timings["pairs_one_lane"] / timings["pairs_batched"]
+    mc_speedup = timings["mc_one_lane"] / timings["mc_batched"]
     stats = pairs_batched.engine_stats
 
     report("E8 — batched evaluation speedup (threshold workloads)", [
         f"workload: {gadget.name}, {len(locations)} locations, "
         f"batch_size={BATCH_SIZE}",
         f"malignant pairs ({SAMPLES} samples): "
-        f"serial {timings['pairs_serial']:.2f}s, "
-        f"batched {timings['pairs_batched']:.2f}s "
+        f"one lane {timings['pairs_one_lane']:.2f}s, "
+        f"{BATCH_SIZE} lanes {timings['pairs_batched']:.2f}s "
         f"-> {pairs_speedup:.2f}x",
-        f"monte carlo, no memoize ({mc_trials} trials): "
-        f"serial {timings['mc_serial']:.2f}s, "
-        f"batched {timings['mc_batched']:.2f}s "
+        f"monte carlo ({mc_trials} trials, "
+        f"{mc_batched.engine_stats.evaluations} distinct patterns): "
+        f"one lane {timings['mc_one_lane']:.2f}s, "
+        f"{BATCH_SIZE} lanes {timings['mc_batched']:.2f}s "
         f"-> {mc_speedup:.2f}x",
-        f"equivalence: pairs malignant={pairs_serial.malignant}, "
-        f"mc failures={mc_serial.failures} (both paths identical)",
+        f"equivalence: pairs malignant={pairs_one_lane.malignant}, "
+        f"mc failures={mc_one_lane.failures} (both widths identical)",
         "",
         *engine_stats_lines(stats),
     ])
@@ -119,8 +120,7 @@ def test_batched_speedup(benchmark):
         "results_identical": True,
         "batched_stats": {
             "batches": stats.batched_batches,
-            "evaluations": stats.batched_evaluations,
-            "fallbacks": stats.batched_fallbacks,
+            "evaluations": stats.evaluations,
         },
         "full_scale": _FULL_SCALE,
     })

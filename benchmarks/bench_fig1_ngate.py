@@ -61,7 +61,7 @@ def test_fig1_report(benchmark, context):
                              NoiseModel.uniform(MC_P),
                              trials=MC_TRIALS, seed=11,
                              locations=locations,
-                             workers=2, memoize=True)
+                             workers=2)
         return failures, pair_sample, mc
 
     failures, pair_sample, mc = benchmark.pedantic(

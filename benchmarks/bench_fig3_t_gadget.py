@@ -69,7 +69,7 @@ def test_fig3_report(benchmark, context):
                              NoiseModel.uniform(MC_P),
                              trials=MC_TRIALS, seed=32,
                              locations=locations,
-                             workers=2, memoize=True)
+                             workers=2)
         return overlap, pair_sample, mc
 
     overlap, pair_sample, mc = benchmark.pedantic(

@@ -113,7 +113,7 @@ def test_sec5_internal_fault_tolerance(benchmark, context):
         mc = run_monte_carlo(gadget, initial, evaluator,
                              NoiseModel.uniform(MC_P), trials=900,
                              seed=52, locations=locations,
-                             workers=2, memoize=True)
+                             workers=2)
         return failures, pair_sample, mc
 
     failures, pair_sample, mc = benchmark.pedantic(

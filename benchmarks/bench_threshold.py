@@ -159,7 +159,7 @@ def test_engine_speedup(benchmark):
         fast = run_monte_carlo(
             gadget, initial, evaluator, noise, SPEEDUP_TRIALS,
             seed=71, locations=locations,
-            workers=SPEEDUP_WORKERS, memoize=True,
+            workers=SPEEDUP_WORKERS,
         )
         engine_seconds = time.perf_counter() - start
         return serial, serial_seconds, fast, engine_seconds
@@ -174,7 +174,7 @@ def test_engine_speedup(benchmark):
         f"trials={SPEEDUP_TRIALS}, {len(locations)} locations",
         f"serial loop:     {serial_seconds:.2f}s "
         f"({SPEEDUP_TRIALS / serial_seconds:.0f} trials/s)",
-        f"engine (workers={SPEEDUP_WORKERS}, memoized): "
+        f"engine (workers={SPEEDUP_WORKERS}, deduplicated): "
         f"{engine_seconds:.2f}s "
         f"({SPEEDUP_TRIALS / engine_seconds:.0f} trials/s)",
         f"speedup: {speedup:.2f}x",

@@ -25,9 +25,15 @@ batch by batch:
    sparse simulator.  Deduplication happens in the parent, so workers
    never simulate the same pattern twice regardless of scheduling.
 3. **Evaluate** (worker slots).  Only cache-missing patterns are
-   simulated, fanned out across forked worker slots in chunks.
-   Verdicts are independent booleans, so evaluation order cannot
-   affect results.
+   simulated, fanned out across forked worker slots in chunks.  There
+   is one evaluation path: a chunk's patterns are cut into stacks of
+   ``batch_size`` and each stack is one
+   :func:`~repro.simulators.batched.evaluate_fault_patterns_batched`
+   simulation (``batch_size=1`` runs one-lane stacks).  Verdicts are
+   independent booleans, so evaluation order cannot affect results.
+   :func:`evaluate_fault_pattern`, a fresh serial sparse simulation,
+   is kept as the reference the stack is checked against; no engine
+   path calls it.
 
 Since PR 3 the evaluate phase runs under the resilience layer of
 :mod:`repro.runtime`:
@@ -36,9 +42,9 @@ Since PR 3 the evaluate phase runs under the resilience layer of
   (per-chunk deadlines, per-slot kill and respawn, bounded retry
   with backoff, in-parent quarantine of chunks that keep failing —
   recorded in :class:`EngineStats`, never dropped);
-* per-pattern evaluation is one sparse simulation with a retry-once
-  shield on invariant ``VerificationError``; a ``MemoryError`` or
-  ``SimulationError`` becomes a typed
+* each stack is one stacked sparse simulation, with a retry-once
+  shield per pattern on invariant ``VerificationError``; a
+  ``MemoryError`` or ``SimulationError`` becomes a typed
   :class:`~repro.exceptions.RuntimeIntegrityError`, which in a pool
   the supervisor retries like any other failed chunk;
 * ``checkpoint=`` journals completed evaluation chunks through a
@@ -62,6 +68,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import multiprocessing
 import os
 import time
@@ -88,15 +95,12 @@ from repro.exceptions import (
 from repro.ft.gadget import Gadget, apply_circuit_with_faults
 from repro.noise.locations import FaultLocation, FaultSpace
 from repro.noise.model import NoiseModel
-from repro.runtime.chaos import Fault, raise_injected, strike
+from repro.runtime.chaos import Fault as ChaosFault
+from repro.runtime.chaos import raise_injected, strike
 from repro.runtime.checkpoint import CheckpointStore, as_store
 from repro.runtime.policy import RuntimePolicy, resolve_policy
 from repro.runtime.supervisor import Supervisor
-from repro.simulators.batched import (
-    BATCHED_PATH,
-    SERIAL_PATH,
-    evaluate_fault_patterns_batched,
-)
+from repro.simulators.batched import evaluate_fault_patterns_batched
 from repro.simulators.sparse import SparseState
 
 #: One concrete fault: (pauli, after_op) exactly as the injector takes it.
@@ -188,7 +192,11 @@ def evaluate_fault_pattern(gadget: Gadget, initial_state: SparseState,
                            invariant: Optional[
                                Callable[[SparseState], None]] = None
                            ) -> bool:
-    """Fresh (uncached) simulation of one fault pattern.
+    """Fresh (uncached) serial simulation of one fault pattern.
+
+    The reference oracle for the engine's lane stacks: every verdict
+    the engine caches must equal this on the same canonical pattern
+    (``tests/simulators/test_batched_equivalence.py``).
 
     ``invariant`` is the differential-verification hook: when given,
     it is called with the final state of every fresh simulation and
@@ -206,29 +214,18 @@ def evaluate_fault_pattern(gadget: Gadget, initial_state: SparseState,
 
 
 class FaultPatternCache:
-    """Memoised verdicts keyed by (evaluation path, canonical pattern).
+    """Memoised verdicts keyed by canonical fault pattern.
 
     Verdicts depend only on the fault pattern (the gadget, input state
     and evaluator are fixed per cache), not on the error rate p, so
     one cache can be shared across an entire p sweep.
 
-    Keys carry the evaluation path (:data:`~repro.simulators.batched.
-    SERIAL_PATH` or :data:`~repro.simulators.batched.BATCHED_PATH`) so
-    a batched run never silently replays a serial-cached verdict — the
-    paths are proved equivalent by the differential suite, but the
-    cache refuses to *assume* it: each path revalidates its own
-    verdicts, keeping a cross-path disagreement observable instead of
-    papered over.  ``get``/``store``/``contains``/``__contains__``
-    default to the serial path, preserving every pre-existing caller.
-
     The cache is LRU-bounded: ``max_entries`` (default generous —
     :data:`DEFAULT_CACHE_MAX_ENTRIES`) caps memory on unbounded
     campaigns, evicting the least-recently-used verdict and counting
-    it in :attr:`evictions`.  The same pattern cached under both paths
-    occupies two entries and ages independently.  Eviction is
-    invisible to correctness — an evicted pattern is simply
-    re-simulated on next request — and surfaces in
-    :class:`EngineStats` so capped runs are diagnosable.
+    it in :attr:`evictions`.  Eviction is invisible to correctness —
+    an evicted pattern is simply re-simulated on next request — and
+    surfaces in :class:`EngineStats` so capped runs are diagnosable.
     ``max_entries=None`` disables the bound.
     """
 
@@ -247,8 +244,7 @@ class FaultPatternCache:
                     f"max_entries must be >= 1, got {max_entries}"
                 )
         self.max_entries = max_entries
-        self._verdicts: "OrderedDict[Tuple[str, FaultPattern], bool]" \
-            = OrderedDict()
+        self._verdicts: "OrderedDict[FaultPattern, bool]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -256,45 +252,25 @@ class FaultPatternCache:
     def __len__(self) -> int:
         return len(self._verdicts)
 
-    def __contains__(self, pattern: FaultPattern) -> bool:
-        return (SERIAL_PATH, pattern) in self._verdicts
+    def contains(self, pattern: FaultPattern) -> bool:
+        return pattern in self._verdicts
 
-    def contains(self, pattern: FaultPattern,
-                 path: str = SERIAL_PATH) -> bool:
-        return (path, pattern) in self._verdicts
-
-    def get(self, pattern: FaultPattern,
-            path: str = SERIAL_PATH) -> Optional[bool]:
-        key = (path, pattern)
-        verdict = self._verdicts.get(key)
-        if verdict is not None or key in self._verdicts:
-            self._verdicts.move_to_end(key)
+    def get(self, pattern: FaultPattern) -> Optional[bool]:
+        verdict = self._verdicts.get(pattern)
+        if verdict is not None:
+            self._verdicts.move_to_end(pattern)
         return verdict
 
-    def store(self, pattern: FaultPattern, verdict: bool,
-              path: str = SERIAL_PATH) -> None:
-        key = (path, pattern)
-        self._verdicts[key] = bool(verdict)
-        self._verdicts.move_to_end(key)
+    def store(self, pattern: FaultPattern, verdict: bool) -> None:
+        self._verdicts[pattern] = bool(verdict)
+        self._verdicts.move_to_end(pattern)
         if self.max_entries is not None:
             while len(self._verdicts) > self.max_entries:
                 self._verdicts.popitem(last=False)
                 self.evictions += 1
 
     def items(self):
-        """(pattern, verdict) pairs, least-recently-used first.
-
-        Kept path-agnostic for backward compatibility: yields every
-        entry's pattern with its verdict (a pattern cached under both
-        paths appears twice).  Use :meth:`items_with_paths` for the
-        full keys.
-        """
-        return (((pattern, verdict) for (_, pattern), verdict
-                 in self._verdicts.items()))
-
-    def items_with_paths(self):
-        """((path, pattern), verdict) pairs, least-recently-used
-        first."""
+        """(pattern, verdict) pairs, least-recently-used first."""
         return self._verdicts.items()
 
     def clear(self) -> None:
@@ -336,7 +312,7 @@ class EngineStats:
 
     trials: int = 0
     requests: int = 0       # verdict lookups (non-empty trials/samples)
-    evaluations: int = 0    # fresh simulator runs
+    evaluations: int = 0    # fresh verdicts (patterns simulated)
     cache_hits: int = 0
     distinct_patterns: int = 0
     chunks: int = 0
@@ -355,10 +331,7 @@ class EngineStats:
     invariant_retries: int = 0
     cache_evictions: int = 0
     resumed_verdicts: int = 0
-    # -- batched-path accounting (repro.simulators.batched) ---------
     batched_batches: int = 0       # stacked simulations run
-    batched_evaluations: int = 0   # verdicts produced by the stack
-    batched_fallbacks: int = 0     # patterns degraded to serial
 
     @property
     def cache_hit_rate(self) -> float:
@@ -403,18 +376,13 @@ class EngineStats:
             f"workers={self.workers}, chunks={self.chunks}",
             f"  cache: {self.cache_hits}/{self.requests} hits "
             f"({100 * self.cache_hit_rate:.1f}%), "
-            f"{self.evaluations} simulator runs over "
+            f"{self.evaluations} fresh verdicts from "
+            f"{self.batched_batches} stacked simulations over "
             f"{self.distinct_patterns} distinct patterns",
             f"  timing: sample {self.sample_seconds:.2f}s, "
             f"evaluate {self.eval_seconds:.2f}s, "
             f"worker utilization {100 * self.worker_utilization:.0f}%",
         ]
-        if self.batched_batches or self.batched_fallbacks:
-            lines.append(
-                f"  batched: {self.batched_evaluations} verdicts in "
-                f"{self.batched_batches} stacked batches, "
-                f"{self.batched_fallbacks} fell back to serial"
-            )
         incidents = (self.retries or self.hung_chunks
                      or self.worker_errors or self.pool_restarts
                      or self.quarantined_chunks or self.invariant_retries
@@ -473,49 +441,66 @@ class _EvalContext:
         self.policy = resolve_policy(policy)
         self.batch_size = batch_size
 
-    @property
-    def eval_path(self) -> str:
-        """Cache/fingerprint marker for this context's evaluation path."""
-        return BATCHED_PATH if self.batch_size > 1 else SERIAL_PATH
+    def judge_stack(self, stack: Sequence[FaultPattern],
+                    resilience: Dict[str, int],
+                    faults: Sequence[ChaosFault]) -> List[bool]:
+        """One stack's verdicts from one stacked sparse simulation.
 
-    def evaluate_one(self, pattern: FaultPattern,
-                     resilience: Dict[str, int],
-                     faults: Sequence[Fault]) -> bool:
-        """One pattern's verdict from a fresh sparse simulation.
-
-        The invariant gets a retry-once shield: its first
-        ``VerificationError`` buys one fresh re-simulation, counted in
-        ``resilience["invariant_retries"]``, before it is trusted as a
-        real divergence.  A ``MemoryError`` or ``SimulationError``
-        raises :class:`~repro.exceptions.RuntimeIntegrityError`
-        chained to it.  ``faults`` are the engine faults matched for
-        this chunk attempt: ``oom``/``simulation_error`` strike the
-        simulation, ``verification_error`` the invariant's first
-        check.
+        ``faults`` are the engine faults matched for this chunk
+        attempt: ``oom``/``simulation_error`` strike the stack, and a
+        ``MemoryError`` or ``SimulationError`` raised while building
+        or running it becomes :class:`~repro.exceptions.
+        RuntimeIntegrityError` chained to its cause.  The invariant
+        keeps a retry-once shield per pattern: a lane whose first
+        check raises ``VerificationError`` (or is struck by
+        ``verification_error``) is re-simulated alone as a one-lane
+        stack and checked again, counted in
+        ``resilience["invariant_retries"]``, before a violation is
+        trusted as a real divergence.
         """
+        shielded: List[int] = []
         try:
             raise_injected(faults, "oom", "simulation_error")
-            state = self._final_state(pattern)
-            if self.invariant is not None:
-                try:
-                    raise_injected(faults, "verification_error")
-                    self.invariant(state)
-                except VerificationError:
-                    resilience["invariant_retries"] += 1
-                    state = self._final_state(pattern)
-                    self.invariant(state)
+            verdicts = self._simulate(
+                stack, resilience, self._shield(shielded, faults))
+            for lane in shielded:
+                resilience["invariant_retries"] += 1
+                verdicts[lane] = self._simulate(
+                    stack[lane:lane + 1], resilience, self.invariant)[0]
         except (MemoryError, SimulationError) as exc:
             raise RuntimeIntegrityError(
-                f"the sparse simulation of a fault pattern of weight "
-                f"{len(pattern)} failed"
+                f"the sparse simulation of a stack of {len(stack)} "
+                f"fault patterns failed"
             ) from exc
-        return bool(self.evaluator(state))
+        return verdicts
 
-    def _final_state(self, pattern: FaultPattern) -> SparseState:
-        state = self.initial_state.copy()
-        apply_circuit_with_faults(state, self.gadget.circuit,
-                                  list(pattern))
-        return state
+    def _simulate(self, stack: Sequence[FaultPattern],
+                  resilience: Dict[str, int],
+                  invariant: Optional[Callable[[SparseState], None]]
+                  ) -> List[bool]:
+        resilience["batched_batches"] += 1
+        return evaluate_fault_patterns_batched(
+            self.gadget, self.initial_state, self.evaluator, stack,
+            invariant=invariant)
+
+    def _shield(self, shielded: List[int],
+                faults: Sequence[ChaosFault]
+                ) -> Optional[Callable[[SparseState], None]]:
+        """The invariant for a stack's first run: records the lanes
+        that fail it in ``shielded`` instead of raising."""
+        if self.invariant is None:
+            return None
+        lanes = itertools.count()
+
+        def check(state: SparseState) -> None:
+            lane = next(lanes)
+            try:
+                raise_injected(faults, "verification_error")
+                self.invariant(state)
+            except VerificationError:
+                shielded.append(lane)
+
+        return check
 
 
 #: Worker result: (index, verdicts, seconds, pid, resilience counters).
@@ -525,68 +510,26 @@ _ChunkResult = Tuple[int, List[bool], float, int, Dict[str, int]]
 def _evaluate_chunk(context: _EvalContext, index: int,
                     patterns: Sequence[FaultPattern], attempt: int,
                     in_worker: bool) -> _ChunkResult:
-    """Evaluate one chunk under the context's runtime policy."""
+    """Evaluate one chunk under the context's runtime policy.
+
+    The chunk's patterns are cut into stacks of ``batch_size``, each
+    judged by :meth:`_EvalContext.judge_stack`.
+    """
     start = time.perf_counter()
-    faults: List[Fault] = []
+    faults: List[ChaosFault] = []
     if context.policy.chaos is not None:
         # Fault attempts count from 1, the supervisor's from 0.
         faults = context.policy.chaos.match(
             "engine", "pool" if in_worker else "parent", index,
             attempt + 1)
         strike(faults)
-    resilience = {"invariant_retries": 0}
-    if context.batch_size > 1:
-        verdicts = _evaluate_chunk_batched(context, patterns,
-                                           resilience, faults)
-    else:
-        verdicts = [context.evaluate_one(pattern, resilience, faults)
-                    for pattern in patterns]
+    resilience = {"invariant_retries": 0, "batched_batches": 0}
+    verdicts: List[bool] = []
+    for lo in range(0, len(patterns), context.batch_size):
+        verdicts.extend(context.judge_stack(
+            patterns[lo:lo + context.batch_size], resilience, faults))
     return (index, verdicts, time.perf_counter() - start, os.getpid(),
             resilience)
-
-
-def _evaluate_chunk_batched(context: _EvalContext,
-                            patterns: Sequence[FaultPattern],
-                            resilience: Dict[str, int],
-                            faults: Sequence[Fault]) -> List[bool]:
-    """One chunk's verdicts through the stacked batched evaluator.
-
-    Patterns are sliced into ``batch_size`` stacks; a stack that the
-    batched path cannot handle — register too wide for the lane bits
-    (``SimulationError``), out of memory, an invariant violation that
-    needs the retry-once shield, or one of the chunk's injected
-    backend ``faults`` — drops to the serial per-pattern path of
-    :meth:`_EvalContext.evaluate_one`, exactly what a serial run
-    would do.  Verdict values are unaffected either way (the lanes
-    are bit-identical to serial evolution); only the accounting
-    differs, surfaced through the ``batched_*`` counters of
-    :class:`EngineStats`, which this adds to ``resilience``.
-    """
-    verdicts: List[bool] = []
-    batches = 0
-    stacked = 0
-    fallbacks = 0
-    for lo in range(0, len(patterns), context.batch_size):
-        stack = patterns[lo:lo + context.batch_size]
-        try:
-            raise_injected(faults, "oom", "simulation_error",
-                           "verification_error")
-            stack_verdicts = evaluate_fault_patterns_batched(
-                context.gadget, context.initial_state,
-                context.evaluator, stack, invariant=context.invariant)
-            batches += 1
-            stacked += len(stack)
-        except (MemoryError, SimulationError, VerificationError):
-            stack_verdicts = [
-                context.evaluate_one(pattern, resilience, faults)
-                for pattern in stack
-            ]
-            fallbacks += len(stack)
-        verdicts.extend(stack_verdicts)
-    resilience.update(batched_batches=batches,
-                      batched_evaluations=stacked,
-                      batched_fallbacks=fallbacks)
-    return verdicts
 
 
 def _chunk_slices(total: int, chunk_size: int) -> List[Tuple[int, int]]:
@@ -680,7 +623,6 @@ def _evaluate_patterns(context: _EvalContext,
 
 def _resolve_verdicts(context: _EvalContext,
                       pattern_counts: Dict[FaultPattern, int],
-                      memoize: bool,
                       cache: Optional[FaultPatternCache],
                       workers: int,
                       chunk_size: int,
@@ -690,50 +632,33 @@ def _resolve_verdicts(context: _EvalContext,
                       ) -> Dict[FaultPattern, bool]:
     """Map each distinct pattern to its verdict.
 
-    With ``memoize`` each distinct pattern is simulated at most once
-    (and not at all when the shared ``cache`` already knows it); with
-    ``memoize=False`` every occurrence is simulated fresh — same
-    verdicts, no reuse — which is the honest baseline for speedup
-    measurements.
+    Each distinct pattern is simulated at most once, and not at all
+    when the shared ``cache`` already knows it.
     """
     requests = sum(pattern_counts.values())
     stats.requests += requests
     stats.distinct_patterns += len(pattern_counts)
+    evictions_before = cache.evictions if cache is not None else 0
     verdict_map: Dict[FaultPattern, bool] = {}
-    path = context.eval_path
-    if memoize:
-        evictions_before = cache.evictions if cache is not None else 0
-        missing = [pattern for pattern in pattern_counts
-                   if cache is None or not cache.contains(pattern,
-                                                          path)]
-        if cache is not None:
-            for pattern in pattern_counts:
-                if cache.contains(pattern, path):
-                    verdict_map[pattern] = bool(
-                        cache.get(pattern, path))
-        verdicts = _evaluate_patterns(context, missing, workers,
-                                      chunk_size, stats, progress,
-                                      journal=journal)
-        for pattern, verdict in zip(missing, verdicts):
+    missing: List[FaultPattern] = []
+    for pattern in pattern_counts:
+        verdict = cache.get(pattern) if cache is not None else None
+        if verdict is None:
+            missing.append(pattern)
+        else:
             verdict_map[pattern] = verdict
-            if cache is not None:
-                cache.store(pattern, verdict, path)
-        stats.evaluations += len(missing)
-        stats.cache_hits += requests - len(missing)
+    verdicts = _evaluate_patterns(context, missing, workers, chunk_size,
+                                  stats, progress, journal=journal)
+    for pattern, verdict in zip(missing, verdicts):
+        verdict_map[pattern] = verdict
         if cache is not None:
-            cache.misses += len(missing)
-            cache.hits += requests - len(missing)
-            stats.cache_evictions += cache.evictions - evictions_before
-    else:
-        expanded: List[FaultPattern] = []
-        for pattern, multiplicity in pattern_counts.items():
-            expanded.extend([pattern] * multiplicity)
-        verdicts = _evaluate_patterns(context, expanded, workers,
-                                      chunk_size, stats, progress,
-                                      journal=journal)
-        for pattern, verdict in zip(expanded, verdicts):
-            verdict_map[pattern] = verdict
-        stats.evaluations += len(expanded)
+            cache.store(pattern, verdict)
+    stats.evaluations += len(missing)
+    stats.cache_hits += requests - len(missing)
+    if cache is not None:
+        cache.misses += len(missing)
+        cache.hits += requests - len(missing)
+        stats.cache_evictions += cache.evictions - evictions_before
     return verdict_map
 
 
@@ -970,7 +895,6 @@ class _Run:
                  optimize=False,
                  workers: int = 1,
                  batch_size: int = 1,
-                 memoize: bool = True,
                  cache: Optional[FaultPatternCache] = None,
                  progress: Optional[Callable[[ProgressEvent], None]]
                  = None,
@@ -994,7 +918,6 @@ class _Run:
             noise.channel if noise is not None else channel)
         self.noise = noise
         self.workers = _coerce_positive(workers, "workers")
-        self.memoize = memoize
         self.cache = cache
         self.progress = progress
         self.context = _EvalContext(
@@ -1016,16 +939,18 @@ class _Run:
         gadget identity and its location fields (see
         :func:`_location_fields`), then the noise model's identity and
         the markers.  A marker is stamped only when it applies, so the
-        fingerprint of a baseline-noise, serial, unoptimized run stays
+        fingerprint of a baseline-noise, unoptimized run stays
         byte-identical to what older journals recorded, while a
         journal never silently resumes under a different structured
-        model, evaluation path or optimizer.
+        model or optimizer.  ``"eval_path": "batched"`` is stamped
+        when ``batch_size > 1``: verdicts no longer depend on it, but
+        journals written when the engine had a separate serial path
+        carry it, and keeping the stamp lets them resume.
 
         Checkpointing requires a cache, so one is created when the
         caller did not supply one.  On resume the journal's verdicts
-        are replayed into the cache, under this run's evaluation path,
-        after the fingerprint check; on a fresh run the directory is
-        cleared and a new header written.
+        are replayed into the cache after the fingerprint check; on a
+        fresh run the directory is cleared and a new header written.
         """
         store = as_store(checkpoint)
         if store is None:
@@ -1045,9 +970,8 @@ class _Run:
                                channel=noise.channel)
             if noise.structured:
                 fingerprint["model"] = repr(noise.fingerprint())
-        eval_path = self.context.eval_path
-        if eval_path != SERIAL_PATH:
-            fingerprint["eval_path"] = eval_path
+        if self.context.batch_size > 1:
+            fingerprint["eval_path"] = "batched"
         if self.optimizer is not None:
             fingerprint["optimizer"] = self.optimizer
         # Only the exhaustive sweep is unseeded; it is deterministic.
@@ -1057,18 +981,13 @@ class _Run:
                 "run draws OS entropy and cannot be resumed "
                 "bit-identically"
             )
-        if not self.memoize:
-            raise AnalysisError(
-                "checkpointing requires memoize=True (the journal "
-                "replays verdicts through the fault-pattern cache)"
-            )
         if self.cache is None:
             self.cache = FaultPatternCache()
         if resume and store.exists():
             store.check_fingerprint(fingerprint)
             entries = store.load_verdicts()
             for pattern, verdict in entries:
-                self.cache.store(pattern, verdict, eval_path)
+                self.cache.store(pattern, verdict)
             self.stats.resumed_verdicts = len(entries)
         else:
             store.clear()
@@ -1093,8 +1012,8 @@ class _Run:
     def verdicts(self, pattern_counts: Dict[FaultPattern, int],
                  chunk_size: int) -> Dict[FaultPattern, bool]:
         return _resolve_verdicts(self.context, pattern_counts,
-                                 self.memoize, self.cache, self.workers,
-                                 chunk_size, self.stats, self.progress,
+                                 self.cache, self.workers, chunk_size,
+                                 self.stats, self.progress,
                                  journal=self.store)
 
     def judge_chunks(self, seed: Optional[int], total: int,
@@ -1151,7 +1070,6 @@ def run_monte_carlo(gadget: Gadget,
                     workers: int = 1,
                     chunk_size: int = DEFAULT_CHUNK_SIZE,
                     batch_size: int = 1,
-                    memoize: bool = True,
                     cache: Optional[FaultPatternCache] = None,
                     progress: Optional[Callable[[ProgressEvent], None]]
                     = None,
@@ -1172,21 +1090,20 @@ def run_monte_carlo(gadget: Gadget,
     draws fresh OS entropy, making the run non-reproducible.
 
     For a fixed ``(seed, trials, chunk_size)`` the result is
-    bit-identical for every ``workers`` value, every ``batch_size``
-    and for ``memoize`` on or off.  ``memoize`` reuses the verdicts of
-    repeated canonical fault patterns; ``cache`` (a shared
-    :class:`FaultPatternCache`) persists them across calls;
-    ``progress`` receives a :class:`ProgressEvent` per chunk.
+    bit-identical for every ``workers`` value and every
+    ``batch_size``.  Each distinct canonical fault pattern is judged
+    once; ``cache`` (a shared :class:`FaultPatternCache`) persists the
+    verdicts across calls; ``progress`` receives a
+    :class:`ProgressEvent` per chunk.
 
-    ``batch_size > 1`` routes evaluation through the vectorised
-    :mod:`repro.simulators.batched` path: up to ``batch_size`` distinct
+    ``batch_size`` is the lane-stack width of the one evaluation path,
+    :mod:`repro.simulators.batched`: up to ``batch_size`` distinct
     patterns are stacked into one sparse register and advanced
     together, with per-lane amplitudes bit-identical to serial
-    evolution.  Sampling, dedup, seeds and verdicts are unchanged; an
-    unbatchable stack drops automatically to the serial per-pattern
-    path (counted in ``engine_stats.batched_fallbacks``).  Checkpoint fingerprints gain
-    an ``eval_path`` marker for batched runs, so a journal written by
-    one path refuses to silently resume under the other.
+    evolution (``batch_size=1`` runs one-lane stacks).  Sampling,
+    dedup, seeds and verdicts do not depend on it.  Checkpoint
+    fingerprints of ``batch_size > 1`` runs carry an ``eval_path``
+    marker (see :meth:`_Run.open`).
 
     ``invariant`` enables validation mode: every fresh simulation's
     final state is passed to the callable, which raises
@@ -1210,14 +1127,14 @@ def run_monte_carlo(gadget: Gadget,
     Incompatible with explicit ``locations=``.  Checkpoint
     fingerprints gain an ``optimizer`` marker (the pipeline identity),
     so an optimized journal refuses to resume an unoptimized run and
-    vice versa — mirroring the ``eval_path`` marker.
+    vice versa.
     """
     from repro.analysis.montecarlo import GadgetMonteCarloResult
 
     run = _Run(gadget, initial_state, evaluator, locations, noise=noise,
                optimize=optimize, workers=workers, batch_size=batch_size,
-               memoize=memoize, cache=cache, progress=progress,
-               invariant=invariant, runtime=runtime)
+               cache=cache, progress=progress, invariant=invariant,
+               runtime=runtime)
     trials = _coerce_count(trials, "trials")
     chunk_size = _coerce_positive(chunk_size, "chunk_size")
     run.open("monte_carlo", {"seed": seed, "trials": trials,
@@ -1267,7 +1184,6 @@ def run_malignant_pairs(gadget: Gadget,
                         workers: int = 1,
                         chunk_size: int = DEFAULT_CHUNK_SIZE,
                         batch_size: int = 1,
-                        memoize: bool = True,
                         cache: Optional[FaultPatternCache] = None,
                         progress: Optional[Callable[[ProgressEvent], None]]
                         = None,
@@ -1290,8 +1206,8 @@ def run_malignant_pairs(gadget: Gadget,
 
     run = _Run(gadget, initial_state, evaluator, locations,
                channel=channel, optimize=optimize, workers=workers,
-               batch_size=batch_size, memoize=memoize, cache=cache,
-               progress=progress, invariant=invariant, runtime=runtime)
+               batch_size=batch_size, cache=cache, progress=progress,
+               invariant=invariant, runtime=runtime)
     samples = _coerce_count(samples, "samples")
     if samples > 0:
         _require_pair_locations(run.space)
@@ -1324,7 +1240,6 @@ def run_exhaustive(gadget: Gadget,
                    workers: int = 1,
                    chunk_size: int = DEFAULT_CHUNK_SIZE,
                    batch_size: int = 1,
-                   memoize: bool = True,
                    cache: Optional[FaultPatternCache] = None,
                    progress: Optional[Callable[[ProgressEvent], None]]
                    = None,
@@ -1344,7 +1259,7 @@ def run_exhaustive(gadget: Gadget,
     failing (location, pauli) pairs in enumeration order; empty =
     fault tolerant.
 
-    Memoization deduplicates coincident faults (e.g. a delay fault
+    Deduplication judges coincident faults once (e.g. a delay fault
     anchored at the same ``after_op`` as an equal gate-location Pauli).
     ``checkpoint``/``resume``, ``runtime`` and ``optimize`` behave as
     in :func:`run_monte_carlo`; the enumeration is deterministic, so
@@ -1352,8 +1267,8 @@ def run_exhaustive(gadget: Gadget,
     """
     run = _Run(gadget, initial_state, evaluator, locations,
                channel=channel, optimize=optimize, workers=workers,
-               batch_size=batch_size, memoize=memoize, cache=cache,
-               progress=progress, invariant=invariant, runtime=runtime)
+               batch_size=batch_size, cache=cache, progress=progress,
+               invariant=invariant, runtime=runtime)
     chunk_size = _coerce_positive(chunk_size, "chunk_size")
     items: List[Tuple[FaultLocation, PauliString, FaultPattern]] = [
         (location, pauli,

@@ -13,8 +13,9 @@ The sampling itself is :mod:`repro.analysis.engine`, the one
 evaluation path (``run_monte_carlo``, ``run_malignant_pairs``,
 ``run_exhaustive``), which returns these result types.  The engine
 chunks trials over per-chunk ``SeedSequence.spawn`` streams
-(bit-identical results for any worker count) and memoises verdicts by
-canonical fault pattern.
+(bit-identical results for any worker count), judges each distinct
+canonical fault pattern once, in a stack of lanes, and memoises the
+verdict.
 """
 
 from __future__ import annotations
@@ -174,7 +175,6 @@ def sweep_p(gadget: Gadget,
             locations: Optional[Sequence[FaultLocation]] = None,
             workers: int = 1,
             chunk_size: int = DEFAULT_CHUNK_SIZE,
-            memoize: bool = True,
             cache: Optional[FaultPatternCache] = None,
             progress: Optional[Callable[["ProgressEvent"], None]] = None,
             checkpoint=None,
@@ -192,10 +192,10 @@ def sweep_p(gadget: Gadget,
 
     ``channel`` and the engine options are threaded through to every
     underlying :func:`~repro.analysis.engine.run_monte_carlo` call.
-    With ``memoize`` a single
-    :class:`~repro.analysis.engine.FaultPatternCache` is shared across
-    all points (verdicts depend only on the fault pattern, not on p),
-    so later points mostly reuse earlier simulations.
+    A single :class:`~repro.analysis.engine.FaultPatternCache` is
+    shared across all points (verdicts depend only on the fault
+    pattern, not on p), so later points mostly reuse earlier
+    simulations.
 
     ``checkpoint`` makes the sweep resumable at two granularities:
     completed points are journaled whole (``points`` records under the
@@ -205,13 +205,13 @@ def sweep_p(gadget: Gadget,
     points verbatim and finishes the interrupted one, yielding the
     same series an uninterrupted run produces.  Resumed points carry
     ``engine_stats=None`` (the instrumentation died with the crashed
-    process; the statistics did not).  Requires a seed and memoization,
-    like the per-run journals.
+    process; the statistics did not).  Requires a seed, like the
+    per-run journals.
     """
     given = locations
     locations = list(gadget.fault_locations() if given is None
                      else given)
-    if cache is None and memoize:
+    if cache is None:
         cache = FaultPatternCache()
 
     store = as_store(checkpoint)
@@ -221,10 +221,6 @@ def sweep_p(gadget: Gadget,
             raise AnalysisError(
                 "sweep_p checkpointing requires an explicit seed: an "
                 "unseeded sweep cannot be resumed bit-identically"
-            )
-        if not memoize:
-            raise AnalysisError(
-                "sweep_p checkpointing requires memoize=True"
             )
         fingerprint = {
             "workload": "sweep_p",
@@ -257,7 +253,7 @@ def sweep_p(gadget: Gadget,
         result = run_monte_carlo(
             gadget, initial_state, evaluator, noise, trials,
             locations=locations, seed=point_seed, workers=workers,
-            chunk_size=chunk_size, memoize=memoize, cache=cache,
+            chunk_size=chunk_size, cache=cache,
             progress=progress, checkpoint=point_store, resume=resume,
             runtime=runtime,
         )

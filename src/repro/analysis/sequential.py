@@ -19,7 +19,9 @@ ago.  This module adds the sequential layer on top of the engine:
 
 All three run one batch loop, :func:`_drive` (replay the journal,
 then sample → judge → journal → fold each batch the runner asks
-for); the SPRT runners share :func:`_run_sprt` on top of it.
+for); the SPRT runners share :func:`_run_sprt` on top of it.  A
+batch's distinct patterns are judged once each, in the engine's one
+evaluation path: lane stacks ``eval_batch_size`` wide.
 
 **Determinism contract.**  Batch ``b`` of a sequential run draws its
 faults from ``chunk_seed_sequence(seed, b, stream_key)`` — exactly the
@@ -284,7 +286,6 @@ def run_sequential_monte_carlo(
         locations: Optional[Sequence[FaultLocation]] = None,
         workers: int = 1,
         eval_batch_size: int = 1,
-        memoize: bool = True,
         cache: Optional[FaultPatternCache] = None,
         invariant: Optional[Callable[[SparseState], None]] = None,
         progress: Optional[Callable[[ProgressEvent], None]] = None,
@@ -315,13 +316,11 @@ def run_sequential_monte_carlo(
     a killed run resumed from the journal reaches the identical
     verdict, trial count and fault stream as an uninterrupted one.
 
-    ``eval_batch_size > 1`` evaluates each batch's distinct patterns
-    through the vectorised :mod:`repro.simulators.batched` stack
-    (named to avoid colliding with ``batch_size``, which here is the
-    *sampling* chunk size and part of the seed contract).  Verdicts,
-    SPRT decisions and journals are bit-identical either way; batched
-    journals carry an ``eval_path`` fingerprint marker so a resume
-    never silently swaps paths.
+    ``eval_batch_size`` is the number of distinct patterns stacked
+    into one :mod:`repro.simulators.batched` simulation (named to
+    avoid colliding with ``batch_size``, which here is the *sampling*
+    chunk size and part of the seed contract).  Verdicts, SPRT
+    decisions and journals are bit-identical for every value.
 
     ``progress`` receives one ``sample`` event per batch, before the
     batch is evaluated, counting trials against ``max_trials`` (see
@@ -338,7 +337,7 @@ def run_sequential_monte_carlo(
     """
     run = _Run(gadget, initial_state, evaluator, locations, noise=noise,
                workers=workers, batch_size=eval_batch_size,
-               memoize=memoize, cache=cache, progress=progress,
+               cache=cache, progress=progress,
                invariant=invariant, runtime=runtime)
     if seed is None:
         raise AnalysisError(
@@ -394,7 +393,6 @@ def run_sequential_pair_sampling(
         channel: str = "depolarizing",
         workers: int = 1,
         eval_batch_size: int = 1,
-        memoize: bool = True,
         cache: Optional[FaultPatternCache] = None,
         invariant: Optional[Callable[[SparseState], None]] = None,
         progress: Optional[Callable[[ProgressEvent], None]] = None,
@@ -418,7 +416,7 @@ def run_sequential_pair_sampling(
     """
     run = _Run(gadget, initial_state, evaluator, locations,
                channel=channel, workers=workers,
-               batch_size=eval_batch_size, memoize=memoize, cache=cache,
+               batch_size=eval_batch_size, cache=cache,
                progress=progress, invariant=invariant, runtime=runtime)
     if seed is None:
         raise AnalysisError(
@@ -524,7 +522,6 @@ def adaptive_sweep_p(gadget: Gadget,
                      locations: Optional[Sequence[FaultLocation]] = None,
                      workers: int = 1,
                      eval_batch_size: int = 1,
-                     memoize: bool = True,
                      cache: Optional[FaultPatternCache] = None,
                      invariant: Optional[
                          Callable[[SparseState], None]] = None,
@@ -556,16 +553,16 @@ def adaptive_sweep_p(gadget: Gadget,
     counts, so a killed sweep resumes into the identical allocation
     sequence and final series.
 
-    ``eval_batch_size > 1`` routes evaluation through the vectorised
-    batched simulator (results unchanged).  ``progress`` receives one
+    ``eval_batch_size`` sets the lane-stack width of evaluation
+    (results unchanged).  ``progress`` receives one
     ``sample`` event per batch, before it is evaluated, counting
     trials against the spendable budget (the whole batches).
     """
-    if cache is None and memoize:
+    if cache is None:
         cache = FaultPatternCache()
     run = _Run(gadget, initial_state, evaluator, locations,
                channel=channel, workers=workers,
-               batch_size=eval_batch_size, memoize=memoize, cache=cache,
+               batch_size=eval_batch_size, cache=cache,
                progress=progress, invariant=invariant, runtime=runtime)
     if seed is None:
         raise AnalysisError(

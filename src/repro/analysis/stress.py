@@ -369,8 +369,9 @@ def _toffoli_case(code, optimize=False) -> GadgetCase:
         zero = sparse_logical_state(code, {(0,): 1.0})
         blocks = toffoli_inputs(gadget, code, zero, zero, zero)
         initial = toffoli_initial_state(gadget, code, blocks)
+        # The Fig. 4 gadget leaves its result in the |AND> blocks.
         evaluator = recovered_overlap_evaluator(
-            gadget, code, ["data_x", "data_y", "data_z"],
+            gadget, code, list(gadget.output_blocks),
             expected_toffoli_output(code, {(0, 0, 0): 1.0}),
         )
         return gadget, initial, evaluator

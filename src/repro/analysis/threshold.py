@@ -84,7 +84,6 @@ def sampled_threshold_report(gadget: Gadget,
                              *,
                              workers: int = 1,
                              chunk_size: int = DEFAULT_CHUNK_SIZE,
-                             memoize: bool = True,
                              cache: Optional["FaultPatternCache"] = None,
                              checkpoint=None,
                              resume: bool = True,
@@ -128,13 +127,13 @@ def sampled_threshold_report(gadget: Gadget,
 
     locations = list(gadget.fault_locations() if locations is None
                      else locations)
-    if cache is None and memoize:
+    if cache is None:
         cache = engine.FaultPatternCache()
     store = as_store(checkpoint)
     survey = engine.run_exhaustive(
         gadget, initial_state, evaluator, locations=locations,
         channel=channel, workers=workers, chunk_size=chunk_size,
-        memoize=memoize, cache=cache,
+        cache=cache,
         checkpoint=store.substore("exhaustive") if store else None,
         resume=resume, runtime=runtime,
     )
@@ -172,7 +171,7 @@ def sampled_threshold_report(gadget: Gadget,
             claim=(f"{gadget.name} p_th >= {certify_threshold_at:g} "
                    f"(malignant_fraction <= {f0:g})"),
             locations=locations, channel=channel,
-            workers=workers, memoize=memoize, cache=cache,
+            workers=workers, cache=cache,
             checkpoint=store.substore("pairs") if store else None,
             resume=resume, runtime=runtime,
         )
@@ -182,8 +181,7 @@ def sampled_threshold_report(gadget: Gadget,
         pair_sample = engine.run_malignant_pairs(
             gadget, initial_state, evaluator, samples,
             locations=locations, seed=seed, channel=channel,
-            workers=workers, chunk_size=chunk_size,
-            memoize=memoize, cache=cache,
+            workers=workers, chunk_size=chunk_size, cache=cache,
             checkpoint=store.substore("pairs") if store else None,
             resume=resume, runtime=runtime,
         )

@@ -21,9 +21,8 @@ Two canonical pipelines ship:
 :class:`~repro.ft.gadget.Gadget` with identical name and registers —
 identical *identity* — so the only trace optimization leaves in a
 checkpoint fingerprint is the explicit ``optimizer`` marker the engine
-adds, mirroring PR 6's ``eval_path`` marker: resuming an unoptimized
-journal with optimization on (or vice versa) is a fingerprint
-mismatch, never a silent mix.
+adds: resuming an unoptimized journal with optimization on (or vice
+versa) is a fingerprint mismatch, never a silent mix.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 Monte Carlo threshold estimates run thousands of *near-identical*
 small circuits: the same gadget, the same initial state, only the
-injected Pauli fault pattern differs from trial to trial.  The serial
-engine pays the full per-gate Python dispatch cost once per trial.
+injected Pauli fault pattern differs from trial to trial.  A serial
+simulation pays the full per-gate Python dispatch cost once per trial.
 :class:`BatchedState` amortises that cost across a whole batch by
 stacking B trials into **one** :class:`~repro.simulators.sparse.
-SparseState`:
+SparseState`.  This is the engine's only evaluation path
+(:mod:`repro.analysis.engine`); a width of one is a one-lane stack.
 
 * the batch axis is encoded as ``ceil(log2(B))`` extra *lane* qubits
   appended after the data qubits, so a trial's basis index becomes
@@ -25,9 +26,10 @@ combined index orders terms by data index first and lane second, and
 lane's term subsequence evolves through exactly the same floating
 point operations, in exactly the same order, as a serial
 :class:`SparseState` run of that trial alone.  :meth:`BatchedState.
-extract_lane` therefore recovers **bit-identical** amplitudes, which
-is what lets the engine swap the batched path in without perturbing
-verdict streams, checkpoints or SPRT decision sequences (certified by
+extract_lane` therefore recovers **bit-identical** amplitudes, so the
+stack width never perturbs verdict streams, checkpoints or SPRT
+decision sequences (certified against the serial reference
+:func:`repro.analysis.engine.evaluate_fault_pattern` by
 ``tests/simulators/test_batched_equivalence.py``).
 
 :func:`evaluate_fault_patterns_batched` judges the finished stack
@@ -47,8 +49,9 @@ Paulis past each other.
 
 The stacked register must fit the :class:`SparseState` width limit
 (192 qubits); oversized batches raise
-:class:`~repro.exceptions.SimulationError`, which the engine catches
-to evaluate that stack pattern by pattern on the serial path.
+:class:`~repro.exceptions.SimulationError`, which the engine reports
+as a :class:`~repro.exceptions.RuntimeIntegrityError`, as it does a
+stack that runs out of memory.
 """
 
 from __future__ import annotations
@@ -64,11 +67,6 @@ from repro.exceptions import FaultToleranceError, SimulationError
 from repro.simulators.sparse import SparseState
 
 _WORD = 64
-
-#: Evaluation-path markers shared with the engine's pattern cache and
-#: checkpoint fingerprints.
-SERIAL_PATH = "serial"
-BATCHED_PATH = "batched"
 
 
 def _right_shifted_columns(matrix: np.ndarray, shift: int,
@@ -115,8 +113,7 @@ class BatchedState:
         self.lane_bits = (batch - 1).bit_length()
         total = self.num_qubits + self.lane_bits
         # SparseState.__init__ enforces the 192-qubit width cap; an
-        # oversized stack surfaces as SimulationError, which callers
-        # treat as "not batchable" and fall back to the serial path.
+        # oversized stack surfaces as SimulationError.
         inner = SparseState(total)
         shifted = SparseState._shifted_columns(
             initial._indices, self.lane_bits, inner._cols
@@ -333,7 +330,8 @@ def evaluate_fault_patterns_batched(
     on the same (canonical) pattern.  An evaluator carrying a lane
     judge (``evaluator.lanes``, see :mod:`repro.analysis.evaluators`)
     rules on the whole stack in one call; a plain callable sees each
-    extracted lane.  ``invariant`` always sees every extracted lane.
+    extracted lane.  ``invariant`` always sees every extracted lane,
+    in lane order.
     """
     patterns = list(patterns)
     if not patterns:

@@ -1,19 +1,20 @@
-"""Engine edge cases of the batched path, pinned by counters.
+"""Engine edge cases of the lane stack, pinned by counters.
 
 Satellites to the batched-equivalence suite: the weird shapes — zero
-trials, a final partial batch, a batch wider than the whole workload,
-an unbatchable simulator — must not merely *work*, they must leave the
-exact :class:`EngineStats` audit trail that tells an operator which
-path ran and how often it degraded.  The path-keyed
-:class:`FaultPatternCache` tests certify the cache never launders a
-verdict across evaluation paths, including under LRU pressure.  The
-evaluator-contract tests pin what the batched path asks of an
-evaluator: a lane judge (``evaluator.lanes``) that survives
-``functools.wraps``, per-lane extraction for a plain callable, and an
-invariant that still sees every lane.
+trials, a final partial stack, a stack wider than the whole workload,
+one-lane stacks, a stack the simulator refuses — must not merely
+*work*, they must leave the exact :class:`EngineStats` audit trail
+that tells an operator how many stacked simulations ran.  The
+:class:`FaultPatternCache` tests certify that the cache is keyed by the
+canonical pattern alone, including under LRU pressure.  The
+evaluator-contract tests pin what the stack asks of an evaluator: a
+lane judge (``evaluator.lanes``) that survives ``functools.wraps``,
+per-lane extraction for a plain callable, and an invariant that still
+sees every lane.
 """
 
 import functools
+import sys
 
 import pytest
 
@@ -22,14 +23,20 @@ from repro.analysis import (
     n_gadget_evaluator,
     recovered_overlap_evaluator,
 )
+from repro.analysis import engine
 from repro.analysis.engine import (
-    BATCHED_PATH,
-    SERIAL_PATH,
     FaultPatternCache,
     evaluate_fault_pattern,
+    run_exhaustive,
+    run_malignant_pairs,
     run_monte_carlo,
 )
-from repro.exceptions import AnalysisError, SimulationError
+from repro.exceptions import (
+    AnalysisError,
+    RuntimeIntegrityError,
+    SimulationError,
+)
+from repro.ft import gadget as gadget_module
 from repro.ft import (
     build_n_gadget,
     build_recovery_gadget,
@@ -66,60 +73,63 @@ class TestEdgeCases:
         stats = result.engine_stats
         assert result.trials == 0 and result.failures == 0
         assert stats.batched_batches == 0
-        assert stats.batched_evaluations == 0
-        assert stats.batched_fallbacks == 0
+        assert stats.evaluations == 0
 
     def test_final_partial_batch_is_counted(self, tiny):
         # 100 trials in one chunk; the distinct patterns (seeded, so
         # stable) split into full stacks plus one partial final stack.
-        serial = _mc(tiny, trials=100, chunk_size=100)
-        distinct = serial.engine_stats.evaluations
+        one_lane = _mc(tiny, trials=100, chunk_size=100)
+        distinct = one_lane.engine_stats.evaluations
         assert distinct > 4, "need several distinct patterns"
         assert distinct % 4 != 0, "final batch must be partial"
         batched = _mc(tiny, trials=100, chunk_size=100, batch_size=4)
         stats = batched.engine_stats
-        assert batched == serial
-        assert stats.batched_evaluations == distinct
+        assert batched == one_lane
+        assert stats.evaluations == distinct
         assert stats.batched_batches == -(-distinct // 4)
-        assert stats.batched_fallbacks == 0
 
     def test_batch_larger_than_workload_runs_one_stack(self, tiny):
-        serial = _mc(tiny, trials=40, chunk_size=40)
-        distinct = serial.engine_stats.evaluations
+        one_lane = _mc(tiny, trials=40, chunk_size=40)
+        distinct = one_lane.engine_stats.evaluations
         batched = _mc(tiny, trials=40, chunk_size=40, batch_size=4096)
         stats = batched.engine_stats
-        assert batched == serial
+        assert batched == one_lane
         assert stats.batched_batches == 1
-        assert stats.batched_evaluations == distinct
+        assert stats.evaluations == distinct
 
-    def test_batch_size_one_never_touches_batched_path(self, tiny):
-        result = _mc(tiny, trials=60, batch_size=1)
+    def test_batch_size_one_runs_one_lane_stacks(self, tiny,
+                                                 monkeypatch):
+        widths = []
+
+        def spy(gadget, initial, evaluator, patterns, **kwargs):
+            widths.append(len(patterns))
+            return evaluate_fault_patterns_batched(
+                gadget, initial, evaluator, patterns, **kwargs)
+
+        # workers=1: a monkeypatch does not cross a forked pool.
+        monkeypatch.setattr(engine, "evaluate_fault_patterns_batched",
+                            spy)
+        result = _mc(tiny, trials=60, batch_size=1, workers=1)
         stats = result.engine_stats
-        assert stats.batched_batches == 0
-        assert stats.batched_evaluations == 0
         assert stats.evaluations > 0
+        assert widths == [1] * stats.evaluations
+        assert stats.batched_batches == stats.evaluations
 
-    def test_unbatchable_stack_falls_back_to_serial(self, tiny,
-                                                    monkeypatch):
+    def test_refused_stack_is_typed_error_in_a_serial_run(
+            self, tiny, monkeypatch):
         """A stack the simulator refuses (here: forced SimulationError)
-        degrades per-pattern to the serial path — same result, with
-        the degradation visible in the counters."""
-        serial = _mc(tiny, trials=80, chunk_size=80)
-        distinct = serial.engine_stats.evaluations
-
+        is a RuntimeIntegrityError chained to it, never a verdict."""
         def explode(*args, **kwargs):
             raise SimulationError("stack too wide")
 
-        # workers=1: a monkeypatch does not cross a forked pool.
-        monkeypatch.setattr(
-            "repro.analysis.engine.evaluate_fault_patterns_batched",
-            explode)
-        batched = _mc(tiny, trials=80, chunk_size=80, batch_size=16,
-                      workers=1)
-        stats = batched.engine_stats
-        assert batched == serial
-        assert stats.batched_fallbacks == distinct
-        assert stats.batched_evaluations == 0
+        monkeypatch.setattr(engine, "evaluate_fault_patterns_batched",
+                            explode)
+        for batch_size in (1, 16):
+            with pytest.raises(RuntimeIntegrityError,
+                               match="sparse simulation") as caught:
+                _mc(tiny, trials=80, chunk_size=80,
+                    batch_size=batch_size, workers=1)
+            assert isinstance(caught.value.__cause__, SimulationError)
 
     def test_invalid_batch_size_rejected(self, tiny):
         for bad in (0, -3, True, 2.5):
@@ -127,66 +137,80 @@ class TestEdgeCases:
                 _mc(tiny, trials=10, batch_size=bad)
 
 
-class TestPathKeyedCache:
-    def test_poisoned_serial_cache_cannot_feed_batched_run(self, tiny):
-        """Wrong serial-path verdicts must be invisible to a batched
-        run: the cache key includes the evaluation path."""
-        clean = _mc(tiny, trials=120, chunk_size=60)
-        poisoned = FaultPatternCache()
-        honest = FaultPatternCache()
-        _mc(tiny, trials=120, chunk_size=60, cache=honest)
-        for pattern, verdict in honest.items():
-            poisoned.store(pattern, not verdict, path=SERIAL_PATH)
-        batched = _mc(tiny, trials=120, chunk_size=60, batch_size=16,
-                      cache=poisoned)
-        assert batched == clean
+class TestOneEvaluationPath:
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_no_entry_point_runs_the_serial_simulator(
+            self, tiny, monkeypatch, batch_size):
+        """Every engine entry point judges through the lane stack: with
+        the serial fault simulator patched to raise wherever it is
+        bound, all three still finish, at any stack width."""
+        original = gadget_module.apply_circuit_with_faults
 
-    def test_same_pattern_occupies_two_entries(self, tiny):
-        cache = FaultPatternCache()
-        _mc(tiny, trials=50, chunk_size=50, cache=cache)
-        serial_entries = len(cache)
-        _mc(tiny, trials=50, chunk_size=50, batch_size=8, cache=cache)
-        assert len(cache) == 2 * serial_entries
-        paths = {path for (path, _), _ in cache.items_with_paths()}
-        assert paths == {SERIAL_PATH, BATCHED_PATH}
-        # items() stays path-agnostic: every pattern appears twice.
-        patterns = [pattern for pattern, _ in cache.items()]
-        assert len(patterns) == 2 * len(set(patterns))
+        def forbidden(*args, **kwargs):
+            raise AssertionError("serial fault simulation in the engine")
 
-    def test_default_accessors_address_serial_path(self, tiny):
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and \
+                    vars(module).get("apply_circuit_with_faults") \
+                    is original:
+                monkeypatch.setattr(module, "apply_circuit_with_faults",
+                                    forbidden)
+        gadget, initial, evaluator = tiny
+        common = dict(workers=1, batch_size=batch_size)
+        mc = _mc(tiny, trials=200, **common)
+        pairs = run_malignant_pairs(gadget, initial, evaluator,
+                                    samples=100, seed=5, **common)
+        survey = run_exhaustive(gadget, initial, evaluator, **common)
+        assert mc.engine_stats.evaluations > 0
+        assert pairs.engine_stats.evaluations > 0
+        assert survey.stats.evaluations > 0
+
+
+class TestPatternKeyedCache:
+    def test_one_entry_per_pattern_across_batch_sizes(self, tiny):
         cache = FaultPatternCache()
-        pattern = ()
-        cache.store(pattern, True, path=BATCHED_PATH)
-        assert pattern not in cache
-        assert not cache.contains(pattern)
-        assert cache.get(pattern) is None
-        assert cache.contains(pattern, path=BATCHED_PATH)
-        assert cache.get(pattern, path=BATCHED_PATH) is True
+        one_lane = _mc(tiny, trials=50, chunk_size=50, cache=cache)
+        entries = list(cache.items())
+        batched = _mc(tiny, trials=50, chunk_size=50, batch_size=8,
+                      cache=cache)
+        assert batched == one_lane
+        assert batched.engine_stats.evaluations == 0
+        assert sorted(cache.items(), key=repr) == sorted(entries,
+                                                         key=repr)
+
+    def test_accessors_are_keyed_by_pattern(self):
+        cache = FaultPatternCache()
+        assert not cache.contains(())
+        assert cache.get(()) is None
+        cache.store((), False)
+        assert cache.contains(())
+        assert cache.get(()) is False
+        assert list(cache.items()) == [((), False)]
 
     def test_lru_eviction_under_batching(self, tiny):
         """A tiny cache thrashes but never corrupts: evictions are
-        counted and the batched result still equals serial."""
-        serial = _mc(tiny, trials=150, chunk_size=50)
+        counted and the batched result still equals one-lane stacks."""
+        one_lane = _mc(tiny, trials=150, chunk_size=50)
         cache = FaultPatternCache(max_entries=5)
         batched = _mc(tiny, trials=150, chunk_size=50, batch_size=16,
                       cache=cache)
-        assert batched == serial
+        assert batched == one_lane
         assert cache.evictions > 0
         assert len(cache) <= 5
         stats = batched.engine_stats
         assert stats.cache_evictions == cache.evictions
 
-    def test_eviction_order_is_lru_per_key(self):
+    def test_eviction_order_is_lru_per_pattern(self):
         cache = FaultPatternCache(max_entries=2)
-        cache.store((), True, path=SERIAL_PATH)
-        cache.store((), False, path=BATCHED_PATH)
-        # Touch the serial entry so the batched one is now LRU.
-        assert cache.get((), path=SERIAL_PATH) is True
-        other = ((None, 0),)
-        cache.store(other, True, path=SERIAL_PATH)
+        first, second, third = ((None, 0),), ((None, 1),), ((None, 2),)
+        cache.store(first, True)
+        cache.store(second, False)
+        # Touch the first entry so the second is now LRU.
+        assert cache.get(first) is True
+        cache.store(third, True)
         assert cache.evictions == 1
-        assert cache.contains((), path=SERIAL_PATH)
-        assert not cache.contains((), path=BATCHED_PATH)
+        assert cache.contains(first) and cache.contains(third)
+        assert not cache.contains(second)
 
 
 @pytest.fixture(scope="module")

@@ -81,18 +81,23 @@ class TestSerialParallelEquivalence:
                                    workers=4)
         assert parallel == serial
 
-    def test_memoization_does_not_change_results(self, tiny):
+    def test_deduplication_judges_each_pattern_once(self, tiny):
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.3)
-        memoized = run_monte_carlo(gadget, initial, evaluator,
-                                   noise, trials=1500, seed=8,
-                                   workers=1, memoize=True)
-        fresh = run_monte_carlo(gadget, initial, evaluator, noise,
-                                trials=1500, seed=8, workers=1,
-                                memoize=False)
-        assert memoized == fresh
-        assert memoized.engine_stats.cache_hits > 0
-        assert fresh.engine_stats.cache_hits == 0
+        cache = FaultPatternCache()
+        result = run_monte_carlo(gadget, initial, evaluator, noise,
+                                 trials=1500, seed=8, workers=1,
+                                 cache=cache)
+        stats = result.engine_stats
+        assert stats.cache_hits > 0
+        assert stats.evaluations == stats.distinct_patterns == len(cache)
+        assert stats.requests == stats.evaluations + stats.cache_hits
+        # A warm cache answers every request and changes nothing.
+        replay = run_monte_carlo(gadget, initial, evaluator, noise,
+                                 trials=1500, seed=8, workers=1,
+                                 cache=cache)
+        assert replay == result
+        assert replay.engine_stats.evaluations == 0
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_malignant_pairs_bit_identical_across_workers(self, tiny,
@@ -166,7 +171,7 @@ class TestCacheCorrectness:
             pattern = canonical_pattern(faults)
             fresh = evaluate_fault_pattern(gadget, initial, evaluator,
                                            faults)
-            if pattern in cache:
+            if cache.contains(pattern):
                 assert cache.get(pattern) == fresh
             else:
                 cache.store(pattern, fresh)

@@ -136,13 +136,22 @@ class TestSequentialMonteCarlo:
                 gadget, initial, evaluator, noise,
                 p0=0.01, p1=0.05, max_trials=0, seed=1)
 
-    def test_checkpoint_requires_memoize(self, tiny, tmp_path):
+    def test_checkpoint_without_a_cache_replays(self, tiny, tmp_path):
+        # Checkpointing supplies its own verdict cache, so a rerun of a
+        # finished journal replays it without simulating anything.
         gadget, initial, evaluator = tiny
-        with pytest.raises(AnalysisError):
-            run_sequential_monte_carlo(
+
+        def run():
+            return run_sequential_monte_carlo(
                 gadget, initial, evaluator, NoiseModel.uniform(0.05),
                 p0=0.01, p1=0.05, max_trials=100, seed=1,
-                memoize=False, checkpoint=str(tmp_path / "run"))
+                checkpoint=str(tmp_path / "run"))
+
+        first, replay = run(), run()
+        assert replay.verdict == first.verdict
+        assert replay.result == first.result
+        assert first.result.engine_stats.evaluations > 0
+        assert replay.result.engine_stats.evaluations == 0
 
 
 class TestSequentialPairSampling:
@@ -348,10 +357,7 @@ class TestProgressRule:
     def test_one_sample_event_per_batch_before_evaluation(self, tiny,
                                                           run):
         events = []
-        # memoize=False simulates every batch afresh, so each batch
-        # emits its own evaluate events.
-        trials, batches, total = run(tiny, memoize=False,
-                                     progress=events.append)
+        trials, batches, total = run(tiny, progress=events.append)
         samples = [event for event in events if event.phase == "sample"]
         assert batches > 1
         assert len(samples) == batches

@@ -20,6 +20,7 @@ from repro.analysis import (
     stress_certify,
     structured_model_family,
 )
+from repro.analysis.engine import evaluate_fault_pattern
 from repro.analysis.stress import DEGRADE, FAIL, PASS
 from repro.codes import TrivialCode
 from repro.exceptions import AnalysisError
@@ -83,6 +84,14 @@ class TestStressCertify:
         cases = gadget_cases(TrivialCode())
         assert [c.name.split("[")[0] for c in cases] \
             == ["N", "T", "Toffoli", "recovery"]
+
+    def test_every_case_accepts_the_fault_free_run(self):
+        # The evaluator must judge the registers the gadget leaves its
+        # result in, or every trial of that case counts as a failure.
+        for case in gadget_cases(TrivialCode()):
+            gadget, initial, evaluator = case.factory()
+            assert evaluate_fault_pattern(gadget, initial, evaluator,
+                                          ()), case.name
 
 
 class TestStressReport:

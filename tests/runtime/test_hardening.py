@@ -49,8 +49,8 @@ class TestBoundedCache:
         cache.store(b, False)
         cache.get(a)          # refresh a; b is now least recent
         cache.store(c, True)  # evicts b
-        assert a in cache and c in cache
-        assert b not in cache
+        assert cache.contains(a) and cache.contains(c)
+        assert not cache.contains(b)
         assert cache.evictions == 1
         assert len(cache) == 2
 

@@ -121,19 +121,13 @@ class TestMonteCarloResume:
                             trials=200, seed=2, workers=1,
                             checkpoint=store)
 
-    def test_checkpoint_requires_seed_and_memoize(self, tiny,
-                                                  tmp_path):
+    def test_checkpoint_requires_seed(self, tiny, tmp_path):
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.25)
         with pytest.raises(AnalysisError, match="seed"):
             run_monte_carlo(gadget, initial, evaluator, noise,
                             trials=100, workers=1,
                             checkpoint=str(tmp_path / "a"))
-        with pytest.raises(AnalysisError, match="memoize"):
-            run_monte_carlo(gadget, initial, evaluator, noise,
-                            trials=100, seed=0, workers=1,
-                            memoize=False,
-                            checkpoint=str(tmp_path / "b"))
 
 
 class TestOtherWorkloadsResume:

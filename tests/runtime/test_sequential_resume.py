@@ -203,8 +203,9 @@ class TestBatchedSequentialResume:
         assert store.load_final()["complete"] is True
 
     def test_cross_path_resume_is_refused(self, tiny, tmp_path):
-        """A serial journal must not silently feed a batched resume
-        (or vice versa): the eval-path fingerprint marker refuses."""
+        """A one-lane journal must not silently feed a multi-lane
+        resume (or vice versa): the eval-path fingerprint marker, kept
+        so that older journals still resume, refuses."""
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.05)
         store = CheckpointStore(str(tmp_path / "crosspath"))

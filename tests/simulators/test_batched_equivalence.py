@@ -1,12 +1,15 @@
-"""Certification suite: the batched path is *equivalent*, not similar.
+"""Certification suite: the lane stack is *equivalent*, not similar.
 
-This is the acceptance gate for :mod:`repro.simulators.batched`: for
-every gadget in the paper's suite, every registered noise-model class
-and every batch size, the vectorised evaluator must reproduce the
-serial engine's results verdict for verdict — same failure counts,
-same histograms, same per-fault-count breakdowns — because the engine
-swaps the paths freely and any daylight between them would silently
-corrupt threshold estimates.
+This is the acceptance gate for :mod:`repro.simulators.batched`, the
+engine's one evaluation path.  For every gadget in the paper's suite,
+every registered noise-model class and every stack width, every
+``(pattern, verdict)`` the engine leaves in its
+:class:`~repro.analysis.engine.FaultPatternCache` must equal the
+serial sparse reference :func:`repro.analysis.engine.
+evaluate_fault_pattern` on that pattern, and the results — failure
+counts, histograms, per-fault-count breakdowns — must be identical
+across stack widths 1, 7 and 64.  Any daylight between the stack and
+the reference would silently corrupt threshold estimates.
 
 The sweep width is controlled by ``REPRO_BATCHED_EXAMPLES`` (CI runs a
 capped pass; a nightly can sweep wider with no code change), and when
@@ -20,7 +23,13 @@ import os
 
 import pytest
 
-from repro.analysis.engine import run_exhaustive, run_malignant_pairs, run_monte_carlo
+from repro.analysis.engine import (
+    FaultPatternCache,
+    evaluate_fault_pattern,
+    run_exhaustive,
+    run_malignant_pairs,
+    run_monte_carlo,
+)
 from repro.analysis.stress import gadget_cases, structured_model_family
 from repro.codes import TrivialCode
 from repro.noise import NoiseModel
@@ -52,27 +61,45 @@ def _record_cell(gadget, model, batch_size, trials, failures):
     })
 
 
-def _certify_monte_carlo(case, label, noise, trials=256, seed=99):
-    """Assert serial == batched for every batch size on one cell."""
-    gadget, initial, evaluator = case.factory()
-    serial = run_monte_carlo(gadget, initial, evaluator, noise,
-                             trials=trials, seed=seed, chunk_size=64)
+def _certify(name, label, factory, run):
+    """Certify one cell: ``run(gadget, initial, evaluator, batch_size,
+    cache)`` at every stack width must give one result, and every
+    verdict it caches must equal the serial reference."""
+    gadget, initial, evaluator = factory()
+    reference = {}
+    results = []
     for batch_size in BATCH_SIZES:
-        if batch_size == 1:
-            continue
-        batched = run_monte_carlo(gadget, initial, evaluator, noise,
-                                  trials=trials, seed=seed,
-                                  chunk_size=64,
-                                  batch_size=batch_size)
-        assert batched == serial, (
-            f"{case.name} × {label} diverged at batch_size={batch_size}"
-        )
-        stats = batched.engine_stats
-        assert stats.batched_evaluations > 0
-        assert stats.batched_fallbacks == 0
-        _record_cell(case.name, label, batch_size,
-                     serial.trials, serial.failures)
-    return serial
+        cache = FaultPatternCache()
+        result = run(gadget, initial, evaluator, batch_size, cache)
+        assert len(cache) > 0, f"{name} × {label}: nothing judged"
+        for pattern, verdict in cache.items():
+            if pattern not in reference:
+                reference[pattern] = evaluate_fault_pattern(
+                    gadget, initial, evaluator, pattern)
+            assert verdict == reference[pattern], (
+                f"{name} × {label}: batch_size={batch_size} judged a "
+                f"weight-{len(pattern)} pattern {verdict}, the serial "
+                f"reference says {reference[pattern]}"
+            )
+        if results:
+            assert result == results[0], (
+                f"{name} × {label} diverged at batch_size={batch_size}"
+            )
+        results.append(result)
+    return results[0]
+
+
+def _certify_monte_carlo(case, label, noise, trials=256, seed=99):
+    def run(gadget, initial, evaluator, batch_size, cache):
+        result = run_monte_carlo(gadget, initial, evaluator, noise,
+                                 trials=trials, seed=seed,
+                                 chunk_size=64, batch_size=batch_size,
+                                 cache=cache)
+        _record_cell(case.name, label, batch_size, result.trials,
+                     result.failures)
+        return result
+
+    return _certify(case.name, label, case.factory, run)
 
 
 @pytest.fixture(scope="module")
@@ -113,51 +140,52 @@ class TestVerdictEquivalence:
                                  noise, trials=128)
 
     def test_malignant_pairs_equivalence(self, trivial_cases):
-        gadget, initial, evaluator = trivial_cases["N"].factory()
-        serial = run_malignant_pairs(gadget, initial, evaluator,
-                                     samples=400, seed=17)
-        for batch_size in (7, 64):
-            batched = run_malignant_pairs(gadget, initial, evaluator,
-                                          samples=400, seed=17,
-                                          batch_size=batch_size)
-            assert batched == serial
-            assert batched.engine_stats.batched_evaluations > 0
-        _record_cell("n", "pairs", 64, serial.samples,
-                     serial.malignant)
+        def run(gadget, initial, evaluator, batch_size, cache):
+            sample = run_malignant_pairs(gadget, initial, evaluator,
+                                         samples=400, seed=17,
+                                         batch_size=batch_size,
+                                         cache=cache)
+            _record_cell("n", "pairs", batch_size, sample.samples,
+                         sample.malignant)
+            return sample
+
+        _certify("N", "pairs", trivial_cases["N"].factory, run)
 
     def test_exhaustive_equivalence(self, trivial_cases):
-        gadget, initial, evaluator = trivial_cases["N"].factory()
-        serial = run_exhaustive(gadget, initial, evaluator)
-        batched = run_exhaustive(gadget, initial, evaluator,
-                                 batch_size=32)
-        assert batched.failures == serial.failures
-        assert batched.checked == serial.checked
-        _record_cell("n", "exhaustive", 32, serial.checked,
-                     len(serial.failures))
+        def run(gadget, initial, evaluator, batch_size, cache):
+            survey = run_exhaustive(gadget, initial, evaluator,
+                                    batch_size=batch_size, cache=cache)
+            _record_cell("n", "exhaustive", batch_size, survey.checked,
+                         len(survey.failures))
+            return survey.checked, survey.failures
 
-    def test_memoize_off_still_equivalent(self, trivial_cases):
-        """Without the cache every pattern re-evaluates — the batched
-        path must agree under full re-simulation too."""
-        gadget, initial, evaluator = trivial_cases["T"].factory()
+        _certify("N", "exhaustive", trivial_cases["N"].factory, run)
+
+    def test_uncached_runs_match_certified_runs(self, trivial_cases):
+        """Without a shared cache a run still judges each distinct
+        pattern once per call, and agrees with the certified cell."""
         noise = NoiseModel.uniform(0.05)
-        kwargs = dict(trials=200, seed=4, chunk_size=50)
-        serial = run_monte_carlo(gadget, initial, evaluator, noise,
-                                 memoize=False, **kwargs)
-        batched = run_monte_carlo(gadget, initial, evaluator, noise,
-                                  memoize=False, batch_size=16,
-                                  **kwargs)
-        assert batched == serial
+        case = trivial_cases["T"]
+        certified = _certify_monte_carlo(case, "uncached", noise,
+                                         trials=200, seed=4)
+        gadget, initial, evaluator = case.factory()
+        for batch_size in (1, 16):
+            uncached = run_monte_carlo(gadget, initial, evaluator,
+                                       noise, trials=200, seed=4,
+                                       chunk_size=64,
+                                       batch_size=batch_size)
+            assert uncached == certified
 
     def test_workers_and_batching_compose(self, trivial_cases):
         """batch_size > 1 under a forked worker pool stays identical."""
         gadget, initial, evaluator = trivial_cases["N"].factory()
         noise = NoiseModel.uniform(0.05)
         kwargs = dict(trials=300, seed=21, chunk_size=75)
-        serial = run_monte_carlo(gadget, initial, evaluator, noise,
-                                 **kwargs)
+        one_lane = run_monte_carlo(gadget, initial, evaluator, noise,
+                                   **kwargs)
         batched = run_monte_carlo(gadget, initial, evaluator, noise,
                                   workers=2, batch_size=25, **kwargs)
-        assert batched == serial
+        assert batched == one_lane
 
 
 class TestDifferentialBackend:

@@ -8,7 +8,9 @@ This bench measures 64-lane stacks of the engine's one evaluation
 path, :mod:`repro.simulators.batched`, against one-lane stacks on
 exactly that workload (plus a Monte-Carlo sweep), asserts the >= 2x
 acceptance bar at full scale, re-checks result equality while timing,
-and emits ``results/BENCH_batched.json`` for CI.
+and emits ``results/BENCH_batched.json`` for CI.  One-lane stacks are
+only this bench's baseline: the engine derives 64 lanes for the
+Steane N gadget, and ``batch_size=1`` caps it to one here.
 
 Scale down with ``BENCH_BATCHED_SAMPLES`` for smoke runs (the speedup
 assertion only applies at full scale).

@@ -62,11 +62,6 @@ def main(argv=None) -> int:
                         help="trial budget ceiling")
     parser.add_argument("--batch", type=int, default=256,
                         help="trials per sequential batch")
-    parser.add_argument("--eval-batch-size", type=int, default=1,
-                        help="patterns per stacked simulation (>1 "
-                             "routes evaluation through the "
-                             "vectorized batched path; verdicts are "
-                             "identical either way)")
     parser.add_argument("--seed", type=int, default=20260806)
     parser.add_argument("--method", default="sprt",
                         choices=["sprt", "confidence-sequence"])
@@ -107,7 +102,6 @@ def main(argv=None) -> int:
         p0=args.p0, p1=args.p1, alpha=args.alpha, beta=args.beta,
         max_trials=args.max_trials, seed=args.seed,
         batch_size=args.batch, method=args.method,
-        eval_batch_size=args.eval_batch_size,
         checkpoint=checkpoint, resume=args.resume,
     )
     elapsed = time.time() - start
@@ -135,7 +129,6 @@ def main(argv=None) -> int:
         payload["p"] = args.p
         payload["gadget"] = gadget.name
         payload["elapsed_seconds"] = elapsed
-        payload["eval_batch_size"] = args.eval_batch_size
         (out / "sequential_verdict.json").write_text(
             json.dumps(payload, indent=2) + "\n")
         print(f"verdict written to {out}/sequential_verdict.json")

@@ -27,15 +27,15 @@ batch by batch:
 3. **Evaluate** (worker slots).  Only cache-missing patterns are
    simulated, fanned out across forked worker slots in chunks.  There
    is one evaluation path: a chunk's patterns are cut into stacks of
-   ``batch_size`` and each stack is one
+   :func:`stack_width` lanes and each stack is one
    :func:`~repro.simulators.batched.evaluate_fault_patterns_batched`
-   simulation (``batch_size=1`` runs one-lane stacks).  Verdicts are
-   independent booleans, so evaluation order cannot affect results.
+   simulation.  Verdicts are independent booleans, so neither the
+   width nor the evaluation order can affect results.
    :func:`evaluate_fault_pattern`, a fresh serial sparse simulation,
    is kept as the reference the stack is checked against; no engine
    path calls it.
 
-Since PR 3 the evaluate phase runs under the resilience layer of
+The evaluate phase runs under the resilience layer of
 :mod:`repro.runtime`:
 
 * pool scheduling goes through a :class:`~repro.runtime.Supervisor`
@@ -122,6 +122,11 @@ DEFAULT_CACHE_MAX_ENTRIES = 1 << 20
 #: config file) before they reach the multiprocessing machinery.
 MAX_WORK_ITEMS = 1 << 48
 
+#: Initial-state terms one lane stack may hold (see :func:`stack_width`).
+STACK_TERMS = 1 << 16
+#: Default ceiling on the lanes of one stack (``batch_size=``).
+MAX_LANES = 64
+
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 # ---------------------------------------------------------------------------
@@ -173,6 +178,14 @@ def _coerce_positive(value, name: str) -> int:
             f"{name} must be >= 1, got {value}"
         )
     return value
+
+
+def stack_width(num_terms: int, ceiling: int = MAX_LANES) -> int:
+    """Lanes per stack for an initial state of ``num_terms`` terms: as
+    many as keep the stacked register within :data:`STACK_TERMS` terms,
+    at least one and at most ``ceiling``.  Verdicts never depend on it.
+    """
+    return min(ceiling, max(1, STACK_TERMS // num_terms))
 
 
 def _fault_sort_key(fault: Fault) -> Tuple[int, Tuple[int, ...],
@@ -433,13 +446,13 @@ class _EvalContext:
                  invariant: Optional[Callable[[SparseState], None]]
                  = None,
                  policy: Optional[RuntimePolicy] = None,
-                 batch_size: int = 1) -> None:
+                 lanes: int = 1) -> None:
         self.gadget = gadget
         self.initial_state = initial_state
         self.evaluator = evaluator
         self.invariant = invariant
         self.policy = resolve_policy(policy)
-        self.batch_size = batch_size
+        self.lanes = lanes
 
     def judge_stack(self, stack: Sequence[FaultPattern],
                     resilience: Dict[str, int],
@@ -512,8 +525,8 @@ def _evaluate_chunk(context: _EvalContext, index: int,
                     in_worker: bool) -> _ChunkResult:
     """Evaluate one chunk under the context's runtime policy.
 
-    The chunk's patterns are cut into stacks of ``batch_size``, each
-    judged by :meth:`_EvalContext.judge_stack`.
+    The chunk's patterns are cut into stacks of ``context.lanes``,
+    each judged by :meth:`_EvalContext.judge_stack`.
     """
     start = time.perf_counter()
     faults: List[ChaosFault] = []
@@ -525,9 +538,9 @@ def _evaluate_chunk(context: _EvalContext, index: int,
         strike(faults)
     resilience = {"invariant_retries": 0, "batched_batches": 0}
     verdicts: List[bool] = []
-    for lo in range(0, len(patterns), context.batch_size):
+    for lo in range(0, len(patterns), context.lanes):
         verdicts.extend(context.judge_stack(
-            patterns[lo:lo + context.batch_size], resilience, faults))
+            patterns[lo:lo + context.lanes], resilience, faults))
     return (index, verdicts, time.perf_counter() - start, os.getpid(),
             resilience)
 
@@ -623,7 +636,7 @@ def _evaluate_patterns(context: _EvalContext,
 
 def _resolve_verdicts(context: _EvalContext,
                       pattern_counts: Dict[FaultPattern, int],
-                      cache: Optional[FaultPatternCache],
+                      cache: FaultPatternCache,
                       workers: int,
                       chunk_size: int,
                       stats: EngineStats,
@@ -633,16 +646,16 @@ def _resolve_verdicts(context: _EvalContext,
     """Map each distinct pattern to its verdict.
 
     Each distinct pattern is simulated at most once, and not at all
-    when the shared ``cache`` already knows it.
+    when ``cache`` already knows it.
     """
     requests = sum(pattern_counts.values())
     stats.requests += requests
     stats.distinct_patterns += len(pattern_counts)
-    evictions_before = cache.evictions if cache is not None else 0
+    evictions_before = cache.evictions
     verdict_map: Dict[FaultPattern, bool] = {}
     missing: List[FaultPattern] = []
     for pattern in pattern_counts:
-        verdict = cache.get(pattern) if cache is not None else None
+        verdict = cache.get(pattern)
         if verdict is None:
             missing.append(pattern)
         else:
@@ -651,14 +664,12 @@ def _resolve_verdicts(context: _EvalContext,
                                   stats, progress, journal=journal)
     for pattern, verdict in zip(missing, verdicts):
         verdict_map[pattern] = verdict
-        if cache is not None:
-            cache.store(pattern, verdict)
+        cache.store(pattern, verdict)
     stats.evaluations += len(missing)
     stats.cache_hits += requests - len(missing)
-    if cache is not None:
-        cache.misses += len(missing)
-        cache.hits += requests - len(missing)
-        stats.cache_evictions += cache.evictions - evictions_before
+    cache.misses += len(missing)
+    cache.hits += requests - len(missing)
+    stats.cache_evictions += cache.evictions - evictions_before
     return verdict_map
 
 
@@ -880,11 +891,12 @@ class _Run:
     Construction resolves the inputs: the ``optimize=`` rewrite, the
     run's :class:`~repro.noise.locations.FaultSpace` (the gadget's
     default locations unless given, with the noise model's channel or
-    ``channel``), the ``workers``/``batch_size`` options and the
-    evaluation context.  :meth:`open` then stamps the run's
-    checkpoint fingerprint and opens its journal.  Entry points check
-    their own arguments between the two steps, so a refused call never
-    touches an existing journal.
+    ``channel``), the ``workers`` option, the verdict cache (a fresh
+    one unless the caller shares one) and the evaluation context with
+    its :func:`stack_width` under the ``batch_size`` ceiling.
+    :meth:`open` then stamps the run's checkpoint fingerprint and
+    opens its journal.  Entry points check their own arguments between
+    the two steps, so a refused call never touches an existing journal.
     """
 
     def __init__(self, gadget: Gadget, initial_state: SparseState,
@@ -894,7 +906,7 @@ class _Run:
                  channel: str = "depolarizing",
                  optimize=False,
                  workers: int = 1,
-                 batch_size: int = 1,
+                 batch_size: int = MAX_LANES,
                  cache: Optional[FaultPatternCache] = None,
                  progress: Optional[Callable[[ProgressEvent], None]]
                  = None,
@@ -918,12 +930,13 @@ class _Run:
             noise.channel if noise is not None else channel)
         self.noise = noise
         self.workers = _coerce_positive(workers, "workers")
-        self.cache = cache
+        self.cache = FaultPatternCache() if cache is None else cache
         self.progress = progress
         self.context = _EvalContext(
             gadget, initial_state, evaluator, invariant=invariant,
             policy=runtime,
-            batch_size=_coerce_positive(batch_size, "batch_size"))
+            lanes=stack_width(initial_state.num_terms, _coerce_positive(
+                batch_size, "batch_size")))
         self.stats = EngineStats()
         self.store: Optional[CheckpointStore] = None
 
@@ -942,15 +955,13 @@ class _Run:
         fingerprint of a baseline-noise, unoptimized run stays
         byte-identical to what older journals recorded, while a
         journal never silently resumes under a different structured
-        model or optimizer.  ``"eval_path": "batched"`` is stamped
-        when ``batch_size > 1``: verdicts no longer depend on it, but
-        journals written when the engine had a separate serial path
-        carry it, and keeping the stamp lets them resume.
+        model or optimizer.  The stack width is not part of it, so a
+        journal resumes at any width, including older journals of
+        multi-lane runs, which carry a retired ``eval_path`` marker.
 
-        Checkpointing requires a cache, so one is created when the
-        caller did not supply one.  On resume the journal's verdicts
-        are replayed into the cache after the fingerprint check; on a
-        fresh run the directory is cleared and a new header written.
+        On resume the journal's verdicts are replayed into the run's
+        cache after the fingerprint check; on a fresh run the
+        directory is cleared and a new header written.
         """
         store = as_store(checkpoint)
         if store is None:
@@ -970,8 +981,6 @@ class _Run:
                                channel=noise.channel)
             if noise.structured:
                 fingerprint["model"] = repr(noise.fingerprint())
-        if self.context.batch_size > 1:
-            fingerprint["eval_path"] = "batched"
         if self.optimizer is not None:
             fingerprint["optimizer"] = self.optimizer
         # Only the exhaustive sweep is unseeded; it is deterministic.
@@ -981,10 +990,9 @@ class _Run:
                 "run draws OS entropy and cannot be resumed "
                 "bit-identically"
             )
-        if self.cache is None:
-            self.cache = FaultPatternCache()
         if resume and store.exists():
-            store.check_fingerprint(fingerprint)
+            store.check_fingerprint(
+                fingerprint, retired={"eval_path": "batched"})
             entries = store.load_verdicts()
             for pattern, verdict in entries:
                 self.cache.store(pattern, verdict)
@@ -1069,7 +1077,7 @@ def run_monte_carlo(gadget: Gadget,
                     seed: Optional[int] = None,
                     workers: int = 1,
                     chunk_size: int = DEFAULT_CHUNK_SIZE,
-                    batch_size: int = 1,
+                    batch_size: int = MAX_LANES,
                     cache: Optional[FaultPatternCache] = None,
                     progress: Optional[Callable[[ProgressEvent], None]]
                     = None,
@@ -1096,14 +1104,13 @@ def run_monte_carlo(gadget: Gadget,
     verdicts across calls; ``progress`` receives a
     :class:`ProgressEvent` per chunk.
 
-    ``batch_size`` is the lane-stack width of the one evaluation path,
-    :mod:`repro.simulators.batched`: up to ``batch_size`` distinct
-    patterns are stacked into one sparse register and advanced
-    together, with per-lane amplitudes bit-identical to serial
-    evolution (``batch_size=1`` runs one-lane stacks).  Sampling,
-    dedup, seeds and verdicts do not depend on it.  Checkpoint
-    fingerprints of ``batch_size > 1`` runs carry an ``eval_path``
-    marker (see :meth:`_Run.open`).
+    Distinct patterns are judged in lane stacks of the one evaluation
+    path, :mod:`repro.simulators.batched`: each stack is one sparse
+    register advanced as a whole, with per-lane amplitudes
+    bit-identical to serial evolution.  The engine derives the width
+    from the initial state (:func:`stack_width`); ``batch_size`` only
+    caps it.  Sampling, dedup, seeds, verdicts and checkpoint
+    fingerprints do not depend on it.
 
     ``invariant`` enables validation mode: every fresh simulation's
     final state is passed to the callable, which raises
@@ -1183,7 +1190,7 @@ def run_malignant_pairs(gadget: Gadget,
                         channel: str = "depolarizing",
                         workers: int = 1,
                         chunk_size: int = DEFAULT_CHUNK_SIZE,
-                        batch_size: int = 1,
+                        batch_size: int = MAX_LANES,
                         cache: Optional[FaultPatternCache] = None,
                         progress: Optional[Callable[[ProgressEvent], None]]
                         = None,
@@ -1200,7 +1207,7 @@ def run_malignant_pairs(gadget: Gadget,
     and counts unacceptable outputs.  The remaining options behave as
     in :func:`run_monte_carlo`.  Pair patterns are mostly distinct, so
     this workload is evaluation-dominated and gains the most from
-    ``batch_size > 1``.
+    wide lane stacks.
     """
     from repro.analysis.montecarlo import MalignantPairSample
 
@@ -1239,7 +1246,7 @@ def run_exhaustive(gadget: Gadget,
                    channel: str = "depolarizing",
                    workers: int = 1,
                    chunk_size: int = DEFAULT_CHUNK_SIZE,
-                   batch_size: int = 1,
+                   batch_size: int = MAX_LANES,
                    cache: Optional[FaultPatternCache] = None,
                    progress: Optional[Callable[[ProgressEvent], None]]
                    = None,

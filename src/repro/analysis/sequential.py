@@ -20,8 +20,8 @@ ago.  This module adds the sequential layer on top of the engine:
 All three run one batch loop, :func:`_drive` (replay the journal,
 then sample → judge → journal → fold each batch the runner asks
 for); the SPRT runners share :func:`_run_sprt` on top of it.  A
-batch's distinct patterns are judged once each, in the engine's one
-evaluation path: lane stacks ``eval_batch_size`` wide.
+batch's new distinct patterns are judged once each (earlier batches'
+verdicts come from the run's cache), in the engine's lane stacks.
 
 **Determinism contract.**  Batch ``b`` of a sequential run draws its
 faults from ``chunk_seed_sequence(seed, b, stream_key)`` — exactly the
@@ -285,7 +285,6 @@ def run_sequential_monte_carlo(
         claim: Optional[str] = None,
         locations: Optional[Sequence[FaultLocation]] = None,
         workers: int = 1,
-        eval_batch_size: int = 1,
         cache: Optional[FaultPatternCache] = None,
         invariant: Optional[Callable[[SparseState], None]] = None,
         progress: Optional[Callable[[ProgressEvent], None]] = None,
@@ -316,11 +315,8 @@ def run_sequential_monte_carlo(
     a killed run resumed from the journal reaches the identical
     verdict, trial count and fault stream as an uninterrupted one.
 
-    ``eval_batch_size`` is the number of distinct patterns stacked
-    into one :mod:`repro.simulators.batched` simulation (named to
-    avoid colliding with ``batch_size``, which here is the *sampling*
-    chunk size and part of the seed contract).  Verdicts, SPRT
-    decisions and journals are bit-identical for every value.
+    ``batch_size`` is the *sampling* batch, part of the seed contract;
+    the engine's stack width changes no verdict, decision or journal.
 
     ``progress`` receives one ``sample`` event per batch, before the
     batch is evaluated, counting trials against ``max_trials`` (see
@@ -336,8 +332,7 @@ def run_sequential_monte_carlo(
     ``KeyboardInterrupt`` (completed batches stay journaled).
     """
     run = _Run(gadget, initial_state, evaluator, locations, noise=noise,
-               workers=workers, batch_size=eval_batch_size,
-               cache=cache, progress=progress,
+               workers=workers, cache=cache, progress=progress,
                invariant=invariant, runtime=runtime)
     if seed is None:
         raise AnalysisError(
@@ -392,7 +387,6 @@ def run_sequential_pair_sampling(
         locations: Optional[Sequence[FaultLocation]] = None,
         channel: str = "depolarizing",
         workers: int = 1,
-        eval_batch_size: int = 1,
         cache: Optional[FaultPatternCache] = None,
         invariant: Optional[Callable[[SparseState], None]] = None,
         progress: Optional[Callable[[ProgressEvent], None]] = None,
@@ -409,14 +403,12 @@ def run_sequential_pair_sampling(
     deciding the threshold early.  Same stream/stopping/resume
     contract as :func:`run_sequential_monte_carlo`, over the uniform
     distinct-location-pair draws of ``run_malignant_pairs`` — and the
-    same ``eval_batch_size`` accelerator, ``progress`` rule (counted in
-    samples against ``max_samples``) and ``on_batch`` streaming hook,
-    which change wall-clock and observability only, never verdicts or
-    journals.
+    same ``progress`` rule (counted in samples against
+    ``max_samples``) and ``on_batch`` streaming hook, which change
+    observability only, never verdicts or journals.
     """
     run = _Run(gadget, initial_state, evaluator, locations,
-               channel=channel, workers=workers,
-               batch_size=eval_batch_size, cache=cache,
+               channel=channel, workers=workers, cache=cache,
                progress=progress, invariant=invariant, runtime=runtime)
     if seed is None:
         raise AnalysisError(
@@ -521,7 +513,6 @@ def adaptive_sweep_p(gadget: Gadget,
                      channel: str = "depolarizing",
                      locations: Optional[Sequence[FaultLocation]] = None,
                      workers: int = 1,
-                     eval_batch_size: int = 1,
                      cache: Optional[FaultPatternCache] = None,
                      invariant: Optional[
                          Callable[[SparseState], None]] = None,
@@ -553,16 +544,12 @@ def adaptive_sweep_p(gadget: Gadget,
     counts, so a killed sweep resumes into the identical allocation
     sequence and final series.
 
-    ``eval_batch_size`` sets the lane-stack width of evaluation
-    (results unchanged).  ``progress`` receives one
-    ``sample`` event per batch, before it is evaluated, counting
-    trials against the spendable budget (the whole batches).
+    ``progress`` receives one ``sample`` event per batch, before it is
+    evaluated, counting trials against the spendable budget (the
+    whole batches).
     """
-    if cache is None:
-        cache = FaultPatternCache()
     run = _Run(gadget, initial_state, evaluator, locations,
-               channel=channel, workers=workers,
-               batch_size=eval_batch_size, cache=cache,
+               channel=channel, workers=workers, cache=cache,
                progress=progress, invariant=invariant, runtime=runtime)
     if seed is None:
         raise AnalysisError(

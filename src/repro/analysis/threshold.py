@@ -127,8 +127,6 @@ def sampled_threshold_report(gadget: Gadget,
 
     locations = list(gadget.fault_locations() if locations is None
                      else locations)
-    if cache is None:
-        cache = engine.FaultPatternCache()
     store = as_store(checkpoint)
     survey = engine.run_exhaustive(
         gadget, initial_state, evaluator, locations=locations,

@@ -304,8 +304,14 @@ class CheckpointStore:
             )
         return record
 
-    def check_fingerprint(self, fingerprint: Dict[str, Any]) -> None:
-        """Refuse to resume a journal recorded by a different run."""
+    def check_fingerprint(self, fingerprint: Dict[str, Any],
+                          retired: Optional[Dict[str, Any]] = None
+                          ) -> None:
+        """Refuse to resume a journal recorded by a different run.
+
+        A recorded field equal to its value in ``retired`` (fields that
+        older journals wrote and no longer identify a run) is ignored.
+        """
         header = self.load_header()
         if header is None:
             raise CheckpointError(
@@ -313,6 +319,9 @@ class CheckpointStore:
                 "resume from"
             )
         recorded = header.get("fingerprint")
+        if retired and isinstance(recorded, dict):
+            recorded = {key: value for key, value in recorded.items()
+                        if key not in retired or value != retired[key]}
         if recorded != fingerprint:
             mismatched = sorted(
                 key for key in set(recorded or {}) | set(fingerprint)

@@ -181,49 +181,24 @@ class BatchedState:
                           lanes: Sequence[int]) -> None:
         """Apply one Pauli fault to the listed lanes only.
 
-        Mirrors :meth:`SparseState.apply_pauli` operation for
-        operation (X: index flip; Y: ``1j * (1 - 2 bit)`` phase then
-        flip; Z: ``1 - 2 bit`` phase; then the string's phase offset),
-        restricted to terms whose lane is selected — so a selected
-        lane's amplitudes see the identical float sequence a serial
-        ``apply_pauli`` would produce, and unselected lanes are
-        untouched.
+        A selected lane's amplitudes see the identical float sequence
+        a serial :meth:`SparseState.apply_pauli` would produce, and
+        unselected lanes are untouched.  A selection of every lane
+        (always, in a one-lane stack) applies the Pauli unmasked.
         """
         if pauli.num_qubits != self.num_qubits:
             raise SimulationError("PauliString size mismatch")
-        lane_list = list(lanes)
-        for lane in lane_list:
+        table = np.zeros(self.batch, dtype=bool)
+        for lane in lanes:
             if not 0 <= lane < self.batch:
                 raise SimulationError(
                     f"lane {lane} out of range [0, {self.batch})"
                 )
-        table = np.zeros(self.batch, dtype=bool)
-        table[lane_list] = True
-        selected = table[self._lane_ids()]
-        if not selected.any():
-            return
-        state = self._state
-        for qubit in pauli.support():
-            kind = pauli.kind_at(qubit)
-            if kind == "X":
-                state._flip_where(selected, qubit)
-            elif kind == "Y":
-                bit = state._bit(qubit)
-                factor = 1j * (1.0 - 2.0 * bit)
-                state._amplitudes[selected] = (
-                    state._amplitudes[selected] * factor[selected]
-                )
-                state._flip_where(selected, qubit)
-            elif kind == "Z":
-                factor = 1.0 - 2.0 * state._bit(qubit)
-                state._amplitudes[selected] = (
-                    state._amplitudes[selected] * factor[selected]
-                )
-        offset = pauli.phase_offset()
-        if offset:
-            state._amplitudes[selected] = (
-                state._amplitudes[selected] * (1j**offset)
-            )
+            table[lane] = True
+        if table.all():
+            self._state._apply_pauli(pauli)
+        elif table.any():
+            self._state._apply_pauli(pauli, table[self._lane_ids()])
 
     # -- extraction -------------------------------------------------------
 

@@ -337,14 +337,32 @@ class SparseState:
     def apply_pauli(self, pauli: PauliString) -> None:
         if pauli.num_qubits != self.num_qubits:
             raise SimulationError("PauliString size mismatch")
-        from repro.circuits import gates as gate_lib
+        self._apply_pauli(pauli)
 
+    def _apply_pauli(self, pauli: PauliString,
+                     where: Optional[np.ndarray] = None) -> None:
+        """Apply ``pauli`` (labels unchecked), to the terms selected by
+        the boolean mask ``where`` if given: their amplitudes see the
+        float operations of an unmasked application, the rest none.
+        """
+        rows = slice(None) if where is None else where
         for qubit in pauli.support():
-            self.apply_gate(gate_lib.PAULI_GATES[pauli.kind_at(qubit)],
-                            [qubit])
+            kind = pauli.kind_at(qubit)
+            if kind != "X":  # Y: 1j * (1 - 2 bit), then flip as X
+                factor = (1.0 - 2.0 * self._bit(qubit))[rows]
+                self._scale(rows, factor if kind == "Z" else 1j * factor)
+            if kind != "Z":
+                col, _, mask = self._position(qubit)
+                self._indices[:, col][rows] ^= mask
         offset = pauli.phase_offset()
         if offset:
-            self._amplitudes = self._amplitudes * (1j**offset)
+            self._scale(rows, 1j**offset)
+
+    def _scale(self, rows, factor) -> None:
+        if isinstance(rows, slice):  # a new array: never write through
+            self._amplitudes = self._amplitudes * factor
+        else:
+            self._amplitudes[rows] *= factor
 
     def apply_circuit(self, circuit: Circuit,
                       qubits: Optional[Sequence[int]] = None) -> None:

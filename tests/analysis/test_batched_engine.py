@@ -1,6 +1,8 @@
 """Engine edge cases of the lane stack, pinned by counters.
 
-Satellites to the batched-equivalence suite: the weird shapes — zero
+The width rule is checked on initial states alone: the Steane N, T
+and recovery gadgets fill 64-lane stacks, the Steane Toffoli runs one
+lane at a time, and ``batch_size=`` only caps the width.  Satellites to the batched-equivalence suite: the weird shapes — zero
 trials, a final partial stack, a stack wider than the whole workload,
 one-lane stacks, a stack the simulator refuses — must not merely
 *work*, they must leave the exact :class:`EngineStats` audit trail
@@ -24,6 +26,7 @@ from repro.analysis import (
     recovered_overlap_evaluator,
 )
 from repro.analysis import engine
+from repro.analysis.stress import gadget_cases
 from repro.analysis.engine import (
     FaultPatternCache,
     evaluate_fault_pattern,
@@ -67,6 +70,50 @@ def _mc(tiny, **kwargs):
                            seed=77, **kwargs)
 
 
+class TestStackWidth:
+    """The derived width, from initial-state term counts only."""
+
+    @pytest.mark.parametrize("name", ["n", "t", "recovery"])
+    def test_steane_gadgets_fill_wide_stacks(self, steane, name):
+        (case,) = gadget_cases(steane, gadgets=(name,))
+        _, initial, _ = case.factory()
+        assert engine.stack_width(initial.num_terms) == 64
+
+    def test_steane_toffoli_runs_one_lane(self):
+        # The Steane Toffoli initial state holds 2**20 terms (building
+        # it takes seconds and ~150 MB, so only its count is used).
+        assert engine.stack_width(1_048_576) == 1
+
+    def test_term_budget_and_ceiling(self):
+        assert engine.stack_width(engine.STACK_TERMS // 3) == 3
+        assert engine.stack_width(engine.STACK_TERMS + 1) == 1
+        assert engine.stack_width(1) == engine.MAX_LANES == 64
+        assert engine.stack_width(8, ceiling=7) == 7
+
+    @pytest.mark.parametrize("batch_size, width", [(None, 64), (7, 7)])
+    def test_runs_stack_at_the_derived_width(self, steane, monkeypatch,
+                                             batch_size, width):
+        (case,) = gadget_cases(steane, gadgets=("n",))
+        gadget, initial, evaluator = case.factory()
+        widths = []
+
+        def spy(gadget, initial, evaluator, patterns, **kwargs):
+            widths.append(len(patterns))
+            return evaluate_fault_patterns_batched(
+                gadget, initial, evaluator, patterns, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate_fault_patterns_batched",
+                            spy)
+        kwargs = {} if batch_size is None else {"batch_size": batch_size}
+        result = run_malignant_pairs(gadget, initial, evaluator,
+                                     samples=100, seed=5, chunk_size=100,
+                                     workers=1, **kwargs)
+        evaluations = result.engine_stats.evaluations
+        assert evaluations > width
+        assert widths == [width] * (evaluations // width) + \
+            [evaluations % width] * bool(evaluations % width)
+
+
 class TestEdgeCases:
     def test_zero_trials_runs_no_batches(self, tiny):
         result = _mc(tiny, trials=0, batch_size=8)
@@ -78,7 +125,7 @@ class TestEdgeCases:
     def test_final_partial_batch_is_counted(self, tiny):
         # 100 trials in one chunk; the distinct patterns (seeded, so
         # stable) split into full stacks plus one partial final stack.
-        one_lane = _mc(tiny, trials=100, chunk_size=100)
+        one_lane = _mc(tiny, trials=100, chunk_size=100, batch_size=1)
         distinct = one_lane.engine_stats.evaluations
         assert distinct > 4, "need several distinct patterns"
         assert distinct % 4 != 0, "final batch must be partial"
@@ -89,7 +136,7 @@ class TestEdgeCases:
         assert stats.batched_batches == -(-distinct // 4)
 
     def test_batch_larger_than_workload_runs_one_stack(self, tiny):
-        one_lane = _mc(tiny, trials=40, chunk_size=40)
+        one_lane = _mc(tiny, trials=40, chunk_size=40, batch_size=1)
         distinct = one_lane.engine_stats.evaluations
         batched = _mc(tiny, trials=40, chunk_size=40, batch_size=4096)
         stats = batched.engine_stats

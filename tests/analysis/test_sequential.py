@@ -8,6 +8,10 @@ is a pure function of accumulated counts, hence reproducible for any
 worker count.
 """
 
+import json
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import n_gadget_evaluator
@@ -152,6 +156,53 @@ class TestSequentialMonteCarlo:
         assert replay.result == first.result
         assert first.result.engine_stats.evaluations > 0
         assert replay.result.engine_stats.evaluations == 0
+
+    def test_run_without_a_cache_judges_each_pattern_once(self, tiny):
+        # No cache= and no checkpoint=: the run still owns a verdict
+        # cache, so a pattern judged in an earlier batch is not
+        # simulated again (this run once took 25 evaluations for its
+        # 15 distinct patterns).
+        gadget, initial, evaluator = tiny
+        noise = NoiseModel.uniform(0.05)
+        outcome = run_sequential_monte_carlo(
+            gadget, initial, evaluator, noise, p0=0.05, p1=0.09,
+            max_trials=384, seed=3, batch_size=128)
+        assert outcome.batches == 3
+        fixed = run_monte_carlo(gadget, initial, evaluator, noise,
+                                trials=384, seed=3, chunk_size=128)
+        assert fixed == outcome.result
+        distinct = fixed.engine_stats.distinct_patterns
+        assert distinct == 15
+        assert outcome.result.engine_stats.evaluations == distinct
+
+
+class TestStackWidthAgreement:
+    """Stack width never changes a certification: the SPRT run of
+    ``examples/sequential_certification.py`` on the Steane N gadget
+    writes the same verdict JSON with one-lane stacks as at the
+    engine's default width, apart from the wall clock."""
+
+    def test_verdict_json_is_width_independent(self, tmp_path,
+                                               monkeypatch, capsys):
+        from repro.analysis import engine
+
+        script = (Path(__file__).resolve().parents[2] / "examples"
+                  / "sequential_certification.py")
+        main = runpy.run_path(str(script))["main"]
+        argv = ["--p", "0.002", "--p0", "0.01", "--p1", "0.05",
+                "--max-trials", "8000"]
+        verdicts = []
+        for label, stack_terms in (("wide", engine.STACK_TERMS),
+                                   ("one-lane", 1)):
+            monkeypatch.setattr(engine, "STACK_TERMS", stack_terms)
+            out = tmp_path / label
+            assert main(argv + ["--out", str(out)]) == 0
+            payload = json.loads(
+                (out / "sequential_verdict.json").read_text())
+            payload.pop("elapsed_seconds")
+            verdicts.append(payload)
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0]["decision"] == ACCEPT
 
 
 class TestSequentialPairSampling:

@@ -24,6 +24,24 @@ def trivial() -> TrivialCode:
 
 
 @pytest.fixture()
+def stack_lanes(monkeypatch):
+    """``stack_lanes(lanes, initial)`` forces the engine's stack width.
+
+    Patches :data:`repro.analysis.engine.STACK_TERMS` so a run from
+    ``initial`` gets ``lanes`` lanes per stack (up to the default
+    ceiling of 64) — the only way to set the width of a runner that
+    has no ``batch_size=`` ceiling.
+    """
+    from repro.analysis import engine
+
+    def force(lanes: int, initial) -> None:
+        monkeypatch.setattr(engine, "STACK_TERMS",
+                            lanes * initial.num_terms)
+
+    return force
+
+
+@pytest.fixture()
 def rng() -> np.random.Generator:
     """Deterministic RNG for reproducible tests."""
     return np.random.default_rng(12345)

@@ -105,7 +105,7 @@ SEQUENTIAL_STRUCTURED = {
     "counters": {"evaluations": 7, "cache_hits": 10, "requests": 17,
                  "chunks": 2, "distinct_patterns": 9},
 }
-# The batched evaluation path journals exactly what the serial one does.
+# Every stack width journals exactly what one-lane stacks do.
 SEQUENTIAL_PAIRS = {
     "records": "8c3d671310409dbac419fa7980ea87be"
                "6ab886fb5a05a7bb024ec8a03771f867",
@@ -126,14 +126,15 @@ ADAPTIVE = {
                  "chunks": 4, "distinct_patterns": 11},
 }
 
+# ``lanes`` forces the stack width through the engine's constant.
 CASES = [
     ("sequential", _sequential, {}, "batches", SEQUENTIAL),
     ("sequential-structured", _sequential, {"noise": _structured},
      "batches", SEQUENTIAL_STRUCTURED),
     ("sequential_pairs", _sequential_pairs, {}, "batches",
      SEQUENTIAL_PAIRS),
-    ("sequential_pairs-batched", _sequential_pairs,
-     {"eval_batch_size": 4}, "batches", SEQUENTIAL_PAIRS),
+    ("sequential_pairs-batched", _sequential_pairs, {"lanes": 4},
+     "batches", SEQUENTIAL_PAIRS),
     ("adaptive", _adaptive, {}, "alloc", ADAPTIVE),
 ]
 
@@ -141,8 +142,11 @@ CASES = [
 @pytest.mark.parametrize("run, kwargs, kind, expected",
                          [case[1:] for case in CASES],
                          ids=[case[0] for case in CASES])
-def test_journal_body_is_pinned(tiny, tmp_path, run, kwargs, kind,
-                                expected):
+def test_journal_body_is_pinned(tiny, tmp_path, stack_lanes, run,
+                                kwargs, kind, expected):
+    kwargs = dict(kwargs)
+    if "lanes" in kwargs:
+        stack_lanes(kwargs.pop("lanes"), tiny[1])
     store = CheckpointStore(str(tmp_path / "run"))
     assert _observe(run(tiny, checkpoint=store, **kwargs), store,
                     kind) == expected

@@ -144,111 +144,120 @@ class TestSequentialMonteCarloResume:
 
 
 class TestBatchedSequentialResume:
-    """The vectorised evaluation path under the same kill/resume
-    contract: batched runs must journal, die and resume exactly like
-    serial ones — and must never silently resume a serial journal."""
+    """Stack width under the same kill/resume contract: runs at every
+    width journal, die and resume exactly like one-lane runs, and a
+    journal written at one width resumes at any other."""
 
-    def test_batched_run_equals_serial_run(self, tiny):
+    def test_batched_run_equals_serial_run(self, tiny, stack_lanes):
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.05)
+        stack_lanes(1, initial)
         serial = run_sequential_monte_carlo(
             gadget, initial, evaluator, noise, seed=2025,
             **_SEQ_KWARGS)
-        for eval_batch_size in (7, 64):
+        for lanes in (7, 64):
+            stack_lanes(lanes, initial)
             batched = run_sequential_monte_carlo(
                 gadget, initial, evaluator, noise, seed=2025,
-                eval_batch_size=eval_batch_size, **_SEQ_KWARGS)
+                **_SEQ_KWARGS)
             assert batched.verdict == serial.verdict
             assert batched.result == serial.result
             assert batched.batches == serial.batches
 
-    def test_sequential_batched_is_prefix_of_fixed_budget(self, tiny):
+    def test_sequential_batched_is_prefix_of_fixed_budget(
+            self, tiny, stack_lanes):
         """The stopped batched run consumed a bit-identical prefix of
         the fixed-budget batched engine run at the same seed."""
         from repro.analysis.engine import run_monte_carlo
 
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.05)
+        stack_lanes(32, initial)
         sequential = run_sequential_monte_carlo(
             gadget, initial, evaluator, noise, seed=2025,
-            eval_batch_size=32, **_SEQ_KWARGS)
+            **_SEQ_KWARGS)
         fixed = run_monte_carlo(
             gadget, initial, evaluator, noise,
             trials=sequential.result.trials, seed=2025,
-            chunk_size=_SEQ_KWARGS["batch_size"], batch_size=32)
+            chunk_size=_SEQ_KWARGS["batch_size"])
         assert fixed == sequential.result
 
-    def test_killed_batched_run_resumes_bit_identically(self, tiny,
-                                                        tmp_path):
+    def test_killed_batched_run_resumes_bit_identically(
+            self, tiny, tmp_path, stack_lanes):
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.05)
+        stack_lanes(1, initial)
         serial = run_sequential_monte_carlo(
             gadget, initial, evaluator, noise, seed=2025,
             **_SEQ_KWARGS)
+        stack_lanes(32, initial)
         store = CheckpointStore(str(tmp_path / "batched"))
         with pytest.raises(KeyboardInterrupt):
             run_sequential_monte_carlo(
                 gadget, initial, evaluator, noise, seed=2025,
-                eval_batch_size=32, checkpoint=store,
-                progress=_InterruptAfter(2), **_SEQ_KWARGS)
+                checkpoint=store, progress=_InterruptAfter(2),
+                **_SEQ_KWARGS)
         assert store.load_state("cursor")["interrupted"] is True
         resumed = run_sequential_monte_carlo(
             gadget, initial, evaluator, noise, seed=2025,
-            eval_batch_size=32, checkpoint=store, **_SEQ_KWARGS)
-        # The resumed batched run equals the never-killed *serial*
+            checkpoint=store, **_SEQ_KWARGS)
+        # The resumed batched run equals the never-killed one-lane
         # run: same verdicts, same decision, same journaled stream.
         assert resumed.verdict == serial.verdict
         assert resumed.result == serial.result
         assert resumed.batches == serial.batches
         assert store.load_final()["complete"] is True
 
-    def test_cross_path_resume_is_refused(self, tiny, tmp_path):
-        """A one-lane journal must not silently feed a multi-lane
-        resume (or vice versa): the eval-path fingerprint marker, kept
-        so that older journals still resume, refuses."""
+    @pytest.mark.parametrize("first, second", [(1, 32), (32, 1)])
+    def test_cross_width_resume_finishes_bit_identically(
+            self, tiny, tmp_path, stack_lanes, first, second):
+        """A journal written at one stack width resumes at another and
+        finishes as the uninterrupted run does."""
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.05)
-        store = CheckpointStore(str(tmp_path / "crosspath"))
+        baseline = run_sequential_monte_carlo(
+            gadget, initial, evaluator, noise, seed=2025,
+            **_SEQ_KWARGS)
+        stack_lanes(first, initial)
+        store = CheckpointStore(str(tmp_path / "crosswidth"))
         with pytest.raises(KeyboardInterrupt):
             run_sequential_monte_carlo(
                 gadget, initial, evaluator, noise, seed=2025,
-                checkpoint=store, progress=_InterruptAfter(1),
+                checkpoint=store, progress=_InterruptAfter(2),
                 **_SEQ_KWARGS)
-        with pytest.raises(CheckpointError, match="different run"):
-            run_sequential_monte_carlo(
-                gadget, initial, evaluator, noise, seed=2025,
-                eval_batch_size=32, checkpoint=store, **_SEQ_KWARGS)
+        stack_lanes(second, initial)
+        resumed = run_sequential_monte_carlo(
+            gadget, initial, evaluator, noise, seed=2025,
+            checkpoint=store, **_SEQ_KWARGS)
+        assert resumed.result.engine_stats.resumed_verdicts > 0
+        assert resumed.verdict == baseline.verdict
+        assert resumed.result == baseline.result
+        assert resumed.batches == baseline.batches
+        assert store.load_final()["complete"] is True
 
-        reverse = CheckpointStore(str(tmp_path / "crosspath-b"))
-        with pytest.raises(KeyboardInterrupt):
-            run_sequential_monte_carlo(
-                gadget, initial, evaluator, noise, seed=2025,
-                eval_batch_size=32, checkpoint=reverse,
-                progress=_InterruptAfter(1), **_SEQ_KWARGS)
-        with pytest.raises(CheckpointError, match="different run"):
-            run_sequential_monte_carlo(
-                gadget, initial, evaluator, noise, seed=2025,
-                checkpoint=reverse, **_SEQ_KWARGS)
-
-    def test_batched_pair_run_equals_serial(self, tiny):
+    def test_batched_pair_run_equals_serial(self, tiny, stack_lanes):
         gadget, initial, evaluator = tiny
         kwargs = dict(f0=0.7, f1=0.8, max_samples=1500, seed=31,
                       batch_size=64)
+        stack_lanes(1, initial)
         serial = run_sequential_pair_sampling(
             gadget, initial, evaluator, **kwargs)
+        stack_lanes(16, initial)
         batched = run_sequential_pair_sampling(
-            gadget, initial, evaluator, eval_batch_size=16, **kwargs)
+            gadget, initial, evaluator, **kwargs)
         assert batched.verdict == serial.verdict
         assert batched.sample == serial.sample
         assert batched.batches == serial.batches
 
-    def test_batched_adaptive_sweep_equals_serial(self, tiny):
+    def test_batched_adaptive_sweep_equals_serial(self, tiny,
+                                                  stack_lanes):
         gadget, initial, evaluator = tiny
         kwargs = dict(p_values=[0.01, 0.05, 0.2],
                       total_trials=12 * 128, seed=5, batch_size=128)
+        stack_lanes(1, initial)
         serial = adaptive_sweep_p(gadget, initial, evaluator, **kwargs)
-        batched = adaptive_sweep_p(gadget, initial, evaluator,
-                                   eval_batch_size=32, **kwargs)
+        stack_lanes(32, initial)
+        batched = adaptive_sweep_p(gadget, initial, evaluator, **kwargs)
         assert batched.allocation == serial.allocation
         assert batched.results == serial.results
         assert batched.intervals == serial.intervals

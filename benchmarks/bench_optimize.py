@@ -3,10 +3,11 @@
 The paper charges every gate, input bit and idle (moment, qubit) slot
 as a fault location, so an optimizer that tightens the gadget
 schedules shrinks the bill every Monte-Carlo trial pays.  This bench
-measures the per-gadget location-count reduction (input/gate/delay
-split), the pipeline's per-pass rewrite counts and wall-clock, and a
-Monte-Carlo wall-clock comparison on the optimized N gadget; asserts
-the >= 10% acceptance bar on at least one Steane gadget; and emits
+measures, on all six Steane gadget builds, the location-count
+reduction (input/gate/delay split), the optimizer's per-pass rewrite
+counts and its certified wall-clock, and a Monte-Carlo wall-clock
+comparison on the optimized N gadget; asserts the >= 10% acceptance
+bar on at least one Steane gadget; and emits
 ``results/BENCH_optimize.json`` for CI.
 
 Scale down with ``BENCH_OPTIMIZE_TRIALS`` for smoke runs (the
@@ -22,12 +23,9 @@ from repro.codes import SteaneCode
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.ft.recovery import build_recovery_gadget
 from repro.ft.t_gadget import build_t_gadget
+from repro.ft.toffoli_gadget import build_toffoli_gadget
 from repro.noise.locations import count_locations
-from repro.optimize import (
-    clear_optimize_cache,
-    gadget_pipeline,
-    optimize_circuit,
-)
+from repro.optimize import clear_optimize_cache, optimize_circuit
 
 from _harness import json_artifact, report, series_lines
 
@@ -37,8 +35,11 @@ TRIALS = int(os.environ.get("BENCH_OPTIMIZE_TRIALS", "2000"))
 def _steane_gadgets(code):
     return [
         ("N[steane,direct]", build_n_gadget(code)),
+        ("N[steane,voted]", build_n_gadget(code, variant="voted")),
         ("T[steane]", build_t_gadget(code)),
         ("recovery_X[steane]", build_recovery_gadget(code, "X")),
+        ("recovery_Z[steane]", build_recovery_gadget(code, "Z")),
+        ("toffoli[steane]", build_toffoli_gadget(code)),
     ]
 
 
@@ -51,10 +52,8 @@ def test_optimize_reduction(benchmark):
         clear_optimize_cache()
         rows = []
         for name, gadget in gadgets:
-            pipeline = gadget_pipeline()
             start = time.perf_counter()
-            result = optimize_circuit(gadget.circuit, pipeline,
-                                      use_cache=False)
+            result = optimize_circuit(gadget.circuit)
             elapsed = time.perf_counter() - start
             before = count_locations(gadget.circuit)
             after = count_locations(result.circuit)
@@ -114,7 +113,7 @@ def test_optimize_reduction(benchmark):
             f"{row['gadget']}: {row['rewrites']}" for row in rows),
     ]
     report("E9. certified circuit optimization "
-           "(repro.optimize pass pipeline)", lines)
+           "(repro.optimize gadget optimizer)", lines)
     json_artifact("BENCH_optimize.json", {
         "gadgets": rows,
         "monte_carlo": {

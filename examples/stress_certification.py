@@ -16,7 +16,7 @@ Run:  PYTHONPATH=src python examples/stress_certification.py
       [--trials N] [--p P] [--gadgets n,t,toffoli,recovery]
       [--out DIR] [--optimize] [--checkpoint-dir DIR] [--no-resume]
 
-``--optimize`` runs the certified circuit-optimizer pipeline
+``--optimize`` runs the certified gadget optimizer
 (``repro.optimize``) on every gadget before the sweep: the verdict
 table must not change, only the fault-location bill shrinks.
 
@@ -52,9 +52,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="directory for the verdict-table artifacts")
     parser.add_argument("--optimize", action="store_true",
-                        help="run the certified circuit-optimizer "
-                             "pipeline on every gadget first (same "
-                             "verdicts, fewer fault locations)")
+                        help="run the certified gadget optimizer on "
+                             "every gadget first (same verdicts, "
+                             "fewer fault locations)")
     parser.add_argument("--checkpoint-dir", default=None,
                         help="journal every sweep row here so a "
                              "killed run resumes bit-identically")

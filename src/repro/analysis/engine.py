@@ -80,6 +80,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -92,7 +93,11 @@ from repro.exceptions import (
     SimulationError,
     VerificationError,
 )
-from repro.ft.gadget import Gadget, apply_circuit_with_faults
+from repro.ft.gadget import (
+    Gadget,
+    apply_circuit_with_faults,
+    maybe_optimize,
+)
 from repro.noise.locations import FaultLocation, FaultSpace
 from repro.noise.model import NoiseModel
 from repro.runtime.chaos import Fault as ChaosFault
@@ -650,7 +655,6 @@ def _resolve_verdicts(context: _EvalContext,
     """
     requests = sum(pattern_counts.values())
     stats.requests += requests
-    stats.distinct_patterns += len(pattern_counts)
     evictions_before = cache.evictions
     verdict_map: Dict[FaultPattern, bool] = {}
     missing: List[FaultPattern] = []
@@ -833,31 +837,28 @@ def _decode_counts(payload: Dict[str, int]) -> Dict[int, int]:
 
 def _apply_optimizer(gadget: Gadget, optimize,
                      locations) -> Tuple[Gadget, Optional[str]]:
-    """Resolve the ``optimize=`` knob for a gadget workload.
+    """Resolve the ``optimize=`` argument for a gadget workload.
 
-    Returns the (possibly rewritten) gadget and the pipeline marker to
-    stamp into the checkpoint fingerprint, or ``(gadget, None)`` when
-    optimization is off.  Explicit ``locations`` are refused: fault
-    locations index into the original circuit's operation list, so
-    pairing them with a rewritten circuit would silently misplace
+    Returns the (possibly rewritten) gadget and the optimizer marker
+    to stamp into the checkpoint fingerprint, or ``(gadget, None)``
+    when optimization is off.  Explicit ``locations`` are refused:
+    fault locations index into the original circuit's operation list,
+    so pairing them with a rewritten circuit would silently misplace
     every fault.
     """
-    from repro.optimize.pipeline import (
-        _resolve_pipeline,
-        optimize_gadget,
-    )
-
-    pipeline = _resolve_pipeline(optimize, gadget=True)
-    if pipeline is None:
-        return gadget, None
-    if locations is not None:
+    if optimize is True and locations is not None:
         raise AnalysisError(
             "optimize= cannot be combined with explicit locations=: "
             "fault locations reference operation indices of the "
             "original circuit; pass locations enumerated from the "
             "optimized gadget instead"
         )
-    return optimize_gadget(gadget, pipeline), pipeline.marker
+    gadget = maybe_optimize(gadget, optimize)
+    if not optimize:
+        return gadget, None
+    from repro.optimize.pipeline import MARKER
+
+    return gadget, MARKER
 
 
 def _location_key(locations: Sequence[FaultLocation]) -> str:
@@ -931,6 +932,11 @@ class _Run:
         self.noise = noise
         self.workers = _coerce_positive(workers, "workers")
         self.cache = FaultPatternCache() if cache is None else cache
+        self.owns_cache = cache is None
+        #: The run's first and all its looked-up patterns, kept only
+        #: where the cache cannot tell (see :meth:`_count_new`).
+        self.first_lookup: Optional[Dict[FaultPattern, int]] = None
+        self.looked_up: Optional[Set[FaultPattern]] = None
         self.progress = progress
         self.context = _EvalContext(
             gadget, initial_state, evaluator, invariant=invariant,
@@ -1019,10 +1025,39 @@ class _Run:
 
     def verdicts(self, pattern_counts: Dict[FaultPattern, int],
                  chunk_size: int) -> Dict[FaultPattern, bool]:
-        return _resolve_verdicts(self.context, pattern_counts,
-                                 self.cache, self.workers, chunk_size,
-                                 self.stats, self.progress,
-                                 journal=self.store)
+        evaluations = self.stats.evaluations
+        verdict_map = _resolve_verdicts(self.context, pattern_counts,
+                                        self.cache, self.workers,
+                                        chunk_size, self.stats,
+                                        self.progress, journal=self.store)
+        self.stats.distinct_patterns += self._count_new(
+            pattern_counts, self.stats.evaluations - evaluations)
+        return verdict_map
+
+    def _count_new(self, pattern_counts: Dict[FaultPattern, int],
+                   misses: int) -> int:
+        """How many of ``pattern_counts`` the run has not looked up
+        before, so ``distinct_patterns`` counts each pattern once per
+        run however many batches draw it.
+
+        A run-owned cache that resumed no journal holds exactly the
+        patterns looked up so far, so the lookup's cache ``misses``
+        are its new patterns (an evicted pattern drawn again counts
+        again).  A shared or resumed cache also holds patterns from
+        elsewhere, so such a run counts against its own: the first
+        lookup is all new and kept by reference (no caller changes it
+        afterwards), and only a second lookup seeds a set from it.
+        """
+        if self.owns_cache and not self.stats.resumed_verdicts:
+            return misses
+        if self.first_lookup is None:
+            self.first_lookup = pattern_counts
+            return len(pattern_counts)
+        if self.looked_up is None:
+            self.looked_up = set(self.first_lookup)
+        new = pattern_counts.keys() - self.looked_up
+        self.looked_up |= new
+        return len(new)
 
     def judge_chunks(self, seed: Optional[int], total: int,
                      chunk_size: int,
@@ -1127,14 +1162,13 @@ def run_monte_carlo(gadget: Gadget,
     wrong number.  ``runtime`` tunes supervision and fault injection
     (default: production :class:`~repro.runtime.RuntimePolicy`).
 
-    ``optimize`` (``False`` | ``True`` | a qubit-preserving
-    :class:`~repro.optimize.PassPipeline`) rewrites the gadget's
-    circuit through the certified optimizer before fault locations are
-    enumerated, so trials pay for measurably fewer locations.
-    Incompatible with explicit ``locations=``.  Checkpoint
-    fingerprints gain an ``optimizer`` marker (the pipeline identity),
-    so an optimized journal refuses to resume an unoptimized run and
-    vice versa.
+    ``optimize=True`` rewrites the gadget's circuit through the
+    certified gadget optimizer (:func:`repro.optimize.optimize_gadget`)
+    before fault locations are enumerated, so trials pay for
+    measurably fewer locations.  Incompatible with explicit
+    ``locations=``.  Checkpoint fingerprints gain an ``optimizer``
+    marker (:data:`repro.optimize.MARKER`), so an optimized journal
+    refuses to resume an unoptimized run and vice versa.
     """
     from repro.analysis.montecarlo import GadgetMonteCarloResult
 

@@ -461,7 +461,10 @@ class AdaptiveSweepResult:
     intervals: List[BinomialInterval]
     allocation: List[int]
     total_trials: int
-    stats: EngineStats = field(repr=False, default_factory=EngineStats)
+    #: Engine accounting (wall-clock timings included), so it takes no
+    #: part in equality, like a Monte-Carlo result's ``engine_stats``.
+    stats: EngineStats = field(compare=False, repr=False,
+                               default_factory=EngineStats)
 
 
 def _pick_adaptive_point(trials: List[int], failures: List[int],

@@ -409,8 +409,9 @@ def gadget_cases(code=None,
     controlled corrections — at stress-sweep cost.  Pass
     ``toffoli_code=SteaneCode()`` to override when you have hours.
 
-    ``optimize`` is forwarded to every gadget constructor, so a sweep
-    over optimized gadgets is the same call with one extra flag.
+    ``optimize`` (a bool) is forwarded to every gadget constructor, so
+    a sweep over optimized gadgets is the same call with one extra
+    flag.
     """
     if code is None:
         code = SteaneCode()
@@ -508,9 +509,10 @@ def stress_certify(code=None,
     above.  Rows whose boundaries degenerate (e.g. a zero baseline
     pushing both below resolution) silently use the fixed-budget path.
 
-    ``optimize`` runs the whole sweep on optimizer-rewritten gadgets
-    (see :mod:`repro.optimize`): same verdicts expected, measurably
-    fewer fault locations paid per trial.
+    ``optimize=True`` runs the whole sweep on gadgets rewritten by the
+    certified gadget optimizer (see :mod:`repro.optimize`): same
+    verdicts expected, measurably fewer fault locations paid per
+    trial.
 
     ``checkpoint``/``resume`` make the sweep crash-safe: every
     baseline and every (gadget, model) row journals into its own

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.pauli import PauliString
-from repro.exceptions import FaultToleranceError
+from repro.exceptions import AnalysisError, FaultToleranceError
 from repro.noise.locations import (
     FaultLocation,
     circuit_memo,
@@ -202,16 +202,20 @@ def apply_circuit_with_faults(state: SparseState, circuit: Circuit,
 
 
 def maybe_optimize(gadget: Gadget, optimize) -> Gadget:
-    """Resolve a gadget constructor's ``optimize=`` knob.
+    """Resolve an ``optimize=`` argument — the one place it is read.
 
-    ``False``/``None`` returns the gadget untouched; ``True`` runs the
-    canonical qubit-preserving pipeline; a
-    :class:`~repro.optimize.PassPipeline` is used as-is (it must
-    preserve qubits).  Shared by the :mod:`repro.ft` constructors so
-    their knob stays one keyword.
+    ``False``/``None`` returns the gadget untouched; ``True`` returns
+    it rewritten by the certified gadget optimizer
+    (:func:`repro.optimize.optimize_gadget`); any other value raises
+    :class:`~repro.exceptions.AnalysisError`.  The :mod:`repro.ft`
+    builders and the analysis engine all resolve their ``optimize=``
+    through here.
     """
     if optimize is False or optimize is None:
         return gadget
-    from repro.optimize.pipeline import _resolve_pipeline, optimize_gadget
+    if optimize is not True:
+        raise AnalysisError(
+            f"optimize= expects a bool, got {type(optimize).__name__}")
+    from repro.optimize.pipeline import optimize_gadget
 
-    return optimize_gadget(gadget, _resolve_pipeline(optimize, gadget=True))
+    return optimize_gadget(gadget)

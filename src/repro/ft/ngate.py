@@ -255,11 +255,10 @@ def build_n_gadget(code: CssCode,
         ``classical`` - the classical-ancilla output block;
         plus the variant's internal syndrome/scratch/parity registers.
 
-    ``optimize`` (``False`` | ``True`` | a qubit-preserving
-    :class:`~repro.optimize.PassPipeline`) rewrites the circuit
-    through the certified optimizer; registers and qubit numbering are
-    unchanged, only the operation list (and hence the fault-location
-    count) shrinks.
+    ``optimize=True`` rewrites the circuit through the certified
+    gadget optimizer (:func:`repro.optimize.optimize_gadget`);
+    registers and qubit numbering are unchanged, only the operation
+    order (and hence the delay-location count) changes.
     """
     builder = NGateBuilder(code, variant=variant, repetitions=repetitions)
     alloc = RegisterAllocator()

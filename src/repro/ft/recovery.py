@@ -119,7 +119,8 @@ def build_recovery_gadget(code: CssCode, error_type: str = "X",
         ``scratch_<p>``  - per-position decode scratch;
         ``indicator_<p>``- per-position correction control bit.
 
-    ``optimize`` behaves as in :func:`repro.ft.ngate.build_n_gadget`.
+    ``optimize=True`` rewrites the circuit through the certified
+    gadget optimizer, as in :func:`repro.ft.ngate.build_n_gadget`.
     """
     if error_type not in ERROR_TYPES:
         raise FaultToleranceError(

@@ -70,7 +70,8 @@ def build_t_gadget(code: CssCode, n_variant: str = "direct",
         ``classical`` - the classical ancilla written by N;
         plus the embedded N gate's syndrome/scratch registers.
 
-    ``optimize`` behaves as in :func:`repro.ft.ngate.build_n_gadget`.
+    ``optimize=True`` rewrites the circuit through the certified
+    gadget optimizer, as in :func:`repro.ft.ngate.build_n_gadget`.
     """
     builder = NGateBuilder(code, variant=n_variant,
                            repetitions=repetitions)

@@ -69,7 +69,8 @@ def build_toffoli_gadget(code: CssCode, n_variant: str = "direct",
                          optimize=False) -> Gadget:
     """Build the Fig. 4 gadget.
 
-    ``optimize`` behaves as in :func:`repro.ft.ngate.build_n_gadget`.
+    ``optimize=True`` rewrites the circuit through the certified
+    gadget optimizer, as in :func:`repro.ft.ngate.build_n_gadget`.
 
     Registers:
         ``and_a``/``and_b``/``and_c`` - the |AND> blocks (inputs;

@@ -1,26 +1,25 @@
-"""Certified circuit optimization.
+"""Certified gadget optimization.
 
 The paper's threshold estimates charge every fault location in every
-gadget on every trial, so shrinking gadget circuits — fewer gates,
-tighter ASAP schedules, fewer idle (moment, qubit) slots — compounds
-across the entire analysis stack.  This package provides the rewrite
-passes (:mod:`repro.optimize.passes`), the fixed-point pipeline driver
+gadget on every trial, so tightening gadget schedules — fewer idle
+(moment, qubit) slots, hence fewer delay-line locations — compounds
+across the entire analysis stack.  This package provides the two
+rewrite passes (:mod:`repro.optimize.passes`), the fixed-point loop
 (:mod:`repro.optimize.pipeline`) and the differential rewrite
-certification (:mod:`repro.optimize.certify`) that together uphold the
-repo's standard: *nothing lands uncertified*.  A pass either produces
-a provably equivalent circuit or raises
-:class:`~repro.exceptions.OptimizationError` with a shrunk reproducer.
+certification (:mod:`repro.optimize.certify`) that together uphold
+the repo's standard: *nothing lands uncertified*.  Every rewrite is
+either provably equivalent or raises
+:class:`~repro.exceptions.OptimizationError` with a shrunk
+reproducer.
 
 Entry points:
 
-* :func:`optimize_circuit` / :func:`optimize_gadget` — memoized
-  one-call optimization;
-* :func:`default_pipeline` / :func:`gadget_pipeline` — the canonical
-  pipelines (the gadget one preserves register width);
-* ``optimize=`` knobs on :func:`repro.analysis.engine.run_monte_carlo`
-  and friends, and on the :mod:`repro.ft` gadget constructors, feed
-  through here and stamp checkpoint fingerprints with the pipeline
-  marker.
+* :func:`optimize_circuit` / :func:`optimize_gadget` — memoised,
+  always-certified, one-call optimization;
+* the boolean ``optimize=`` on :func:`repro.analysis.engine.
+  run_monte_carlo` and friends, and on the :mod:`repro.ft` gadget
+  builders, feeds through here; the engine stamps checkpoint
+  fingerprints with :data:`MARKER`.
 """
 
 from repro.optimize.certify import (
@@ -31,47 +30,33 @@ from repro.optimize.certify import (
     equivalence_discrepancy,
 )
 from repro.optimize.passes import (
-    DEFAULT_PASSES,
-    CancelInversesPass,
     CommuteSinkPass,
-    CompactAncillasPass,
-    MergePhaseRunsPass,
     Pass,
     PassResult,
     ReduceIdlePass,
     ops_commute,
 )
 from repro.optimize.pipeline import (
-    PIPELINE_VERSION,
-    PassPipeline,
+    MARKER,
     PipelineResult,
     clear_optimize_cache,
-    default_pipeline,
-    gadget_pipeline,
     optimize_circuit,
     optimize_gadget,
 )
 
 __all__ = [
     "BrokenSCancelPass",
-    "CancelInversesPass",
     "CommuteSinkPass",
-    "CompactAncillasPass",
-    "DEFAULT_PASSES",
-    "MergePhaseRunsPass",
+    "MARKER",
     "PAIR_ATOL",
-    "PIPELINE_VERSION",
     "Pass",
-    "PassPipeline",
     "PassResult",
     "PipelineResult",
     "ReduceIdlePass",
     "certify_rewrite",
     "circuits_equivalent",
     "clear_optimize_cache",
-    "default_pipeline",
     "equivalence_discrepancy",
-    "gadget_pipeline",
     "ops_commute",
     "optimize_circuit",
     "optimize_gadget",

@@ -185,7 +185,6 @@ class BrokenSCancelPass:
     """
 
     name = "broken_s_cancel"
-    preserves_qubits = True
 
     def run(self, circuit: Circuit):
         from repro.optimize.passes import PassResult

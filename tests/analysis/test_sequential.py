@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import n_gadget_evaluator
+from repro.analysis.engine import FaultPatternCache
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.analysis.sequential import (
     _pick_adaptive_point,
@@ -175,6 +176,28 @@ class TestSequentialMonteCarlo:
         assert distinct == 15
         assert outcome.result.engine_stats.evaluations == distinct
 
+    def test_distinct_patterns_count_each_pattern_once(self, tiny):
+        # Batches redraw patterns an earlier batch already looked up;
+        # the run once counted them again (19 distinct patterns for
+        # these 13 evaluations).  A shared cache holds patterns from
+        # elsewhere, so it cannot answer, yet the count is the same;
+        # a rerun on that warm cache evaluates nothing.
+        gadget, initial, evaluator = tiny
+
+        def run(**kwargs):
+            return run_sequential_monte_carlo(
+                gadget, initial, evaluator, NoiseModel.uniform(0.2),
+                p0=0.15, p1=0.35, max_trials=60, seed=3, batch_size=16,
+                **kwargs).result.engine_stats
+
+        owned = run()
+        assert owned.distinct_patterns == owned.evaluations == 13
+        shared = FaultPatternCache()
+        cold, warm = run(cache=shared), run(cache=shared)
+        assert cold.distinct_patterns == cold.evaluations == 13
+        assert warm.distinct_patterns == 13
+        assert warm.evaluations == 0
+
 
 class TestStackWidthAgreement:
     """Stack width never changes a certification: the SPRT run of
@@ -292,6 +315,14 @@ class TestAdaptiveSweep:
             total_trials=12 * 128, seed=5, batch_size=128, workers=2)
         assert again.allocation == first.allocation
         assert again.results == first.results
+
+    def test_equal_runs_compare_equal(self, tiny):
+        # The engine stats (wall-clock timings) take no part in
+        # equality, so two runs of one sweep are equal results.
+        first, again = (adaptive_sweep_p(*tiny, [0.1, 0.2], 70, seed=3,
+                                         batch_size=16)
+                        for _ in range(2))
+        assert again == first
 
     def test_points_match_fixed_run_prefix(self, tiny):
         """Each point's trials are a prefix of the fixed-budget run at

@@ -3,9 +3,9 @@
 A differential suite that cannot catch a wrong rewrite proves
 nothing, so this file drives a deliberately broken pass — cancelling
 S·S as if S were self-inverse, the optimizer-side twin of the PR-2
-``swap_s_direction`` backend bug — through the certified pipeline and
-asserts it is rejected, shrunk to a <= 3-gate reproducer, and never
-returned as a circuit.
+``swap_s_direction`` backend bug — through the optimizer's certifying
+loop and asserts it is rejected, shrunk to a 2-gate reproducer, and
+never returned as a circuit.
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ from repro.circuits.gates import CNOT, H, S, S_DG
 from repro.exceptions import OptimizationError
 from repro.optimize import (
     BrokenSCancelPass,
-    PassPipeline,
     certify_rewrite,
     circuits_equivalent,
     equivalence_discrepancy,
-    optimize_circuit,
 )
+from repro.ft.recovery import build_recovery_gadget
+from repro.optimize import clear_optimize_cache, optimize_circuit, pipeline
+from repro.optimize.passes import Pass, PassResult
+from repro.optimize.pipeline import MAX_ROUNDS, _fixed_point
 from repro.verify import check_circuit_pair, generate, circuit_seed_for
 
 
@@ -37,21 +39,19 @@ def _bug_trigger() -> Circuit:
 
 
 def test_broken_pass_is_caught_by_certified_pipeline():
-    pipeline = PassPipeline([BrokenSCancelPass()], certify=True)
     with pytest.raises(OptimizationError) as excinfo:
-        pipeline.run(_bug_trigger())
+        _fixed_point(_bug_trigger(), (BrokenSCancelPass(),))
     message = str(excinfo.value)
     assert "broken_s_cancel" in message
     assert "gate S" in message  # the reproducer dump rides along
 
 
 def test_broken_pass_shrinks_to_minimal_reproducer():
-    pipeline = PassPipeline([BrokenSCancelPass()], certify=True)
     with pytest.raises(OptimizationError) as excinfo:
-        pipeline.run(_bug_trigger())
+        _fixed_point(_bug_trigger(), (BrokenSCancelPass(),))
     shrunk = excinfo.value.shrunk
     assert shrunk is not None
-    assert len(shrunk) <= 3  # S·S on one qubit is the whole bug
+    assert len(shrunk) == 2  # S·S on one qubit is the whole bug
     assert shrunk.num_qubits == 1
     # The reproducer really is mis-rewritten by the pass.
     rewritten = BrokenSCancelPass().run(shrunk).circuit
@@ -60,12 +60,11 @@ def test_broken_pass_shrinks_to_minimal_reproducer():
 
 def test_broken_pass_never_fires_on_correct_input():
     # S·S† is a correct cancellation; the broken pass does not touch
-    # it, so the certified pipeline passes the circuit through.
+    # it, so the certifying loop passes the circuit through.
     circuit = Circuit(1)
     circuit.add_gate(S, 0)
     circuit.add_gate(S_DG, 0)
-    result = PassPipeline([BrokenSCancelPass()],
-                          certify=True).run(circuit)
+    result = _fixed_point(circuit, (BrokenSCancelPass(),))
     assert result.total_rewrites == 0
 
 
@@ -82,9 +81,9 @@ def test_certify_rewrite_rejects_inequivalent_pair():
         certify_rewrite(before, after, "bogus")
 
 
-def test_certified_default_pipeline_clean_over_fuzz(fuzz_reporter):
-    """The shipped passes certify clean: certify=True never raises
-    and always performs the per-rewrite checks it claims."""
+def test_certified_pipeline_clean_over_fuzz(fuzz_reporter):
+    """The shipped passes certify clean: the optimizer never raises
+    and certifies every pass application that rewrote anything."""
     for index in range(25):
         for family in ("clifford", "clifford_t", "gadget"):
             seed = circuit_seed_for(77, index)
@@ -92,11 +91,91 @@ def test_certified_default_pipeline_clean_over_fuzz(fuzz_reporter):
                                max_gates=24)
             fuzz_reporter.watch(circuit, family=family, seed=seed,
                                 max_qubits=5, max_gates=24,
-                                note="certified default pipeline")
-            result = optimize_circuit(circuit, certify=True,
-                                      use_cache=False)
+                                note="certified pipeline")
+            result = _fixed_point(circuit)
             assert result.certified_rewrites >= (
                 1 if result.total_rewrites else 0)
+
+
+class _CopyPass(Pass):
+    """Claims ``claimed`` rewrites while returning an equal copy."""
+
+    name = "copy"
+
+    def __init__(self, claimed):
+        self.claimed = claimed
+
+    def run(self, circuit):
+        return PassResult(circuit.copy(), self.claimed)
+
+
+@pytest.fixture()
+def certify_calls(monkeypatch):
+    """Record every certification the optimizer makes, on an empty
+    optimizer cache (the session's cache is restored afterwards)."""
+    calls = []
+
+    def spy(before, after, name, **kwargs):
+        calls.append(name)
+        return certify_rewrite(before, after, name, **kwargs)
+
+    monkeypatch.setattr(pipeline, "certify_rewrite", spy)
+    monkeypatch.setattr(pipeline, "_OPTIMIZE_CACHE", {})
+    return calls
+
+
+def test_optimized_builder_certifies_every_rewriting_pass(
+        steane, certify_calls):
+    """``optimize=True`` on a builder goes through certification: one
+    check per pass application that rewrote anything."""
+    gadget = build_recovery_gadget(steane, "X", optimize=True)
+    plain = build_recovery_gadget(steane, "X")
+    result = optimize_circuit(plain.circuit)  # memoised: no new calls
+    assert result.circuit is gadget.circuit
+    assert result.total_rewrites > 0
+    assert len(certify_calls) == result.certified_rewrites > 0
+    assert set(certify_calls) == {
+        name for name, count in result.rewrites.items() if count}
+
+
+def test_pass_that_rewrites_nothing_is_not_certified(certify_calls):
+    result = _fixed_point(_bug_trigger(), (_CopyPass(0),))
+    assert certify_calls == []
+    assert result.converged and result.rounds == 1
+    assert result.certified_rewrites == 0
+
+
+def test_fixed_point_stops_unconverged_at_max_rounds(certify_calls):
+    """A pass that never settles is cut off at ``MAX_ROUNDS`` and
+    reported as unconverged, each of its applications certified."""
+    result = _fixed_point(_bug_trigger(), (_CopyPass(1),))
+    assert result.rounds == MAX_ROUNDS
+    assert not result.converged
+    assert result.rewrites == {"copy": MAX_ROUNDS}
+    assert result.certified_rewrites == len(certify_calls) == MAX_ROUNDS
+
+
+def test_optimize_circuit_is_memoised_by_structure(certify_calls):
+    """Structurally equal circuits share one optimizer run; clearing
+    the cache makes the next call run (and certify) again."""
+    first = Circuit(3)
+    first.add_gate(H, 0)  # sinks past the disjoint CNOT
+    first.add_gate(CNOT, 1, 2)
+    first.add_gate(CNOT, 0, 1)
+    twin = Circuit(3)
+    for op in first.operations:
+        twin.append(op)
+    result = optimize_circuit(first)
+    assert result.total_rewrites > 0
+    calls = len(certify_calls)
+    assert optimize_circuit(twin) is result
+    assert len(certify_calls) == calls
+    clear_optimize_cache()
+    again = optimize_circuit(twin)
+    assert again is not result
+    assert len(certify_calls) == 2 * calls
+    assert list(again.circuit.operations) == \
+        list(result.circuit.operations)
 
 
 def test_equivalence_discrepancy_gradations():

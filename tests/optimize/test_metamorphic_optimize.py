@@ -1,6 +1,6 @@
 """Metamorphic properties of pass composition.
 
-Reference-free checks on the pipeline as a whole: a fixed point is
+Reference-free checks on the optimizer as a whole: a fixed point is
 really fixed (idempotence), the pass order changes the route but not
 the destination's semantics (permutation equivalence), optimized
 Steane gadgets still preserve the code space, and optimization never
@@ -19,17 +19,8 @@ from repro.ft.recovery import build_recovery_gadget, \
     recovery_ancilla_state
 from repro.ft.t_gadget import build_t_gadget, t_gadget_inputs
 from repro.noise.locations import count_locations
-from repro.optimize import (
-    CancelInversesPass,
-    CommuteSinkPass,
-    MergePhaseRunsPass,
-    PassPipeline,
-    ReduceIdlePass,
-    circuits_equivalent,
-    default_pipeline,
-    gadget_pipeline,
-    optimize_gadget,
-)
+from repro.optimize import circuits_equivalent, optimize_gadget
+from repro.optimize.pipeline import PASSES, _fixed_point
 from repro.ft.special_states import sparse_coset_state, \
     sparse_logical_state
 from repro.verify import circuit_seed_for, codespace_invariant, generate
@@ -45,63 +36,36 @@ def _fuzz_circuits(count=20, seed=SWEEP_SEED):
 
 
 def test_pipeline_idempotent_at_fixed_point(fuzz_reporter):
-    pipeline = default_pipeline()
     for circuit in _fuzz_circuits():
         fuzz_reporter.watch(circuit, note="pipeline idempotence")
-        first = pipeline.run(circuit)
+        first = _fixed_point(circuit)
         assert first.converged
-        second = pipeline.run(first.circuit)
+        second = _fixed_point(first.circuit)
         assert second.total_rewrites == 0
         assert second.rounds == 1
         assert list(second.circuit.operations) == \
             list(first.circuit.operations)
 
 
-def test_gadget_pipeline_idempotent_on_steane_gadgets(steane):
-    pipeline = gadget_pipeline()
-    for gadget in (build_n_gadget(steane), build_t_gadget(steane),
-                   build_recovery_gadget(steane)):
-        first = pipeline.run(gadget.circuit)
-        assert first.converged, gadget.name
-        second = pipeline.run(first.circuit)
-        assert second.total_rewrites == 0, gadget.name
+def test_optimizer_idempotent_on_steane_gadgets(steane):
+    for build in (build_n_gadget, build_t_gadget,
+                  build_recovery_gadget):
+        optimized = build(steane, optimize=True)
+        again = _fixed_point(optimized.circuit)
+        assert again.total_rewrites == 0, optimized.name
 
 
-@pytest.mark.parametrize("order", list(itertools.permutations(
-    ["cancel", "merge", "sink"])), ids=lambda o: "-".join(o))
+@pytest.mark.parametrize("order", list(itertools.permutations(PASSES)),
+                         ids=lambda o: "-".join(p.name for p in o))
 def test_pass_order_permutations_equivalent(order, fuzz_reporter):
-    """Any order of the local peepholes lands on an equivalent
-    circuit (not necessarily an identical one)."""
-    passes = {
-        "cancel": CancelInversesPass,
-        "merge": MergePhaseRunsPass,
-        "sink": CommuteSinkPass,
-    }
-    pipeline = PassPipeline([passes[name]() for name in order])
-    reference = PassPipeline([CancelInversesPass(),
-                              MergePhaseRunsPass(),
-                              CommuteSinkPass()])
+    """Either pass order lands on a circuit equivalent to the input
+    and to the shipped order's (the schedules may differ)."""
     for circuit in _fuzz_circuits(count=10):
         fuzz_reporter.watch(circuit, note=f"order={order}")
-        a = pipeline.run(circuit).circuit
-        b = reference.run(circuit).circuit
+        a = _fixed_point(circuit, order).circuit
+        b = _fixed_point(circuit).circuit
         assert circuits_equivalent(circuit, a)
         assert circuits_equivalent(a, b)
-
-
-def test_reduce_idle_position_is_order_independent(fuzz_reporter):
-    """ReduceIdle before or after the peepholes: both routes must
-    preserve semantics (the schedules may differ)."""
-    early = PassPipeline([ReduceIdlePass(), CancelInversesPass(),
-                          CommuteSinkPass()])
-    late = PassPipeline([CancelInversesPass(), CommuteSinkPass(),
-                         ReduceIdlePass()])
-    for circuit in _fuzz_circuits(count=10):
-        fuzz_reporter.watch(circuit, note="reduce_idle ordering")
-        a = early.run(circuit).circuit
-        b = late.run(circuit).circuit
-        assert circuits_equivalent(circuit, a)
-        assert circuits_equivalent(circuit, b)
 
 
 def test_optimized_n_gadget_preserves_codespace(steane):

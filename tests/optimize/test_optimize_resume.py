@@ -19,10 +19,10 @@ from repro.analysis.engine import (
     run_malignant_pairs,
     run_monte_carlo,
 )
-from repro.exceptions import CheckpointError
+from repro.exceptions import AnalysisError, CheckpointError
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.noise import NoiseModel
-from repro.optimize import gadget_pipeline
+from repro.optimize import MARKER, pipeline
 from repro.runtime import CheckpointStore
 
 
@@ -141,18 +141,17 @@ class TestCrossOptimizerResumeRefusal:
                            checkpoint=store)
 
     def test_same_marker_resumes_cleanly(self, tiny, tmp_path):
-        """An explicit pipeline with the canonical pass set carries
-        the same marker as optimize=True, so its journal resumes."""
+        """An optimized journal carries the optimizer's constant
+        marker, so a second optimized run resumes it."""
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.25)
-        kwargs = dict(trials=300, seed=12, workers=1)
+        kwargs = dict(trials=300, seed=12, workers=1, optimize=True)
         store = CheckpointStore(str(tmp_path / "marker"))
         first = run_monte_carlo(gadget, initial, evaluator, noise,
-                                checkpoint=store, optimize=True,
-                                **kwargs)
+                                checkpoint=store, **kwargs)
+        assert store.load_header()["fingerprint"]["optimizer"] == MARKER
         again = run_monte_carlo(gadget, initial, evaluator, noise,
-                                checkpoint=store,
-                                optimize=gadget_pipeline(), **kwargs)
+                                checkpoint=store, **kwargs)
         assert again == first
         assert again.engine_stats.resumed_verdicts > 0
 
@@ -169,3 +168,36 @@ class TestOptimizedWorkloadEquivalence:
         plain = run_exhaustive(gadget, initial, evaluator)
         # Optimization may only remove fault locations, never add.
         assert survey.checked <= plain.checked
+
+
+class TestOptimizeArgument:
+    """``optimize=`` is a bool, read in one place for the builders and
+    the engine alike."""
+
+    @pytest.mark.parametrize("value", [1, "yes", object()],
+                             ids=["int", "str", "object"])
+    def test_non_bool_is_refused(self, tiny, trivial, value):
+        gadget, initial, evaluator = tiny
+        with pytest.raises(AnalysisError, match="expects a bool"):
+            build_n_gadget(trivial, optimize=value)
+        with pytest.raises(AnalysisError, match="expects a bool"):
+            run_monte_carlo(gadget, initial, evaluator,
+                            NoiseModel.uniform(0.25), 10, seed=1,
+                            optimize=value)
+
+    def test_none_means_off(self, trivial):
+        assert build_n_gadget(trivial, optimize=None).circuit \
+            .operations == build_n_gadget(trivial).circuit.operations
+
+    def test_explicit_locations_are_refused(self, tiny, monkeypatch):
+        # Refused before any optimization work is spent on the call.
+        gadget, initial, evaluator = tiny
+
+        def never(gadget):
+            raise AssertionError("optimized a call bound to be refused")
+
+        monkeypatch.setattr(pipeline, "optimize_gadget", never)
+        with pytest.raises(AnalysisError, match="locations="):
+            run_exhaustive(gadget, initial, evaluator,
+                           locations=gadget.fault_locations(),
+                           optimize=True)

@@ -93,7 +93,7 @@ SEQUENTIAL = {
     "summary": "af7c4fd8058f58b654ba197cacbaa37e"
                "54881f1f940c50c4cc6efd3d5d13f535",
     "counters": {"evaluations": 13, "cache_hits": 9, "requests": 22,
-                 "chunks": 4, "distinct_patterns": 19},
+                 "chunks": 4, "distinct_patterns": 13},
 }
 SEQUENTIAL_STRUCTURED = {
     "records": "fd28220ca055dbb53e0e16e0ffd05b05"
@@ -103,7 +103,7 @@ SEQUENTIAL_STRUCTURED = {
     "summary": "e84c32959e38e30368c6fa8ea72fe2bf"
                "9595d4041ad2f0af2dabfc84f4c61670",
     "counters": {"evaluations": 7, "cache_hits": 10, "requests": 17,
-                 "chunks": 2, "distinct_patterns": 9},
+                 "chunks": 2, "distinct_patterns": 7},
 }
 # Every stack width journals exactly what one-lane stacks do.
 SEQUENTIAL_PAIRS = {
@@ -114,7 +114,7 @@ SEQUENTIAL_PAIRS = {
     "summary": "3dd310f28a664c4fe518cd9f8df1e5f6"
                "af9f9a326a55ec0b0cbdf69823ad3a53",
     "counters": {"evaluations": 31, "cache_hits": 17, "requests": 48,
-                 "chunks": 3, "distinct_patterns": 46},
+                 "chunks": 3, "distinct_patterns": 31},
 }
 ADAPTIVE = {
     "records": "c0db4c0f98340a02de7f12865145cac5"
@@ -123,7 +123,7 @@ ADAPTIVE = {
     "summary": "55785f6bb9d560001a2cd263ee4f3078"
                "4d3116af1ba39cb9aa6e7d3a98142c51",
     "counters": {"evaluations": 9, "cache_hits": 3, "requests": 12,
-                 "chunks": 4, "distinct_patterns": 11},
+                 "chunks": 4, "distinct_patterns": 9},
 }
 
 # ``lanes`` forces the stack width through the engine's constant.

@@ -142,6 +142,8 @@ KEPT_WITHOUT_CALLER = {
         "(b) the Sec. 4 check that the classical ancilla only controls",
     "MeasuredTGate":
         "(b) the measured Fig. 3 T gate an ensemble machine rejects",
+    "sigma_z_power":
+        "(b) the paper's sigma_z^x gate, checked to name S and T",
     "exact_coverage":
         "(b) proves the Clopper-Pearson interval is never "
         "anti-conservative",

@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         p0=args.p0, p1=args.p1, alpha=args.alpha, beta=args.beta,
         max_trials=args.max_trials, seed=args.seed,
         batch_size=args.batch, method=args.method,
-        checkpoint=checkpoint, resume=args.resume,
+        checkpoint=checkpoint,
     )
     elapsed = time.time() - start
     verdict = outcome.verdict

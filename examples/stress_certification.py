@@ -81,7 +81,6 @@ def main(argv=None) -> int:
                       for name in args.gadgets.split(",") if name.strip()),
         optimize=args.optimize,
         checkpoint=checkpoint,
-        resume=args.resume,
         progress=lambda message: print(
             f"  [{time.time() - start:6.1f}s] {message}", flush=True),
     )

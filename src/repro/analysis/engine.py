@@ -48,10 +48,11 @@ The evaluate phase runs under the resilience layer of
   :class:`~repro.exceptions.RuntimeIntegrityError`, which in a pool
   the supervisor retries like any other failed chunk;
 * ``checkpoint=`` journals completed evaluation chunks through a
-  :class:`~repro.runtime.CheckpointStore`, and ``resume=`` replays
-  them so an interrupted campaign finishes bit-identically to an
-  uninterrupted one (verdicts depend only on the canonical pattern,
-  and the sample phase is already deterministic per seed).
+  :class:`~repro.runtime.CheckpointStore`, and a re-run with the same
+  store replays them so an interrupted campaign finishes
+  bit-identically to an uninterrupted one (verdicts depend only on
+  the canonical pattern, and the sample phase is already
+  deterministic per seed).
 
 Caching assumes evaluators are *phase-insensitive*: two fault lists
 with the same canonical pattern can differ by a global phase (Paulis
@@ -263,8 +264,6 @@ class FaultPatternCache:
                 )
         self.max_entries = max_entries
         self._verdicts: "OrderedDict[FaultPattern, bool]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -293,8 +292,6 @@ class FaultPatternCache:
 
     def clear(self) -> None:
         self._verdicts.clear()
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
 
@@ -671,8 +668,6 @@ def _resolve_verdicts(context: _EvalContext,
         cache.store(pattern, verdict)
     stats.evaluations += len(missing)
     stats.cache_hits += requests - len(missing)
-    cache.misses += len(missing)
-    cache.hits += requests - len(missing)
     stats.cache_evictions += cache.evictions - evictions_before
     return verdict_map
 
@@ -951,7 +946,7 @@ class _Run:
         return self.context.gadget
 
     def open(self, workload: str, fields: Dict[str, object],
-             checkpoint, resume: bool) -> None:
+             checkpoint) -> None:
         """Fingerprint the run and open its ``checkpoint=`` journal.
 
         The fingerprint is the workload's ``fields`` framed by the
@@ -965,9 +960,11 @@ class _Run:
         journal resumes at any width, including older journals of
         multi-lane runs, which carry a retired ``eval_path`` marker.
 
-        On resume the journal's verdicts are replayed into the run's
-        cache after the fingerprint check; on a fresh run the
-        directory is cleared and a new header written.
+        An existing journal is always resumed: its verdicts are
+        replayed into the run's cache after the fingerprint check.  A
+        store without a journal is cleared and given a new header; a
+        caller wanting a fresh run calls
+        :meth:`~repro.runtime.CheckpointStore.clear` first.
         """
         store = as_store(checkpoint)
         if store is None:
@@ -996,7 +993,7 @@ class _Run:
                 "run draws OS entropy and cannot be resumed "
                 "bit-identically"
             )
-        if resume and store.exists():
+        if store.exists():
             store.check_fingerprint(
                 fingerprint, retired={"eval_path": "batched"})
             entries = store.load_verdicts()
@@ -1119,7 +1116,6 @@ def run_monte_carlo(gadget: Gadget,
                     invariant: Optional[Callable[[SparseState], None]]
                     = None,
                     checkpoint=None,
-                    resume: bool = True,
                     runtime: Optional[RuntimePolicy] = None,
                     optimize=False):
     """Estimate a gadget's failure rate under stochastic faults.
@@ -1153,10 +1149,10 @@ def run_monte_carlo(gadget: Gadget,
     :mod:`repro.verify` for ready-made invariants).
 
     ``checkpoint`` (a path or :class:`~repro.runtime.CheckpointStore`)
-    journals completed evaluation chunks; with ``resume=True`` (the
-    default) an existing journal with a matching fingerprint is
-    replayed first, so a killed run picks up where it stopped and
-    finishes bit-identically to an uninterrupted one.  A mismatched
+    journals completed evaluation chunks; an existing journal with a
+    matching fingerprint is always replayed first, so a killed run
+    picks up where it stopped and finishes bit-identically to an
+    uninterrupted one (clear the store for a fresh run).  A mismatched
     or corrupted journal raises
     :class:`~repro.exceptions.CheckpointError` rather than risk a
     wrong number.  ``runtime`` tunes supervision and fault injection
@@ -1180,7 +1176,7 @@ def run_monte_carlo(gadget: Gadget,
     chunk_size = _coerce_positive(chunk_size, "chunk_size")
     run.open("monte_carlo", {"seed": seed, "trials": trials,
                              "chunk_size": chunk_size},
-             checkpoint, resume)
+             checkpoint)
     probs = run.space.probabilities(noise)
     histogram: Dict[int, int] = {}
     pattern_counts, verdict_map = run.judge_chunks(
@@ -1231,7 +1227,6 @@ def run_malignant_pairs(gadget: Gadget,
                         invariant: Optional[
                             Callable[[SparseState], None]] = None,
                         checkpoint=None,
-                        resume: bool = True,
                         runtime: Optional[RuntimePolicy] = None,
                         optimize=False):
     """Monte-Carlo estimate of the malignant-location-pair count.
@@ -1256,7 +1251,7 @@ def run_malignant_pairs(gadget: Gadget,
     run.open("malignant_pairs", {"seed": seed, "samples": samples,
                                  "chunk_size": chunk_size,
                                  "channel": channel},
-             checkpoint, resume)
+             checkpoint)
     pattern_counts, verdict_map = run.judge_chunks(
         seed, samples, chunk_size,
         lambda rng, length, counts: sample_pair_chunk(
@@ -1287,7 +1282,6 @@ def run_exhaustive(gadget: Gadget,
                    invariant: Optional[Callable[[SparseState], None]]
                    = None,
                    checkpoint=None,
-                   resume: bool = True,
                    runtime: Optional[RuntimePolicy] = None,
                    optimize=False) -> ExhaustiveSurvey:
     """Run every single-location Pauli fault through the simulator.
@@ -1302,7 +1296,7 @@ def run_exhaustive(gadget: Gadget,
 
     Deduplication judges coincident faults once (e.g. a delay fault
     anchored at the same ``after_op`` as an equal gate-location Pauli).
-    ``checkpoint``/``resume``, ``runtime`` and ``optimize`` behave as
+    ``checkpoint``, ``runtime`` and ``optimize`` behave as
     in :func:`run_monte_carlo`; the enumeration is deterministic, so
     no seed is required to resume.
     """
@@ -1320,7 +1314,7 @@ def run_exhaustive(gadget: Gadget,
     run.open("exhaustive", {"items": len(items),
                             "chunk_size": chunk_size,
                             "channel": channel},
-             checkpoint, resume)
+             checkpoint)
     pattern_counts: Dict[FaultPattern, int] = {}
     for _, _, key in items:
         pattern_counts[key] = pattern_counts.get(key, 0) + 1

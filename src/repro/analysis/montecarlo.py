@@ -178,7 +178,6 @@ def sweep_p(gadget: Gadget,
             cache: Optional[FaultPatternCache] = None,
             progress: Optional[Callable[["ProgressEvent"], None]] = None,
             checkpoint=None,
-            resume: bool = True,
             runtime=None,
             ) -> List[GadgetMonteCarloResult]:
     """Failure-rate series over a range of physical error rates.
@@ -201,12 +200,12 @@ def sweep_p(gadget: Gadget,
     completed points are journaled whole (``points`` records under the
     run directory) and the point in flight checkpoints its evaluation
     chunks in a ``point-NNN`` subdirectory.  Re-running the same call
-    after a crash (``resume=True``, the default) replays completed
-    points verbatim and finishes the interrupted one, yielding the
-    same series an uninterrupted run produces.  Resumed points carry
-    ``engine_stats=None`` (the instrumentation died with the crashed
-    process; the statistics did not).  Requires a seed, like the
-    per-run journals.
+    after a crash replays completed points verbatim and finishes the
+    interrupted one, yielding the same series an uninterrupted run
+    produces; clear the store first for a fresh series.  Resumed
+    points carry ``engine_stats=None`` (the instrumentation died with
+    the crashed process; the statistics did not).  Requires a seed,
+    like the per-run journals.
     """
     given = locations
     locations = list(gadget.fault_locations() if given is None
@@ -232,7 +231,7 @@ def sweep_p(gadget: Gadget,
             "chunk_size": chunk_size,
             "channel": channel,
         }
-        if resume and store.exists():
+        if store.exists():
             store.check_fingerprint(fingerprint)
             for record in store.load_records("points"):
                 done_points[int(record["index"])] = \
@@ -254,8 +253,7 @@ def sweep_p(gadget: Gadget,
             gadget, initial_state, evaluator, noise, trials,
             locations=locations, seed=point_seed, workers=workers,
             chunk_size=chunk_size, cache=cache,
-            progress=progress, checkpoint=point_store, resume=resume,
-            runtime=runtime,
+            progress=progress, checkpoint=point_store, runtime=runtime,
         )
         if store is not None:
             store.append_record("points", {

@@ -291,7 +291,6 @@ def run_sequential_monte_carlo(
         on_batch: Optional[Callable[[int, int, int, Optional[str]],
                                     None]] = None,
         checkpoint=None,
-        resume: bool = True,
         runtime: Optional[RuntimePolicy] = None,
 ) -> SequentialResult:
     """Certify ``failure_rate <= p0`` sequentially, stopping early.
@@ -311,9 +310,9 @@ def run_sequential_monte_carlo(
     sequential run's samples are a bit-identical prefix of
     ``run_monte_carlo(..., trials=<consumed>, chunk_size=batch_size)``.
 
-    ``checkpoint``/``resume`` journal completed batches and verdicts;
-    a killed run resumed from the journal reaches the identical
-    verdict, trial count and fault stream as an uninterrupted one.
+    ``checkpoint`` journals completed batches and verdicts; a killed
+    run re-run on the same journal reaches the identical verdict,
+    trial count and fault stream as an uninterrupted one.
 
     ``batch_size`` is the *sampling* batch, part of the seed contract;
     the engine's stack width changes no verdict, decision or journal.
@@ -352,7 +351,7 @@ def run_sequential_monte_carlo(
         "alpha": float(alpha),
         "beta": float(beta),
         "method": method,
-    }, checkpoint, resume)
+    }, checkpoint)
     gadget, space = run.gadget, run.space
     probs = space.probabilities(noise)
     tally = _Tally(
@@ -393,7 +392,6 @@ def run_sequential_pair_sampling(
         on_batch: Optional[Callable[[int, int, int, Optional[str]],
                                     None]] = None,
         checkpoint=None,
-        resume: bool = True,
         runtime: Optional[RuntimePolicy] = None,
 ) -> SequentialPairResult:
     """Certify ``malignant_fraction <= f0`` sequentially.
@@ -428,7 +426,7 @@ def run_sequential_pair_sampling(
         "beta": float(beta),
         "method": method,
         "channel": channel,
-    }, checkpoint, resume)
+    }, checkpoint)
     space = run.space
     tally = _Tally(
         seed, lambda rng, length, histogram, patterns: sample_pair_chunk(
@@ -522,7 +520,6 @@ def adaptive_sweep_p(gadget: Gadget,
                      progress: Optional[
                          Callable[[ProgressEvent], None]] = None,
                      checkpoint=None,
-                     resume: bool = True,
                      runtime: Optional[RuntimePolicy] = None,
                      ) -> AdaptiveSweepResult:
     """Variance-aware ``sweep_p``: spend trials where CIs are widest.
@@ -542,10 +539,10 @@ def adaptive_sweep_p(gadget: Gadget,
     analogue of scanning for the paper's p_th.
 
     One :class:`FaultPatternCache` is shared across points (verdicts
-    are p-independent).  ``checkpoint``/``resume`` journal every
-    allocation; the schedule is a pure function of the journaled
-    counts, so a killed sweep resumes into the identical allocation
-    sequence and final series.
+    are p-independent).  ``checkpoint`` journals every allocation; the
+    schedule is a pure function of the journaled counts, so a killed
+    sweep resumes into the identical allocation sequence and final
+    series.
 
     ``progress`` receives one ``sample`` event per batch, before it is
     evaluated, counting trials against the spendable budget (the
@@ -588,7 +585,7 @@ def adaptive_sweep_p(gadget: Gadget,
         "interval_method": interval_method,
         "boundary": None if boundary is None else float(boundary),
         "channel": channel,
-    }, checkpoint, resume)
+    }, checkpoint)
     gadget, space = run.gadget, run.space
 
     def _point(index: int) -> _Tally:

@@ -482,7 +482,6 @@ def stress_certify(code=None,
                    sequential_method: str = "sprt",
                    optimize=False,
                    checkpoint=None,
-                   resume: bool = True,
                    ) -> StressReport:
     """Sweep the gadget suite across the structured model family.
 
@@ -514,7 +513,7 @@ def stress_certify(code=None,
     verdicts expected, measurably fewer fault locations paid per
     trial.
 
-    ``checkpoint``/``resume`` make the sweep crash-safe: every
+    ``checkpoint`` makes the sweep crash-safe: every
     baseline and every (gadget, model) row journals into its own
     substore of the given store, so a killed sweep re-run with the
     same arguments replays finished rows from their journals and
@@ -534,7 +533,6 @@ def stress_certify(code=None,
             gadget, initial, evaluator, NoiseModel.uniform(p),
             trials=trials, seed=seed, workers=1,
             checkpoint=_row_store(store, "baseline", case.name),
-            resume=resume,
         )
         allowance = baseline.failure_rate \
             + 3.0 * interval_stderr(baseline.failures, baseline.trials) \
@@ -549,7 +547,6 @@ def stress_certify(code=None,
                 fail_factor=fail_factor, sequential=sequential,
                 alpha=alpha, beta=beta, method=sequential_method,
                 checkpoint=_row_store(store, case.name, model_name),
-                resume=resume,
             ))
     if include_structural:
         certify_phase_immunity(code, trials=trials, seed=seed,
@@ -573,8 +570,7 @@ def _degradation_row(case_name: str, model_name: str, gadget: Gadget,
                      *, trials: int, seed: int, degrade_factor: float,
                      fail_factor: float, sequential: bool,
                      alpha: float, beta: float,
-                     method: str, checkpoint=None,
-                     resume: bool = True) -> StressVerdict:
+                     method: str, checkpoint=None) -> StressVerdict:
     """One graceful-degradation row (fixed-budget or sequential)."""
     p0 = min(max(degrade_factor * allowance, 1e-6), 0.49)
     p1 = min(max(fail_factor * allowance, 2.0 * p0), 0.98)
@@ -590,7 +586,7 @@ def _degradation_row(case_name: str, model_name: str, gadget: Gadget,
             p0=p0, p1=p1, alpha=alpha, beta=beta,
             max_trials=trials, seed=seed, method=method,
             claim=f"{case_name} x {model_name} rate <= {p0:g}",
-            checkpoint=checkpoint, resume=resume,
+            checkpoint=checkpoint,
         )
         result = outcome.result
         decision = outcome.verdict.decision
@@ -606,7 +602,7 @@ def _degradation_row(case_name: str, model_name: str, gadget: Gadget,
         result = run_monte_carlo(
             gadget, initial, evaluator, model,
             trials=trials, seed=seed, workers=1,
-            checkpoint=checkpoint, resume=resume,
+            checkpoint=checkpoint,
         )
         verdict = None
     rate = result.failure_rate

@@ -86,7 +86,6 @@ def sampled_threshold_report(gadget: Gadget,
                              chunk_size: int = DEFAULT_CHUNK_SIZE,
                              cache: Optional["FaultPatternCache"] = None,
                              checkpoint=None,
-                             resume: bool = True,
                              runtime=None,
                              certify_threshold_at: Optional[float] = None,
                              alpha: float = 0.05,
@@ -133,7 +132,7 @@ def sampled_threshold_report(gadget: Gadget,
         channel=channel, workers=workers, chunk_size=chunk_size,
         cache=cache,
         checkpoint=store.substore("exhaustive") if store else None,
-        resume=resume, runtime=runtime,
+        runtime=runtime,
     )
     threshold_verdict = None
     if certify_threshold_at is not None:
@@ -171,7 +170,7 @@ def sampled_threshold_report(gadget: Gadget,
             locations=locations, channel=channel,
             workers=workers, cache=cache,
             checkpoint=store.substore("pairs") if store else None,
-            resume=resume, runtime=runtime,
+            runtime=runtime,
         )
         pair_sample = sequential.sample
         threshold_verdict = sequential.verdict
@@ -181,7 +180,7 @@ def sampled_threshold_report(gadget: Gadget,
             locations=locations, seed=seed, channel=channel,
             workers=workers, chunk_size=chunk_size, cache=cache,
             checkpoint=store.substore("pairs") if store else None,
-            resume=resume, runtime=runtime,
+            runtime=runtime,
         )
     stats = survey.stats
     stats.absorb(pair_sample.engine_stats)

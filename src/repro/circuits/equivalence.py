@@ -121,19 +121,31 @@ def embed_operator(matrix: np.ndarray, qubits: Sequence[int],
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """The dense unitary implemented by a measurement-free circuit."""
+    """The dense unitary implemented by a measurement-free circuit.
+
+    Each gate is contracted into the row axes of the running unitary:
+    one ``tensordot`` per operation, O(4^n * 2^k) for a k-qubit gate.
+    """
     if circuit.has_measurements or circuit.has_classical_control:
         raise CircuitError(
             "circuit_unitary requires a purely unitary circuit"
         )
-    if circuit.num_qubits > MAX_DENSE_UNITARY_QUBITS:
+    n = circuit.num_qubits
+    if n > MAX_DENSE_UNITARY_QUBITS:
         raise CircuitError(
-            f"refusing a dense unitary on {circuit.num_qubits} qubits "
+            f"refusing a dense unitary on {n} qubits "
             f"(limit {MAX_DENSE_UNITARY_QUBITS})"
         )
-    unitary = np.eye(2**circuit.num_qubits, dtype=np.complex128)
+    dim = 2**n
+    # Axes: one per row qubit (qubit 0 most significant), then columns.
+    unitary = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
     for op in circuit.operations:
         assert isinstance(op, GateOp)
-        unitary = embed_operator(op.gate.matrix, op.qubits,
-                                 circuit.num_qubits) @ unitary
-    return unitary
+        qubits = list(op.qubits)
+        k = len(qubits)
+        gate = np.asarray(op.gate.matrix, dtype=np.complex128)
+        unitary = np.moveaxis(
+            np.tensordot(gate.reshape((2,) * (2 * k)), unitary,
+                         axes=(list(range(k, 2 * k)), qubits)),
+            list(range(k)), qubits)
+    return unitary.reshape(dim, dim)

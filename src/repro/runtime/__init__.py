@@ -8,7 +8,9 @@ out-of-memory, Ctrl-C and half-written files — and must prove it.
 * :mod:`repro.runtime.checkpoint` — crash-safe journals
   (:class:`CheckpointStore`): atomic write-tmp-then-rename records
   with integrity checksums and run fingerprints, powering
-  ``checkpoint=``/``resume=`` on every engine entry point.
+  ``checkpoint=`` on every engine entry point: a journal whose
+  fingerprint matches is always resumed, and
+  :meth:`CheckpointStore.clear` starts a run afresh.
 * :mod:`repro.runtime.supervisor` — the one process supervisor:
   :class:`Slots` of forked children, each SIGKILLed on its own
   deadline and respawned on exit, which run both the engine's chunks

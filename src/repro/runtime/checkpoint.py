@@ -143,9 +143,13 @@ def _payload_digest(payload: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_atomic_json(path: str, payload: Dict[str, Any]) -> None:
-    record = dict(payload)
-    record["sha256"] = _payload_digest(payload)
+def _write_atomic_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` all or nothing.
+
+    The text is staged in a ``<name>.*.tmp`` sibling, fsynced and
+    renamed over ``path``, so a reader sees the old file or the new
+    one, never a torn write; the staging file is removed on failure.
+    """
     directory = os.path.dirname(path) or "."
     fd, tmp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp",
@@ -153,7 +157,7 @@ def _write_atomic_json(path: str, payload: Dict[str, Any]) -> None:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(record, handle)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -163,6 +167,12 @@ def _write_atomic_json(path: str, payload: Dict[str, Any]) -> None:
         except OSError:
             pass
         raise
+
+
+def _write_atomic_json(path: str, payload: Dict[str, Any]) -> None:
+    record = dict(payload)
+    record["sha256"] = _payload_digest(payload)
+    _write_atomic_text(path, json.dumps(record))
 
 
 def _read_checked_json(path: str) -> Dict[str, Any]:

@@ -39,20 +39,28 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.exceptions import ReproError, RuntimeIntegrityError
 
 
-def backoff_delay(key: str, attempt: int, base: float, factor: float,
-                  jitter: float) -> float:
+#: Each retry waits this many times the previous one.
+BACKOFF_FACTOR = 2.0
+#: A delay is stretched by up to this fraction, hashed per key.
+BACKOFF_JITTER = 0.1
+
+
+def backoff_delay(key: str, attempt: int, base: float) -> float:
     """Exponential backoff with deterministic per-key jitter.
 
     The one retry rule: keyed by chunk index here, by job fingerprint
     in the service queue and by request in its client.  ``attempt`` is
-    1-based.  Jitter is hashed from (key, attempt), so schedules replay
-    exactly while keys that fail together still decorrelate.
+    1-based; the delay is ``base * BACKOFF_FACTOR ** (attempt - 1)``
+    stretched by up to ``BACKOFF_JITTER``.  Jitter is hashed from
+    (key, attempt), so schedules replay exactly while keys that fail
+    together still decorrelate.
     """
     if attempt < 1:
         raise ReproError(f"attempt must be >= 1, got {attempt}")
     digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
     unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
-    return base * (factor ** (attempt - 1)) * (1.0 + jitter * unit)
+    return (base * (BACKOFF_FACTOR ** (attempt - 1))
+            * (1.0 + BACKOFF_JITTER * unit))
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,6 @@ class SupervisorConfig:
     chunk_deadline_seconds: float = 600.0
     max_retries: int = 2
     backoff_base_seconds: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.25
 
 
 @dataclass
@@ -228,8 +234,7 @@ class Supervisor:
             if attempt <= config.max_retries:
                 report.retries += 1
                 heapq.heappush(waiting, (time.monotonic() + backoff_delay(
-                    str(index), attempt, config.backoff_base_seconds,
-                    config.backoff_factor, config.backoff_jitter),
+                    str(index), attempt, config.backoff_base_seconds),
                     index, attempt))
                 return
             report.quarantined.append(index)

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ServiceError
-from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.checkpoint import CheckpointStore, _write_atomic_text
 from repro.service.jobs import canonical_json
 
 import hashlib
@@ -137,23 +136,8 @@ class ResultCache:
             # not break cross-machine digest equality.
             "stored_at": self.clock(),
         }
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(path) + ".", suffix=".tmp",
-            dir=directory)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        _write_atomic_text(path, json.dumps(record))
         self._enforce_limits(keep=fingerprint)
         return record["digest"]
 

@@ -73,6 +73,10 @@ import json
 _RETRYABLE = (OSError, socket.timeout, TimeoutError,
               http.client.HTTPException)
 
+#: The longest pause between two attempts of one request, in seconds,
+#: whether computed or asked for by a 503's ``Retry-After``.
+BACKOFF_CAP = 2.0
+
 #: Server error_type → the exception class it re-raises as
 #: client-side, so remote and in-process callers share one handling
 #: path for auth refusals and stale-lease refusals.
@@ -122,9 +126,6 @@ class ServiceClient:
                  timeout: float = 10.0,
                  max_attempts: int = 6,
                  backoff_base: float = 0.05,
-                 backoff_factor: float = 2.0,
-                 backoff_jitter: float = 0.1,
-                 backoff_cap: float = 2.0,
                  auth: Optional[WorkerAuth] = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
         if max_attempts < 1:
@@ -132,18 +133,11 @@ class ServiceClient:
                 f"client max_attempts must be >= 1, got "
                 f"{max_attempts}"
             )
-        if backoff_cap <= 0.0:
-            raise ServiceError(
-                f"backoff_cap must be > 0, got {backoff_cap!r}"
-            )
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
         self.max_attempts = int(max_attempts)
         self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_jitter = float(backoff_jitter)
-        self.backoff_cap = float(backoff_cap)
         self.auth = auth
         self.sleep = sleep
         self.stats = ClientStats()
@@ -180,7 +174,7 @@ class ServiceClient:
         failure — the request may or may not have been processed —
         is always safe.
 
-        Backoff is capped at ``backoff_cap`` so a long retry chain
+        Backoff is capped at :data:`BACKOFF_CAP` so a long retry chain
         stays bounded instead of growing exponentially forever, and
         a 503's ``Retry-After`` hint overrides the computed delay
         (still under the cap): the server is asking for a specific
@@ -225,13 +219,12 @@ class ServiceClient:
             if attempt == self.max_attempts:
                 break
             self.stats.retries += 1
-            delay = backoff_delay(
-                request_key, attempt, self.backoff_base,
-                self.backoff_factor, self.backoff_jitter)
+            delay = backoff_delay(request_key, attempt,
+                                  self.backoff_base)
             if retry_hint is not None:
                 self.stats.retry_after_honored += 1
                 delay = retry_hint
-            delay = min(delay, self.backoff_cap)
+            delay = min(delay, BACKOFF_CAP)
             self.stats.backoff_seconds += delay
             self.sleep(delay)
         self.stats.fault_log.extend(faults)

@@ -99,6 +99,11 @@ _FINGERPRINT_LEN = 64
 _WORK_VERBS = ("claim", "heartbeat", "progress", "complete", "fail")
 _WORK_OPS = frozenset(f"work_{verb}" for verb in _WORK_VERBS)
 
+#: A long-poll watch re-reads the journal this often (seconds)...
+WATCH_POLL = 0.05
+#: ...and holds a quiet request at most this long, whatever it asks.
+WATCH_MAX_WAIT = 30.0
+
 
 def envelope(payload: Any) -> bytes:
     """Serialise one digest-enveloped response body."""
@@ -140,9 +145,7 @@ class CertificationServer:
                  port: int = 0, *,
                  merge_lock_timeout: float = 30.0,
                  worker_secret: Optional[str] = None,
-                 busy_retry_after: float = 0.25,
-                 watch_poll: float = 0.05,
-                 watch_max_wait: float = 30.0) -> None:
+                 busy_retry_after: float = 0.25) -> None:
         self.service = service
         #: The fleet endpoints' lease rules: the in-process transport.
         self.leases = QueueTransport(service.queue, service.cache)
@@ -151,8 +154,6 @@ class CertificationServer:
         self.merge_lock_timeout = merge_lock_timeout
         self.worker_secret = worker_secret
         self.busy_retry_after = float(busy_retry_after)
-        self.watch_poll = float(watch_poll)
-        self.watch_max_wait = float(watch_max_wait)
         self.request_counts: Dict[str, int] = {}
         #: worker name → lifetime authenticated-request tally, and
         #: (worker, op) → per-op tally: the fleet's connection ledger
@@ -647,7 +648,7 @@ class CertificationServer:
             return 400, {"error": "watch cursor/wait must be "
                                   "numeric"}
         cursor = max(0, cursor)
-        wait = min(max(0.0, wait), self.watch_max_wait)
+        wait = min(max(0.0, wait), WATCH_MAX_WAIT)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + wait
         while True:
@@ -669,7 +670,7 @@ class CertificationServer:
                     "state": (status.state if status is not None
                               else "unknown"),
                 }
-            await asyncio.sleep(self.watch_poll)
+            await asyncio.sleep(WATCH_POLL)
 
     # -- worker-fleet endpoints --------------------------------------
 

@@ -118,10 +118,7 @@ class ServiceConfig:
     job_deadline: float = 3600.0
     max_attempts: int = 3
     backoff_base: float = 1.0
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.1
     poll_interval: float = 0.05
-    store_lock_timeout: float = 10.0
     # Expiry padding for remote fleets: a heartbeat landing
     # marginally late by the server's clock (skew + transit) must
     # not forfeit a live lease.  The hard deadline is never padded.
@@ -162,8 +159,6 @@ class CertificationService:
             job_deadline=self.config.job_deadline,
             max_attempts=self.config.max_attempts,
             backoff_base=self.config.backoff_base,
-            backoff_factor=self.config.backoff_factor,
-            backoff_jitter=self.config.backoff_jitter,
             clock_skew_grace=self.config.clock_skew_grace)
         self.cache = ResultCache(
             os.path.join(self.root, "cache"),
@@ -214,9 +209,7 @@ class CertificationService:
 
     def worker(self, name: str = "worker") -> Worker:
         return Worker(
-            QueueTransport(
-                self.queue, self.cache,
-                store_lock_timeout=self.config.store_lock_timeout),
+            QueueTransport(self.queue, self.cache),
             name=name,
             heartbeat_interval=self.config.heartbeat_interval,
             runtime=self.runtime, chaos=self.chaos)

@@ -217,8 +217,6 @@ class JobQueue:
                  job_deadline: float = 3600.0,
                  max_attempts: int = 3,
                  backoff_base: float = 1.0,
-                 backoff_factor: float = 2.0,
-                 backoff_jitter: float = 0.1,
                  clock_skew_grace: float = 0.0,
                  clock: Callable[[], float] = time.time) -> None:
         if clock_skew_grace < 0.0:
@@ -231,8 +229,6 @@ class JobQueue:
         self.job_deadline = float(job_deadline)
         self.max_attempts = int(max_attempts)
         self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_jitter = float(backoff_jitter)
         self.clock_skew_grace = float(clock_skew_grace)
         self.clock = clock
         self.journal = CheckpointStore(
@@ -545,9 +541,8 @@ class JobQueue:
                 status = replace(status, attempt=attempt)
                 self._bury(status, error)
             else:
-                delay = backoff_delay(
-                    fingerprint, attempt, self.backoff_base,
-                    self.backoff_factor, self.backoff_jitter)
+                delay = backoff_delay(fingerprint, attempt,
+                                      self.backoff_base)
                 self.journal.append_record(_EVENTS, {
                     "event": "fail",
                     "fingerprint": fingerprint,

@@ -19,7 +19,6 @@ import os
 from typing import Any, Dict, Iterator, Optional
 
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.policy import RuntimePolicy
 from repro.service.auth import WorkerAuth
 from repro.service.client import ServiceClient
 from repro.service.queue import Lease
@@ -82,15 +81,13 @@ class RemoteWorker(Worker):
     def __init__(self, host: str, port: int, *, secret: str,
                  scratch: str, name: str = "remote",
                  heartbeat_interval: Optional[float] = None,
-                 runtime: Optional[RuntimePolicy] = None,
                  **client_kwargs: Any) -> None:
         self.client = ServiceClient(
             host, port, auth=WorkerAuth(secret=secret, worker=name),
             **client_kwargs)
         super().__init__(HttpTransport(self.client, scratch),
                          name=name,
-                         heartbeat_interval=heartbeat_interval,
-                         runtime=runtime)
+                         heartbeat_interval=heartbeat_interval)
 
     # Bound in this class body so that code patching
     # ``vars(RemoteWorker)["run_once"]`` (the benchmark's span tracer)

@@ -54,6 +54,9 @@ from repro.service.queue import JobQueue, Lease
 
 _CODES = {"trivial": TrivialCode, "steane": SteaneCode}
 
+#: Seconds a worker waits for the lock on a job's engine journal.
+STORE_LOCK_TIMEOUT = 10.0
+
 
 def _resolve_code(name: str):
     try:
@@ -133,7 +136,7 @@ def _execute_monte_carlo(ctx: ExecutionContext
         gadget, initial, evaluator, NoiseModel.uniform(p),
         trials=trials, seed=int(params["seed"]),
         chunk_size=chunk_size, workers=1,
-        checkpoint=ctx.store, resume=True, progress=progress,
+        checkpoint=ctx.store, progress=progress,
         runtime=ctx.runtime)
     interval = wilson_interval(result.failures, result.trials)
     verdict = {
@@ -187,7 +190,7 @@ def _execute_sequential(ctx: ExecutionContext
         seed=int(params["seed"]),
         batch_size=int(params.get("batch_size", 64)),
         method=str(params.get("method", "sprt")),
-        checkpoint=ctx.store, resume=True, on_batch=on_batch,
+        checkpoint=ctx.store, on_batch=on_batch,
         runtime=ctx.runtime)
     claim = outcome.verdict
     verdict = {
@@ -261,11 +264,9 @@ class QueueTransport:
     one, a determinism violation).
     """
 
-    def __init__(self, queue: JobQueue, cache: ResultCache, *,
-                 store_lock_timeout: float = 10.0) -> None:
+    def __init__(self, queue: JobQueue, cache: ResultCache) -> None:
         self.queue = queue
         self.cache = cache
-        self.store_lock_timeout = store_lock_timeout
 
     def claim(self, worker: str) -> Optional[Lease]:
         lease = self.queue.claim(worker)
@@ -307,7 +308,7 @@ class QueueTransport:
                      ) -> Iterator[CheckpointStore]:
         """The job's own engine journal, under its owner lock."""
         store = self.queue.job_store(fingerprint).substore("engine")
-        with store.exclusive(timeout=self.store_lock_timeout):
+        with store.exclusive(timeout=STORE_LOCK_TIMEOUT):
             yield store
 
 

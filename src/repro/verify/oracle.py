@@ -276,7 +276,6 @@ def differential_sweep(num_circuits: int,
                        shrink: bool = True,
                        stop_on_first: bool = False,
                        checkpoint=None,
-                       resume: bool = True,
                        flush_every: int = 25) -> SweepReport:
     """Fuzz ``num_circuits`` seeded circuits through the oracle.
 
@@ -290,8 +289,8 @@ def differential_sweep(num_circuits: int,
     ``checkpoint`` (a run directory or
     :class:`~repro.runtime.CheckpointStore`) journals progress every
     ``flush_every`` circuits — and immediately on every divergence, so
-    a found bug survives any crash.  With ``resume=True`` a matching
-    journal fast-forwards past already-checked circuits; each circuit
+    a found bug survives any crash.  A matching journal always
+    fast-forwards past already-checked circuits; each circuit
     is pinned by its own seed, so the resumed report equals the
     uninterrupted one.  A corrupted journal raises
     :class:`~repro.exceptions.CheckpointError`.
@@ -323,7 +322,7 @@ def differential_sweep(num_circuits: int,
             "shrink": bool(shrink),
             "stop_on_first": bool(stop_on_first),
         }
-        if resume and store.exists():
+        if store.exists():
             store.check_fingerprint(fingerprint)
             for record in store.load_records("circuits"):
                 start_index = max(start_index,

@@ -28,13 +28,13 @@ round-tripping is exact.
 from __future__ import annotations
 
 import os
-import tempfile
 from typing import Callable, Dict, List, Optional
 
 from repro.circuits import gates
 from repro.circuits.circuit import Circuit, GateOp, MeasureOp, ResetOp
 from repro.circuits.gates import Gate
 from repro.exceptions import VerificationError
+from repro.runtime.checkpoint import _write_atomic_text
 
 #: Parametric gate factories the parser knows how to rebuild.
 _PARAMETRIC: Dict[str, Callable[..., Gate]] = {
@@ -157,24 +157,8 @@ def write_artifact(path: str, text: str,
     must not mask the real failure.  Returns the path on success.
     """
     try:
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(path) + ".", suffix=".tmp",
-            dir=directory,
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        _write_atomic_text(path, text)
         return path
     except OSError:
         if best_effort:

@@ -98,6 +98,27 @@ class TestCircuitUnitary:
         assert np.allclose(unitary @ unitary.conj().T, np.eye(8))
         assert np.allclose(unitary[:, 0], run_unitary(circuit).amplitudes)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_product_of_embedded_gates(self, seed):
+        # Random circuits up to 8 qubits, with multi-qubit gates on
+        # non-adjacent and reversed qubit orders.
+        rng = np.random.default_rng(seed)
+        num_qubits = 3 + seed
+        pool = [gates.H, gates.S, gates.T_DG, gates.Y, gates.CNOT,
+                gates.CS, gates.SWAP, gates.TOFFOLI, gates.FREDKIN]
+        circuit = Circuit(num_qubits)
+        for _ in range(12):
+            gate = pool[rng.integers(len(pool))]
+            qubits = rng.choice(num_qubits, size=gate.num_qubits,
+                                replace=False)
+            circuit.add_gate(gate, *(int(q) for q in qubits))
+        reference = np.eye(2**num_qubits, dtype=np.complex128)
+        for op in circuit.operations:
+            reference = embed_operator(op.gate.matrix, op.qubits,
+                                       num_qubits) @ reference
+        assert np.allclose(circuit_unitary(circuit), reference,
+                           atol=1e-12)
+
     def test_rejects_measurement(self):
         circuit = Circuit(1, 1).measure(0, 0)
         with pytest.raises(CircuitError):

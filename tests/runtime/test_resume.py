@@ -98,17 +98,20 @@ class TestMonteCarloResume:
         assert again.engine_stats.evaluations == 0
         assert again.engine_stats.resumed_verdicts > 0
 
-    def test_resume_false_restarts_the_journal(self, tiny, tmp_path):
+    def test_clear_restarts_the_journal(self, tiny, tmp_path):
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.25)
         kwargs = dict(trials=300, seed=3, workers=1)
         store = CheckpointStore(str(tmp_path / "restart"))
-        run_monte_carlo(gadget, initial, evaluator, noise,
-                        checkpoint=store, **kwargs)
+        first = run_monte_carlo(gadget, initial, evaluator, noise,
+                                checkpoint=store, **kwargs)
+        store.clear()
         fresh = run_monte_carlo(gadget, initial, evaluator, noise,
-                                checkpoint=store, resume=False,
-                                **kwargs)
+                                checkpoint=store, **kwargs)
         assert fresh.engine_stats.resumed_verdicts == 0
+        assert fresh.engine_stats.evaluations \
+            == first.engine_stats.evaluations
+        assert fresh == first
 
     def test_mismatched_run_is_refused(self, tiny, tmp_path):
         gadget, initial, evaluator = tiny

@@ -163,8 +163,7 @@ class TestStructuredChaos:
         runtime = RuntimePolicy(
             supervisor=SupervisorConfig(
                 chunk_deadline_seconds=2.0, max_retries=2,
-                backoff_base_seconds=0.01, backoff_factor=2.0,
-                backoff_jitter=0.25),
+                backoff_base_seconds=0.01),
             chaos=FaultPlan().add("engine", "pool", 0, "kill"),
         )
         survived = run_monte_carlo(gadget, initial, evaluator, model,
@@ -182,8 +181,7 @@ class TestStructuredChaos:
         runtime = RuntimePolicy(
             supervisor=SupervisorConfig(
                 chunk_deadline_seconds=2.0, max_retries=2,
-                backoff_base_seconds=0.01, backoff_factor=2.0,
-                backoff_jitter=0.25),
+                backoff_base_seconds=0.01),
             chaos=FaultPlan().add("engine", "pool", 1, "kill"),
         )
         store = CheckpointStore(str(tmp_path / "chaos-ckpt"))

@@ -59,8 +59,7 @@ def _dies_first_attempt(task):
 
 def _fast_config(**overrides):
     defaults = dict(chunk_deadline_seconds=5.0, max_retries=2,
-                    backoff_base_seconds=0.01, backoff_factor=2.0,
-                    backoff_jitter=0.25)
+                    backoff_base_seconds=0.01)
     defaults.update(overrides)
     return SupervisorConfig(**defaults)
 

@@ -32,10 +32,7 @@ def fast_config(**overrides) -> ServiceConfig:
         job_deadline=60.0,
         max_attempts=3,
         backoff_base=0.02,
-        backoff_factor=2.0,
-        backoff_jitter=0.1,
         poll_interval=0.02,
-        store_lock_timeout=5.0,
     )
     knobs.update(overrides)
     return ServiceConfig(**knobs)

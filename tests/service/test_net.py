@@ -25,14 +25,14 @@ from repro.service import (
     backoff_delay,
     wait_terminal,
 )
+from repro.service.client import BACKOFF_CAP
 from repro.service.net import envelope, open_envelope
 
 from tests.service.conftest import fast_config, mc_spec
 
 
 def _client(server: CertificationServer, **overrides) -> ServiceClient:
-    knobs = dict(timeout=5.0, max_attempts=4, backoff_base=0.01,
-                 backoff_jitter=0.1)
+    knobs = dict(timeout=5.0, max_attempts=4, backoff_base=0.01)
     knobs.update(overrides)
     return ServiceClient(*server.address, **knobs)
 
@@ -278,14 +278,31 @@ class TestClientRetries:
         try:
             client = _client(server, timeout=1.0)
             client.health()
-            expected = backoff_delay(
-                "GET /v1/health", 1, client.backoff_base,
-                client.backoff_factor, client.backoff_jitter)
+            expected = backoff_delay("GET /v1/health", 1,
+                                     client.backoff_base)
             assert client.stats.backoff_seconds \
                 == pytest.approx(expected)
         finally:
             server.close()
 
+
+    def test_backoff_schedule_is_pinned(self, tmp_path):
+        # Literals computed with factor 2.0 and jitter 0.1, the rule's
+        # constants: a change to the rule shows up here.
+        plan = FaultPlan()
+        for index in range(3):
+            plan.add("net", "health", index, "drop")
+        _service, server = self._served_with(tmp_path, plan)
+        slept = []
+        try:
+            client = ServiceClient(*server.address, timeout=1.0,
+                                   max_attempts=4, backoff_base=0.01,
+                                   sleep=slept.append)
+            client.health()
+        finally:
+            server.close()
+        assert slept == [0.01028116497262911, 0.02101018415658679,
+                         0.04373789842629986]
 
 class TestServerLifecycle:
     def test_binds_an_ephemeral_port(self, served):
@@ -428,7 +445,7 @@ class TestServiceUnavailable:
             # server's own open contends): every attempt gets a 503.
             with store.exclusive(timeout=1.0):
                 busy = _client(server, max_attempts=2,
-                               backoff_base=5.0, backoff_cap=0.05)
+                               backoff_base=5.0)
                 with pytest.raises(ServiceError,
                                    match="failed after 2 attempts"):
                     busy.sweep_table(sweep.fingerprint)
@@ -455,14 +472,12 @@ class TestServiceUnavailable:
             with store.exclusive(timeout=1.0):
                 client = ServiceClient(
                     *server.address, timeout=5.0, max_attempts=3,
-                    backoff_base=0.01, backoff_cap=0.03,
-                    sleep=slept.append)
+                    backoff_base=0.01, sleep=slept.append)
                 with pytest.raises(ServiceError, match="HTTP 503"):
                     client.sweep_table(sweep.fingerprint)
         # A server asking for a 60 s pause does not get to stall the
         # client past its own cap.
-        assert len(slept) == 2
-        assert all(delay <= 0.03 for delay in slept)
+        assert slept == [BACKOFF_CAP, BACKOFF_CAP]
         assert client.stats.retry_after_honored == 2
 
 

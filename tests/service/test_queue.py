@@ -8,8 +8,8 @@ import shutil
 
 import pytest
 
-from repro.exceptions import CheckpointError, ServiceError, \
-    StaleLeaseError
+from repro.exceptions import CheckpointError, ReproError, \
+    ServiceError, StaleLeaseError
 from repro.runtime import checkpoint
 from repro.service import (
     CANCELLED,
@@ -177,37 +177,48 @@ class TestRetry:
         status = queue.status(fp)
         assert status.state == PENDING
         assert status.error == "boom"
-        expected = clock() + backoff_delay(
-            fp, 1, queue.backoff_base, queue.backoff_factor,
-            queue.backoff_jitter)
+        expected = clock() + backoff_delay(fp, 1, queue.backoff_base)
         assert status.not_before == pytest.approx(expected)
         # not claimable until the backoff passes
         assert queue.claim("w2") is None
         clock.advance(expected - clock() + 0.01)
         assert queue.claim("w2").attempt == 2
 
+    def test_schedule_is_pinned(self, tmp_path, clock):
+        # Literals computed with factor 2.0 and jitter 0.1, the rule's
+        # constants: a change to the rule shows up here.
+        queue = JobQueue(str(tmp_path / "pinned"), max_attempts=4,
+                         backoff_base=1.0, clock=clock)
+        fp = queue.submit(spec())
+        assert fp.startswith("9fdf3007a5df0c81")
+        delays = []
+        for _ in range(3):
+            lease = queue.claim("w1")
+            queue.fail(fp, lease.token, "boom")
+            not_before = queue.status(fp).not_before
+            delays.append(not_before - clock())
+            clock.advance(not_before - clock() + 0.01)
+        assert delays == pytest.approx(
+            [1.0753204195165196, 2.103077868779788, 4.039439733586975],
+            rel=1e-12)
+
     def test_backoff_grows_exponentially(self):
         # Job fingerprints (the queue's keys) and chunk indices (the
-        # runtime supervisor's) follow the same rule.
-        for key, base, expected in ((spec().fingerprint, 1.0,
-                                     [1.0, 2.0, 4.0]),
-                                    ("0", 0.1, [0.1, 0.2, 0.4])):
-            delays = [backoff_delay(key, a, base, 2.0, 0.0)
-                      for a in (1, 2, 3)]
-            assert delays == pytest.approx(expected)
+        # runtime supervisor's) follow the same rule: base * 2^(a-1),
+        # stretched by at most the 10% jitter.
+        for key, base in ((spec().fingerprint, 1.0), ("0", 0.1)):
+            for attempt in (1, 2, 3):
+                floor = base * 2.0 ** (attempt - 1)
+                delay = backoff_delay(key, attempt, base)
+                assert floor <= delay <= floor * 1.1
 
     def test_backoff_jitter_is_deterministic(self):
         fp = spec().fingerprint
-        assert backoff_delay(fp, 1, 1.0, 2.0, 0.5) \
-            == backoff_delay(fp, 1, 1.0, 2.0, 0.5)
-        assert backoff_delay(fp, 1, 1.0, 2.0, 0.5) \
-            != backoff_delay(spec(2).fingerprint, 1, 1.0, 2.0, 0.5)
-        # ...and bounded: jitter only ever stretches the base delay.
-        for key in (fp, "0", "7"):
-            for attempt in range(1, 5):
-                base = 0.1 * 2.0 ** (attempt - 1)
-                delay = backoff_delay(key, attempt, 0.1, 2.0, 0.5)
-                assert base <= delay <= base * 1.5
+        assert backoff_delay(fp, 1, 1.0) == backoff_delay(fp, 1, 1.0)
+        assert backoff_delay(fp, 1, 1.0) \
+            != backoff_delay(spec(2).fingerprint, 1, 1.0)
+        with pytest.raises(ReproError, match="attempt"):
+            backoff_delay(fp, 0, 1.0)
 
     def test_dead_letter_after_max_attempts(self, queue, clock):
         fp = queue.submit(spec())

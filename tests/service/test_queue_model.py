@@ -229,8 +229,7 @@ class QueueMachine(RuleBasedStateMachine):
         job = self.jobs[fingerprint]
         job["state"] = PENDING
         job["not_before"] = now + backoff_delay(
-            fingerprint, attempt, self.queue.backoff_base,
-            self.queue.backoff_factor, self.queue.backoff_jitter)
+            fingerprint, attempt, self.queue.backoff_base)
 
     @rule(index=st.integers(0, len(SPECS) - 1))
     def expire_lease(self, index):

@@ -36,6 +36,7 @@ from repro.service import (
     ServiceClient,
     SweepSpec,
     WorkerAuth,
+    merge_sweep,
     run_sweep_inprocess,
     submit_sweep,
 )
@@ -185,6 +186,25 @@ class TestRemoteWorker:
         assert status.verdict == expected
         assert status.meta["worker"] == "r1"
         assert status.meta["cache_hit"] is False
+
+    def test_sweep_drained_remotely_matches_inprocess(self, tmp_path):
+        # A whole sweep over the wire: the HTTP-merged table is
+        # complete, bit-identical to the in-process drain, and a
+        # re-merge answers the journaled table.
+        sweep = SweepSpec.create(
+            "monte_carlo", code="trivial", gadgets=("n", "recovery"),
+            p_grid=(0.01, 0.03), seed=53, trials=30, chunk_size=10)
+        reference = run_sweep_inprocess(sweep, str(tmp_path / "ref"))
+        service, server = _served(tmp_path)
+        with server:
+            submit_sweep(service, sweep)
+            _remote(server, tmp_path).run_until_drained(timeout=60.0)
+            client = ServiceClient(*server.address, timeout=5.0)
+            table = client.wait_sweep(sweep.fingerprint, timeout=60.0)
+        assert table["complete"] is True
+        assert table["counts"] == {SUCCEEDED: 4}
+        assert table["cells"] == reference["cells"]
+        assert merge_sweep(service, sweep) == table
 
     def test_sequential_job_streams_progress_over_wire(
             self, tmp_path):

@@ -1,12 +1,14 @@
 """Public-API integrity checks: every exported name resolves, every
-public definition has a caller, no module imports a name it never
-uses, the package metadata is consistent, and the examples at least
-compile."""
+public definition and every service setting has a caller, no module
+imports a name it never uses, the package metadata is consistent, and
+the examples at least compile."""
 
 import ast
 import collections
+import dataclasses
 import functools
 import importlib
+import inspect
 import pathlib
 import py_compile
 import re
@@ -283,6 +285,116 @@ class TestEveryPublicNameHasACaller:
         assert not called, (
             f"these now have a caller; drop them from "
             f"KEPT_WITHOUT_CALLER: {called}"
+        )
+
+
+#: The settings the knob census covers: every field of the two
+#: configs and every keyword-only parameter of the service classes.
+KNOB_OWNERS = (
+    ("repro.service.pool", "ServiceConfig"),
+    ("repro.runtime.supervisor", "SupervisorConfig"),
+    ("repro.service.queue", "JobQueue"),
+    ("repro.service.cache", "ResultCache"),
+    ("repro.service.client", "ServiceClient"),
+    ("repro.service.net", "CertificationServer"),
+    ("repro.service.worker", "QueueTransport"),
+    ("repro.service.worker", "Worker"),
+    ("repro.service.remote", "RemoteWorker"),
+)
+
+#: Settings that no call in CALLER_DIRS passes by keyword, each kept
+#: for one reason: (a) a test seam that substitutes a fake, (b) a
+#: timing bound a test must shrink to finish in bounded time, (c) a
+#: deployment bound that is off by default.  Any other setting with
+#: no caller is a constant.
+KNOBS_WITHOUT_CALLER = {
+    "JobQueue.clock": "(a) the fake clock of the lease-expiry tests",
+    "ResultCache.clock": "(a) the fake clock of the cache-TTL tests",
+    "ServiceClient.sleep":
+        "(a) records the retry schedule instead of sleeping",
+    "SupervisorConfig.chunk_deadline_seconds":
+        "(b) the chaos suite shoots hung chunks in seconds",
+    "SupervisorConfig.max_retries":
+        "(b) the chaos suite reaches quarantine in few retries",
+    "SupervisorConfig.backoff_base_seconds":
+        "(b) the chaos suite retries chunks within milliseconds",
+    "ServiceConfig.poll_interval":
+        "(b) forked test workers re-poll the queue within milliseconds",
+    "CertificationServer.merge_lock_timeout":
+        "(b) the merge-contention tests answer 503 within milliseconds",
+    "CertificationServer.busy_retry_after":
+        "(b) the merge-contention tests retry within milliseconds",
+    "RemoteWorker.heartbeat_interval":
+        "(b) the fleet tests renew leases within milliseconds",
+    "ServiceConfig.cache_max_entries":
+        "(c) an LRU bound on the verdict cache, unbounded by default",
+    "ServiceConfig.cache_max_age":
+        "(c) a TTL on the verdict cache, none by default",
+}
+
+
+def _knobs():
+    """``Owner.setting`` for every setting of the KNOB_OWNERS."""
+    found = set()
+    for module, name in KNOB_OWNERS:
+        owner = getattr(importlib.import_module(module), name)
+        if dataclasses.is_dataclass(owner):
+            settings = [field.name for field in dataclasses.fields(owner)]
+        else:
+            settings = [
+                parameter.name for parameter
+                in inspect.signature(owner.__init__).parameters.values()
+                if parameter.kind is parameter.KEYWORD_ONLY]
+        found.update(f"{name}.{setting}" for setting in settings)
+    return found
+
+
+def _keyword_calls(node, enclosing=None):
+    """``Callee.keyword`` of every keyword a call under ``node``
+    passes, except calls to the class they appear in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _keyword_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            callee = getattr(child.func, "id",
+                             getattr(child.func, "attr", None))
+            if callee != enclosing:
+                yield from (f"{callee}.{keyword.arg}"
+                            for keyword in child.keywords
+                            if keyword.arg is not None)
+        yield from _keyword_calls(child, enclosing)
+
+
+@functools.lru_cache(maxsize=None)
+def _passed_knobs():
+    """Settings some call in CALLER_DIRS passes by keyword."""
+    passed = set()
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            passed.update(_keyword_calls(ast.parse(path.read_text())))
+    return frozenset(passed & _knobs())
+
+
+class TestKnobsHaveCallers:
+    def test_every_knob_has_a_caller(self):
+        uncalled = sorted(_knobs() - _passed_knobs()
+                          - set(KNOBS_WITHOUT_CALLER))
+        assert not uncalled, (
+            "settings no caller outside tests passes (make them "
+            "constants, or keep one in KNOBS_WITHOUT_CALLER with its "
+            f"reason): {uncalled}"
+        )
+
+    def test_kept_knobs_still_exist(self):
+        gone = sorted(set(KNOBS_WITHOUT_CALLER) - _knobs())
+        assert not gone, f"drop from KNOBS_WITHOUT_CALLER: {gone}"
+
+    def test_kept_knobs_still_have_no_caller(self):
+        called = sorted(set(KNOBS_WITHOUT_CALLER) & _passed_knobs())
+        assert not called, (
+            f"these now have a caller; drop them from "
+            f"KNOBS_WITHOUT_CALLER: {called}"
         )
 
 
